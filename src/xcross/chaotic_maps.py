@@ -21,6 +21,7 @@ decorrelated from the raw seeds.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -138,35 +139,63 @@ def iterate_lshm(params: LshmParams, n: int) -> tuple[np.ndarray, np.ndarray]:
 
     Returns the x-stream and y-stream as float64 arrays of length ``n``.
     Every x value lies in [0, 1); y values are unbounded.
+
+    The loop body is :func:`lshm_step` and :func:`_mod1` inlined with the
+    same binary64 operations in the same order; tests pin the two
+    bit-for-bit.
     """
     if not isinstance(params, LshmParams):
         raise ParameterError("params must be LshmParams")
     n = _checked_count(n)
+    cos, pow_, abs_, pi = math.cos, math.pow, abs, math.pi
+    k1, k2, alpha, beta = params.k1, params.k2, params.alpha, params.beta
     x, y = params.x0, params.y0
-    for _ in range(TRANSIENT):
-        x, y = lshm_step(x, y, params)
-    xs = np.empty(n, dtype=np.float64)
-    ys = np.empty(n, dtype=np.float64)
-    for i in range(n):
-        x, y = lshm_step(x, y, params)
-        xs[i] = x
-        ys[i] = y
-    return xs, ys
+    xs, ys = array("d"), array("d")
+    x_append, y_append = xs.append, ys.append
+    for _ in range(TRANSIENT + n):
+        c = cos(pi * x)
+        t = pow_(abs_(c), beta)
+        if c < 0.0:
+            t = -t
+        y = k2 * (cos(y) * (1.0 - x))
+        x = k1 * (1.0 + alpha * t) % 1.0
+        if x >= 1.0:
+            x = 0.0
+        x += 0.0
+        x_append(x)
+        y_append(y)
+    return _emitted(xs), _emitted(ys)
 
 
 def iterate_clt(params: CltParams, n: int) -> np.ndarray:
-    """Emit ``n`` post-transient values of the CLT stream, all in [0, 1)."""
+    """Emit ``n`` post-transient values of the CLT stream, all in [0, 1).
+
+    The loop body is :func:`clt_step` and :func:`_mod1` inlined, pinned
+    bit-for-bit to them by tests.
+    """
     if not isinstance(params, CltParams):
         raise ParameterError("params must be CltParams")
     n = _checked_count(n)
+    lam, alpha_c = params.lam, params.alpha_c
     z = params.z0
-    for _ in range(TRANSIENT):
-        z = clt_step(z, params)
-    zs = np.empty(n, dtype=np.float64)
-    for i in range(n):
-        z = clt_step(z, params)
-        zs[i] = z
-    return zs
+    zs = array("d")
+    z_append = zs.append
+    for _ in range(TRANSIENT + n):
+        if z < 0.5:
+            z = lam * z * (1.0 - z) + alpha_c * z / 2.0
+        else:
+            z = lam * z * (1.0 - z) + alpha_c * (1.0 - z) / 2.0
+        z %= 1.0
+        if z >= 1.0:
+            z = 0.0
+        z += 0.0
+        z_append(z)
+    return _emitted(zs)
+
+
+def _emitted(values: array) -> np.ndarray:
+    """Zero-copy float64 view of ``values`` past the transient prefix."""
+    return np.frombuffer(values, dtype=np.float64)[TRANSIENT:]
 
 
 def _checked_count(n: int) -> int:

@@ -3,11 +3,12 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
 from xcross.chaotic_maps import (
+    TRANSIENT,
     CltParams,
     LshmParams,
     clt_step,
@@ -16,9 +17,21 @@ from xcross.chaotic_maps import (
     lshm_step,
 )
 from xcross.errors import EmptyRequestError, ParameterError
+from xcross.key_schedule import PARAM_RANGES
 
 REF_LSHM = LshmParams(k1=3.9, k2=3.6, alpha=2.1, beta=2.0, x0=0.3, y0=0.5)
 REF_CLT = CltParams(lam=3.77, alpha_c=3.1, z0=0.37)
+
+#: Attracting period-2 window of the x-map (see
+#: test_periodic_window_erases_seed_sensitivity).
+WINDOW_LSHM = LshmParams(
+    k1=3.892784933455308,
+    k2=3.229084835497175,
+    alpha=2.5992101641531096,
+    beta=1.7233644621515993,
+    x0=0.41692255167072845,
+    y0=0.63195361628962,
+)
 
 
 class TestParamValidation:
@@ -194,14 +207,7 @@ class TestStreamProperties:
         # pulls any nearby seed onto the bit-identical orbit and x0
         # sensitivity vanishes.  Pinned here as a known hazard of the map,
         # not a defect of the implementation.
-        window = LshmParams(
-            k1=3.892784933455308,
-            k2=3.229084835497175,
-            alpha=2.5992101641531096,
-            beta=1.7233644621515993,
-            x0=0.41692255167072845,
-            y0=0.63195361628962,
-        )
+        window = WINDOW_LSHM
         xs, ys = iterate_lshm(window, 32)
         nudged = LshmParams(
             k1=window.k1, k2=window.k2, alpha=window.alpha,
@@ -220,3 +226,60 @@ class TestStreamProperties:
     def test_clt_range_property(self, lam, alpha_c, z0):
         zs = iterate_clt(CltParams(lam=lam, alpha_c=alpha_c, z0=z0), 64)
         assert np.all((zs >= 0.0) & (zs < 1.0))
+
+
+def operating(name: str) -> st.SearchStrategy[float]:
+    lo, hi = PARAM_RANGES[name]
+    return st.floats(lo, hi)
+
+
+class TestInlinedLoopsMatchSteps:
+    """The iterators inline the step functions; they must agree bit for bit.
+
+    The reference is a naive loop over :func:`lshm_step` / :func:`clt_step`
+    that keeps every state, transient included, so the test can also check
+    that both branches of each map were taken.
+    """
+
+    LENGTHS = st.sampled_from([1, 7, 4096])
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        k1=operating("lshm.k1"),
+        k2=operating("lshm.k2"),
+        alpha=operating("lshm.alpha"),
+        beta=operating("lshm.beta").filter(lambda b: not b.is_integer()),
+        x0=operating("lshm.x0"),
+        y0=operating("lshm.y0"),
+        n=LENGTHS,
+    )
+    @example(**vars(WINDOW_LSHM), n=4096)
+    @example(**vars(REF_LSHM), n=7)
+    def test_lshm(self, k1, k2, alpha, beta, x0, y0, n):
+        p = LshmParams(k1=k1, k2=k2, alpha=alpha, beta=beta, x0=x0, y0=y0)
+        states = [(p.x0, p.y0)]
+        for _ in range(TRANSIENT + n):
+            states.append(lshm_step(*states[-1], p))
+        # cos(pi*x) < 0 exactly when x > 0.5: the sign flip was exercised
+        assert any(x > 0.5 for x, _ in states[:-1])
+        assert any(x < 0.5 for x, _ in states[:-1])
+        xs, ys = iterate_lshm(p, n)
+        assert np.array_equal(xs, [x for x, _ in states[TRANSIENT + 1:]])
+        assert np.array_equal(ys, [y for _, y in states[TRANSIENT + 1:]])
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        lam=operating("clt.lambda"),
+        alpha_c=operating("clt.alpha"),
+        z0=operating("clt.z0"),
+        n=LENGTHS,
+    )
+    @example(lam=REF_CLT.lam, alpha_c=REF_CLT.alpha_c, z0=REF_CLT.z0, n=4096)
+    def test_clt(self, lam, alpha_c, z0, n):
+        p = CltParams(lam=lam, alpha_c=alpha_c, z0=z0)
+        states = [p.z0]
+        for _ in range(TRANSIENT + n):
+            states.append(clt_step(states[-1], p))
+        assert any(z < 0.5 for z in states[:-1])
+        assert any(z >= 0.5 for z in states[:-1])
+        assert np.array_equal(iterate_clt(p, n), states[TRANSIENT + 1:])
