@@ -17,6 +17,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from xcross.analysis import analyze, report_csv
 from xcross.cli import main
 from xcross.image_io import parse_pgm, write_pgm
 from xcross.key_schedule import (
@@ -63,6 +64,14 @@ CIPHERTEXT_DIGESTS = {
 
 #: Digest of the `xcross encrypt --pad` output file for the 13x10 ramp.
 PADDED_CLI_DIGEST = "056b8a4b3f9a52962245db51c91d13ac8fff60367b8751cdaa2fd24a437ff37e"
+
+
+#: Digests of `report_csv(analyze(...))`: the reference key's 256²
+#: `natural_test_image` ciphertext, and a constant 8x8 image (every flag set).
+REPORT_DIGESTS = {
+    "natural256": "8b98883f20d47e5f37f0b718a90af169e36638a9c07c44b1acf94fd44628d4af",
+    "constant8": "1b4b1ba3546a9d39d27a37fd91355f92628f8537cba3d50cea376caa45a02338",
+}
 
 
 def sha256(data: bytes) -> str:
@@ -124,3 +133,12 @@ def test_padded_cli_ciphertext_digest(ref_key, tmp_path):
     assert sha256(enc.read_bytes()) == PADDED_CLI_DIGEST
     assert main(["decrypt", "--in", str(enc), "--out", str(dec), "--key", str(key)]) == 0
     assert np.array_equal(parse_pgm(dec.read_bytes())[1], plain)
+
+
+@pytest.mark.parametrize("name", sorted(REPORT_DIGESTS))
+def test_report_csv_digest(ref_key, name):
+    if name == "natural256":
+        img = encrypt(natural_test_image(256), ref_key)
+    else:
+        img = np.full((8, 8), 77, dtype=np.uint8)
+    assert sha256(report_csv(analyze(img)).encode("ascii")) == REPORT_DIGESTS[name]
