@@ -74,7 +74,11 @@ def adjacent_correlation(img: np.ndarray, direction: str) -> float:
     Returns 0.0 when either marginal is constant (the report carries a
     flag for that case).
     """
-    img = _checked_image(img)
+    return _correlation(_checked_image(img), direction)[0]
+
+
+def _correlation(img: np.ndarray, direction: str) -> tuple[float, bool]:
+    """(Pearson correlation, whether a marginal has zero variance)."""
     a, b = _direction_pairs(img, direction)
     if a.size < 2:
         raise DimensionError(
@@ -86,9 +90,9 @@ def adjacent_correlation(img: np.ndarray, direction: str) -> float:
     vx = ((x - mx) ** 2).mean()
     vy = ((y - my) ** 2).mean()
     if vx == 0.0 or vy == 0.0:
-        return 0.0
+        return 0.0, True
     cov = ((x - mx) * (y - my)).mean()
-    return float(cov / np.sqrt(vx * vy))
+    return float(cov / np.sqrt(vx * vy)), False
 
 
 def _glcm_matrix(img: np.ndarray) -> np.ndarray:
@@ -136,12 +140,9 @@ def analyze(img: np.ndarray) -> AnalysisReport:
     flags = []
     corrs = {}
     for d in _DIRECTIONS:
-        a, b = _direction_pairs(img, d)
-        x = a.reshape(-1).astype(np.float64)
-        y = b.reshape(-1).astype(np.float64)
-        if ((x - x.mean()) ** 2).mean() == 0.0 or ((y - y.mean()) ** 2).mean() == 0.0:
+        corrs[d], zero_variance = _correlation(img, d)
+        if zero_variance:
             flags.append(f"corr_{d[0]}_zero_variance")
-        corrs[d] = adjacent_correlation(img, d)
     contrast, energy_, homogeneity, correlation = glcm(img)
     if correlation is None:
         flags.append("glcm_correlation_undefined")

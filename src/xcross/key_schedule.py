@@ -58,6 +58,8 @@ class KeyMaterial:
     version: str = KEY_VERSION
 
     def __post_init__(self) -> None:
+        # a tuple keeps the key hashable when the seeds come as a list
+        object.__setattr__(self, "sbox_seeds", tuple(self.sbox_seeds))
         if len(self.sbox_seeds) != 3:
             raise ParameterError("exactly three sbox seeds are required")
         for i, s in enumerate(self.sbox_seeds, start=1):

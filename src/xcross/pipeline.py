@@ -9,6 +9,7 @@ directions are deterministic functions of (image, key material).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -33,9 +34,19 @@ from .substitution import SubstitutionSuite, substitution_stage, unsubstitute_st
 STAGES = ("permutation", "ibt", "substitution")
 
 
+#: Largest image, in pixels, whose context `derive_context` keeps.  A
+#: context holds four intp keys of 2*M*N entries each (about 65 MB at
+#: 1024^2), so large ones are rebuilt rather than held.
+_MEMO_MAX_PIXELS = 256 * 256
+
+
 @dataclass(frozen=True)
 class CipherContext:
-    """Everything derived from one KeyMaterial for one image geometry."""
+    """Everything derived from one KeyMaterial for one image geometry.
+
+    Contexts from :func:`derive_context` may be shared between calls, so
+    their ``keys``, ``opmatrix`` and S-box arrays are read-only.
+    """
 
     keys: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
     opmatrix: np.ndarray
@@ -43,15 +54,32 @@ class CipherContext:
 
 
 def derive_context(key: KeyMaterial, m: int, n: int) -> CipherContext:
-    """Deterministically assemble all key artifacts for an m x n image."""
+    """Deterministically assemble all key artifacts for an m x n image.
+
+    The contexts of the two most recent (key, m, n) triples of up to
+    256^2 pixels are kept and returned again on a repeat; keys that
+    compare equal derive identical artifacts.  Larger contexts are
+    derived afresh on every call.  The returned arrays are read-only.
+    """
     if not isinstance(key, KeyMaterial):
         raise ParameterError("key must be KeyMaterial")
+    if m * n <= _MEMO_MAX_PIXELS:
+        return _recent_context(key, m, n)
+    return _build_context(key, m, n)
+
+
+def _build_context(key: KeyMaterial, m: int, n: int) -> CipherContext:
     rea1, rea2 = build_extraction_arrays(key, m, n)
-    return CipherContext(
-        keys=build_extraction_keys(rea1, rea2),
-        opmatrix=build_operation_matrix(key, m, n),
-        suite=SubstitutionSuite(sboxes=build_sboxes(key)),
-    )
+    keys = build_extraction_keys(rea1, rea2)
+    opmatrix = build_operation_matrix(key, m, n)
+    sboxes = build_sboxes(key)
+    for arr in (*keys, opmatrix, *sboxes):
+        arr.setflags(write=False)
+    return CipherContext(keys=keys, opmatrix=opmatrix, suite=SubstitutionSuite(sboxes=sboxes))
+
+
+# typed: an m or n of another type (8.0 for 8) must not hit a kept context
+_recent_context = lru_cache(maxsize=2, typed=True)(_build_context)
 
 
 def _checked_image(img: np.ndarray) -> np.ndarray:

@@ -21,6 +21,7 @@ from xcross.key_schedule import (
     sbox_from_stream,
     serialize_key,
 )
+from xcross.pipeline import encrypt
 
 
 def nudged(key: KeyMaterial, field: str, delta: float = 1e-10) -> KeyMaterial:
@@ -163,6 +164,13 @@ class TestSboxes:
                 clt=reference_key().clt,
                 sbox_seeds=(0.3, 0.3, 0.7),
             )
+
+    def test_list_seeds_equal_tuple_seeds(self, ref_key, rng):
+        listed = dataclasses.replace(ref_key, sbox_seeds=list(ref_key.sbox_seeds))
+        assert listed.sbox_seeds == ref_key.sbox_seeds
+        assert listed == ref_key and hash(listed) == hash(ref_key)
+        img = rng.integers(0, 256, size=(8, 8), dtype=np.uint8)
+        assert encrypt(img, listed).tobytes() == encrypt(img, ref_key).tobytes()
 
 
 class TestDeterminism:

@@ -3,8 +3,9 @@ import dataclasses
 import numpy as np
 import pytest
 
+from xcross import key_schedule, pipeline
 from xcross.errors import DimensionError, ParameterError
-from xcross.key_schedule import random_key_material
+from xcross.key_schedule import random_key_material, reference_key
 from xcross.pipeline import (
     STAGES,
     decrypt,
@@ -54,6 +55,83 @@ class TestDeriveContext:
     def test_rejects_non_keymaterial(self):
         with pytest.raises(ParameterError):
             derive_context("not a key", 8, 8)
+
+
+def with_signed_zero(key, field, zero, y0):
+    lshm = dataclasses.replace(key.lshm, y0=y0)
+    return dataclasses.replace(key, lshm=dataclasses.replace(lshm, **{field: zero}))
+
+
+#: (field set to a signed zero, base y0) for the memo's identity check.
+SIGNED_ZERO_CASES = [(f, y0) for f in ("x0", "k1", "k2", "alpha") for y0 in (0.5, 3.0)]
+SIGNED_ZERO_CASES.append(("y0", 0.0))
+
+
+class TestContextMemo:
+    """`derive_context` keeps the two most recent contexts of up to 256^2."""
+
+    def test_encrypt_and_decrypt_derive_once(self, rng, monkeypatch):
+        calls = []
+        real = key_schedule.iterate_lshm
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(key_schedule, "iterate_lshm", counted)
+        key = random_key_material(rng)
+        img = rng.integers(0, 256, size=(16, 12), dtype=np.uint8)
+        assert np.array_equal(decrypt(encrypt(img, key), key), img)
+        assert len(calls) == 1
+
+    def test_keeps_the_two_most_recent(self, rng):
+        k, k_prime, other = (random_key_material(rng) for _ in range(3))
+        first = derive_context(k, 8, 8)
+        second = derive_context(k_prime, 8, 8)
+        assert derive_context(k, 8, 8) is first
+        assert derive_context(k_prime, 8, 8) is second
+        derive_context(other, 8, 8)
+        derive_context(k, 8, 8)
+        assert derive_context(k_prime, 8, 8) is not second
+
+    @pytest.mark.parametrize(("field", "y0"), SIGNED_ZERO_CASES)
+    def test_signed_zeros_give_identical_ciphertexts(self, field, y0):
+        pos = with_signed_zero(reference_key(), field, 0.0, y0)
+        neg = with_signed_zero(reference_key(), field, -0.0, y0)
+        assert pos == neg and hash(pos) == hash(neg)
+        img = ramp_image(8, 8)
+        # encrypt each with a freshly derived context, not a kept one
+        out = []
+        for key in (pos, neg):
+            pipeline._recent_context.cache_clear()
+            out.append(encrypt(img, key).tobytes())
+        assert out[0] == out[1]
+
+    def test_context_arrays_are_read_only(self, ref_key):
+        ctx = derive_context(ref_key, 8, 8)
+        with pytest.raises(ValueError):
+            ctx.keys[0][0] = 1
+        with pytest.raises(ValueError):
+            ctx.opmatrix[:] = 0
+        with pytest.raises(ValueError):
+            ctx.suite.sboxes[0][0] = 1
+
+    def test_large_contexts_are_not_kept(self, ref_key):
+        assert derive_context(ref_key, 256, 256) is derive_context(ref_key, 256, 256)
+        before = pipeline._recent_context.cache_info()
+        first = derive_context(ref_key, 256, 260)
+        assert pipeline._recent_context.cache_info() == before
+        assert derive_context(ref_key, 256, 260) is not first
+        assert first.keys[0].flags.writeable is False
+
+    def test_invalid_arguments_still_raise(self, ref_key):
+        with pytest.raises(ParameterError):
+            derive_context({"not": "a key"}, 8, 8)
+        with pytest.raises(ParameterError):
+            encrypt(np.zeros((8, 8), dtype=np.uint8), [ref_key])
+        derive_context(ref_key, 8, 8)
+        with pytest.raises(ParameterError):
+            derive_context(ref_key, 8.0, 8)
 
 
 class TestRoundTrip:
