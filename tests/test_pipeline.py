@@ -31,7 +31,9 @@ def ramp_image(m, n):
 class TestDeriveContext:
     def test_determinism(self, ref_key):
         c1 = derive_context(ref_key, 8, 8)
+        pipeline._recent_context.cache_clear()
         c2 = derive_context(ref_key, 8, 8)
+        assert c1 is not c2
         for a, b in zip(c1.keys, c2.keys):
             assert np.array_equal(a, b)
         assert np.array_equal(c1.opmatrix, c2.opmatrix)
