@@ -32,10 +32,11 @@ from .errors import (
 from .image_io import original_size_note, parse_pgm, write_pgm
 from .key_schedule import (
     PARAM_RANGES,
-    CltParams,
     KeyMaterial,
-    LshmParams,
+    key_from_values,
+    key_values,
     parse_key,
+    random_key_material,
     serialize_key,
 )
 from .pipeline import decrypt, encrypt
@@ -45,23 +46,6 @@ EXIT_USAGE = 1
 EXIT_IO = 2
 EXIT_FORMAT = 3
 EXIT_DOMAIN = 4
-
-# flag destination -> key-file field name, in key-file order
-_KEYGEN_FIELDS = {
-    "lshm_x0": "lshm.x0",
-    "lshm_y0": "lshm.y0",
-    "lshm_k1": "lshm.k1",
-    "lshm_k2": "lshm.k2",
-    "lshm_alpha": "lshm.alpha",
-    "lshm_beta": "lshm.beta",
-    "clt_z0": "clt.z0",
-    "clt_lambda": "clt.lambda",
-    "clt_alpha": "clt.alpha",
-    "sbox_seed1": "sbox.seed1",
-    "sbox_seed2": "sbox.seed2",
-    "sbox_seed3": "sbox.seed3",
-}
-
 
 class _UsageError(Exception):
     pass
@@ -121,52 +105,22 @@ def _pad_to_block(img: np.ndarray) -> tuple[np.ndarray, tuple[int, int]]:
 
 
 def cmd_keygen(args) -> int:
-    values: dict[str, float] = {}
-    for dest, field in _KEYGEN_FIELDS.items():
-        given = getattr(args, dest)
-        if given is None:
+    # one --lshm-x0 style flag per key-file field; argparse stores it as lshm_x0
+    given: dict[str, float] = {}
+    for field, (lo, hi) in PARAM_RANGES.items():
+        value = getattr(args, field.replace(".", "_"))
+        if value is None:
             continue
-        lo, hi = PARAM_RANGES[field]
-        if not (lo <= given <= hi):
+        if not (lo <= value <= hi):
             raise ParameterError(
-                f"{field} = {given!r} outside the valid range [{lo}, {hi}]"
+                f"{field} = {value!r} outside the valid range [{lo}, {hi}]"
             )
-        values[field] = given
-    missing = [f for f in _KEYGEN_FIELDS.values() if f not in values]
-    if missing:
-        if not args.random:
-            raise _UsageError(
-                f"missing {', '.join(missing)}; pass values or use --random"
-            )
-        osrng = random.SystemRandom()
-        for field in missing:
-            lo, hi = PARAM_RANGES[field]
-            values[field] = osrng.uniform(lo, hi)
-        while len({values["sbox.seed1"], values["sbox.seed2"],
-                   values["sbox.seed3"]}) != 3:  # pragma: no cover - p ~ 0
-            for field in ("sbox.seed1", "sbox.seed2", "sbox.seed3"):
-                if field in missing:
-                    values[field] = osrng.uniform(*PARAM_RANGES[field])
-    key = KeyMaterial(
-        lshm=LshmParams(
-            k1=values["lshm.k1"],
-            k2=values["lshm.k2"],
-            alpha=values["lshm.alpha"],
-            beta=values["lshm.beta"],
-            x0=values["lshm.x0"],
-            y0=values["lshm.y0"],
-        ),
-        clt=CltParams(
-            lam=values["clt.lambda"],
-            alpha_c=values["clt.alpha"],
-            z0=values["clt.z0"],
-        ),
-        sbox_seeds=(
-            values["sbox.seed1"],
-            values["sbox.seed2"],
-            values["sbox.seed3"],
-        ),
-    )
+        given[field] = value
+    missing = [f for f in PARAM_RANGES if f not in given]
+    if missing and not args.random:
+        raise _UsageError(f"missing {', '.join(missing)}; pass values or use --random")
+    drawn = key_values(random_key_material(random.SystemRandom())) if missing else {}
+    key = key_from_values({**drawn, **given})
     _atomic_write(args.out, serialize_key(key).encode("ascii"))
     return EXIT_OK
 
@@ -225,10 +179,9 @@ def _build_parser() -> _Parser:
         action="store_true",
         help="draw unspecified parameters from OS entropy",
     )
-    for dest, field in _KEYGEN_FIELDS.items():
-        lo, hi = PARAM_RANGES[field]
+    for field, (lo, hi) in PARAM_RANGES.items():
         p_key.add_argument(
-            f"--{dest.replace('_', '-')}",
+            f"--{field.replace('.', '-')}",
             type=float,
             default=None,
             metavar="X",

@@ -104,11 +104,6 @@ def parse_pgm(raw: bytes) -> tuple[PgmHeader, np.ndarray]:
     return header, pixels
 
 
-def read_pgm(raw: bytes) -> np.ndarray:
-    """Pixels only; use `parse_pgm` when the header comments matter."""
-    return parse_pgm(raw)[1]
-
-
 def write_pgm(img: np.ndarray, pad_note: tuple[int, int] | None = None) -> bytes:
     """Serialize to the canonical byte form ``P5\\n<w> <h>\\n255\\n<payload>``.
 

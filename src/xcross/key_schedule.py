@@ -149,27 +149,24 @@ def build_operation_matrix(key: KeyMaterial, m: int, n: int) -> np.ndarray:
 def sbox_from_stream(stream: np.ndarray) -> np.ndarray:
     """Stable ascending argsort of 256 values, as a uint8 substitution table.
 
-    A strictly increasing stream yields the identity box, a strictly
-    decreasing one the reversal box; ties keep stream order.
+    An argsort of 256 values is a permutation of 0..255, so the table is a
+    bijection by construction.  A strictly increasing stream yields the
+    identity box, a strictly decreasing one the reversal box; ties keep
+    stream order.
     """
     stream = np.asarray(stream)
     if stream.shape != (256,):
         raise DimensionError(f"an S-box needs exactly 256 stream values, got {stream.shape}")
-    table = np.argsort(stream, kind="stable").astype(np.uint8)
-    if not np.all(np.bincount(table, minlength=256) == 1):
-        raise ParameterError("derived S-box is not a bijection")  # pragma: no cover
-    return table
+    return np.argsort(stream, kind="stable").astype(np.uint8)
 
 
 def build_sboxes(key: KeyMaterial) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Generate the three S-boxes from the three seeds.
 
-    Each seed replaces z0 in the key's CLT parameters; the stable argsort
-    of a 256-value stream is the S-box table — a bijection on 0..255 by
-    construction, and verified by occurrence count anyway.
+    Each seed replaces z0 in the key's CLT parameters and the 256-value
+    stream becomes one table through :func:`sbox_from_stream`.  The seeds
+    are pairwise distinct, as `KeyMaterial` enforces.
     """
-    if len(set(key.sbox_seeds)) != 3:
-        raise ParameterError("sbox seeds must be pairwise distinct")
     tables = []
     for seed in key.sbox_seeds:
         p = CltParams(lam=key.clt.lam, alpha_c=key.clt.alpha_c, z0=seed)
@@ -181,13 +178,10 @@ def build_sboxes(key: KeyMaterial) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 # key file format: one `name = decimal-literal` line per field
 
 
-def serialize_key(key: KeyMaterial) -> str:
-    """Render key material in the line-oriented text format.
-
-    Floats are written with repr, which round-trips binary64 exactly.
-    """
+def key_values(key: KeyMaterial) -> dict[str, float]:
+    """Key-file field name -> value of every numeric field, in file order."""
     p, c = key.lshm, key.clt
-    values = {
+    return {
         "lshm.x0": p.x0, "lshm.y0": p.y0, "lshm.k1": p.k1, "lshm.k2": p.k2,
         "lshm.alpha": p.alpha, "lshm.beta": p.beta,
         "clt.z0": c.z0, "clt.lambda": c.lam, "clt.alpha": c.alpha_c,
@@ -195,7 +189,25 @@ def serialize_key(key: KeyMaterial) -> str:
         "sbox.seed2": key.sbox_seeds[1],
         "sbox.seed3": key.sbox_seeds[2],
     }
-    lines = [f"{name} = {values[name]!r}" for name in KEY_FIELDS[:-1]]
+
+
+def key_from_values(values: dict[str, float]) -> KeyMaterial:
+    """Inverse of :func:`key_values`: validated key material from field values."""
+    lshm = LshmParams(
+        x0=values["lshm.x0"], y0=values["lshm.y0"], k1=values["lshm.k1"],
+        k2=values["lshm.k2"], alpha=values["lshm.alpha"], beta=values["lshm.beta"],
+    )
+    clt = CltParams(lam=values["clt.lambda"], alpha_c=values["clt.alpha"], z0=values["clt.z0"])
+    seeds = (values["sbox.seed1"], values["sbox.seed2"], values["sbox.seed3"])
+    return KeyMaterial(lshm=lshm, clt=clt, sbox_seeds=seeds)
+
+
+def serialize_key(key: KeyMaterial) -> str:
+    """Render key material in the line-oriented text format.
+
+    Floats are written with repr, which round-trips binary64 exactly.
+    """
+    lines = [f"{name} = {value!r}" for name, value in key_values(key).items()]
     lines.append(f"version = {key.version}")
     return "\n".join(lines) + "\n"
 
@@ -231,22 +243,19 @@ def parse_key(text: str) -> KeyMaterial:
 
     def num(name: str) -> float:
         try:
-            v = float(seen[name])
+            return float(seen[name])
         except ValueError:
             raise KeyFormatError(f"field {name}: {seen[name]!r} is not a decimal literal") from None
-        return v
 
-    lshm = LshmParams(
-        x0=num("lshm.x0"), y0=num("lshm.y0"), k1=num("lshm.k1"),
-        k2=num("lshm.k2"), alpha=num("lshm.alpha"), beta=num("lshm.beta"),
-    )
-    clt = CltParams(lam=num("clt.lambda"), alpha_c=num("clt.alpha"), z0=num("clt.z0"))
-    seeds = (num("sbox.seed1"), num("sbox.seed2"), num("sbox.seed3"))
-    return KeyMaterial(lshm=lshm, clt=clt, sbox_seeds=seeds)
+    return key_from_values({name: num(name) for name in KEY_FIELDS[:-1]})
 
 
-def random_key_material(rng: np.random.Generator) -> KeyMaterial:
-    """Draw key material uniformly from the operating ranges."""
+def random_key_material(rng) -> KeyMaterial:
+    """Draw key material uniformly from the operating ranges.
+
+    ``rng`` needs only ``uniform(lo, hi)``: a NumPy ``Generator`` or
+    ``random.SystemRandom()`` (OS entropy) both fit.
+    """
 
     def draw(name: str) -> float:
         lo, hi = PARAM_RANGES[name]

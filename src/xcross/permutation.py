@@ -84,7 +84,7 @@ def xcross_unpermute(blk: np.ndarray) -> np.ndarray:
 
 
 def split_quadrants(img: np.ndarray) -> QuadSplit:
-    """Cut an image into its four quadrants (dimensions must be mod-4)."""
+    """Cut an image into four quadrant views (dimensions must be mod-4)."""
     img = np.asarray(img)
     if img.dtype != np.uint8:
         raise ParameterError(f"images must be uint8, got dtype {img.dtype}")
@@ -96,12 +96,7 @@ def split_quadrants(img: np.ndarray) -> QuadSplit:
             f"image dimensions must be multiples of 4 (so quadrants are even), got {m}x{n}"
         )
     hm, hn = m // 2, n // 2
-    return QuadSplit(
-        a=img[:hm, :hn].copy(),
-        b=img[:hm, hn:].copy(),
-        c=img[hm:, :hn].copy(),
-        d=img[hm:, hn:].copy(),
-    )
+    return QuadSplit(a=img[:hm, :hn], b=img[:hm, hn:], c=img[hm:, :hn], d=img[hm:, hn:])
 
 
 def merge_quadrants(q: QuadSplit) -> np.ndarray:

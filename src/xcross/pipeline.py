@@ -30,10 +30,6 @@ from .permutation import (
 )
 from .substitution import SubstitutionSuite, substitution_stage, unsubstitute_stage
 
-#: Stages the ablation hook can disable (diagnostics/testing only).
-STAGES = ("permutation", "ibt", "substitution")
-
-
 #: Largest image, in pixels, whose context `derive_context` keeps.  A
 #: context holds four intp keys of 2*M*N entries each (about 65 MB at
 #: 1024^2), so large ones are rebuilt rather than held.
@@ -91,64 +87,34 @@ def _checked_image(img: np.ndarray) -> np.ndarray:
     return img
 
 
-def _checked_skip(skip_stage: str | None) -> str | None:
-    if skip_stage is not None and skip_stage not in STAGES:
-        raise ParameterError(f"skip_stage must be one of {STAGES} or None, got {skip_stage!r}")
-    return skip_stage
-
-
-def encrypt_with_context(img: np.ndarray, ctx: CipherContext, *,
-                         skip_stage: str | None = None) -> np.ndarray:
-    """Encrypt with pre-derived key artifacts.
-
-    ``skip_stage`` disables one named layer; it exists so tests can show
-    each layer pulls its weight, and is not part of normal operation.
-    """
+def _checked_fit(img: np.ndarray, ctx: CipherContext) -> np.ndarray:
     img = _checked_image(img)
-    skip = _checked_skip(skip_stage)
     if ctx.opmatrix.shape != img.shape:
         raise DimensionError(
             f"context is sized for {ctx.opmatrix.shape}, image is {img.shape}"
         )
-    q = split_quadrants(img)
-    if skip != "permutation":
-        q = permute_image(q)
-    if skip != "ibt":
-        q = ibt_stage(q, ctx.keys)
-    out = merge_quadrants(q)
-    if skip != "substitution":
-        out = substitution_stage(out, ctx.opmatrix, ctx.suite)
-    return out
+    return img
 
 
-def decrypt_with_context(img: np.ndarray, ctx: CipherContext, *,
-                         skip_stage: str | None = None) -> np.ndarray:
-    """Exact inverse of :func:`encrypt_with_context` (same ``skip_stage``)."""
-    img = _checked_image(img)
-    skip = _checked_skip(skip_stage)
-    if ctx.opmatrix.shape != img.shape:
-        raise DimensionError(
-            f"context is sized for {ctx.opmatrix.shape}, image is {img.shape}"
-        )
-    if skip != "substitution":
-        img = unsubstitute_stage(img, ctx.opmatrix, ctx.suite)
-    q = split_quadrants(img)
-    if skip != "ibt":
-        q = ibt_unstage(q, ctx.keys)
-    if skip != "permutation":
-        q = unpermute_image(q)
-    return merge_quadrants(q)
+def encrypt_with_context(img: np.ndarray, ctx: CipherContext) -> np.ndarray:
+    """Encrypt with pre-derived key artifacts: permute, IBT, substitute."""
+    q = ibt_stage(permute_image(split_quadrants(_checked_fit(img, ctx))), ctx.keys)
+    return substitution_stage(merge_quadrants(q), ctx.opmatrix, ctx.suite)
 
 
-def encrypt(img: np.ndarray, key: KeyMaterial, *, skip_stage: str | None = None) -> np.ndarray:
+def decrypt_with_context(img: np.ndarray, ctx: CipherContext) -> np.ndarray:
+    """Exact inverse of :func:`encrypt_with_context`: the inverse layers in reverse."""
+    img = unsubstitute_stage(_checked_fit(img, ctx), ctx.opmatrix, ctx.suite)
+    return merge_quadrants(unpermute_image(ibt_unstage(split_quadrants(img), ctx.keys)))
+
+
+def encrypt(img: np.ndarray, key: KeyMaterial) -> np.ndarray:
     """Encrypt a uint8 grayscale image (dimensions divisible by 4)."""
     img = _checked_image(img)
-    ctx = derive_context(key, *img.shape)
-    return encrypt_with_context(img, ctx, skip_stage=skip_stage)
+    return encrypt_with_context(img, derive_context(key, *img.shape))
 
 
-def decrypt(img: np.ndarray, key: KeyMaterial, *, skip_stage: str | None = None) -> np.ndarray:
+def decrypt(img: np.ndarray, key: KeyMaterial) -> np.ndarray:
     """Decrypt a ciphertext produced by :func:`encrypt` with the same key."""
     img = _checked_image(img)
-    ctx = derive_context(key, *img.shape)
-    return decrypt_with_context(img, ctx, skip_stage=skip_stage)
+    return decrypt_with_context(img, derive_context(key, *img.shape))

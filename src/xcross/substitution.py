@@ -14,8 +14,6 @@ import numpy as np
 
 from .errors import DimensionError, OpCodeError
 
-_CODES = (0, 1, 2)
-
 
 def _rotl1(v: np.ndarray) -> np.ndarray:
     v = v.astype(np.uint16)
@@ -50,32 +48,11 @@ class SubstitutionSuite:
                 raise OpCodeError("S-box table is not a bijection on 0..255")
         s0, s1, s2 = (np.asarray(b, dtype=np.uint8) for b in self.sboxes)
         fwd = np.stack([s0, (~s1), _rotl1(s2)]).astype(np.uint8)
-        bwd = np.stack([_invert_table(fwd[k]) for k in _CODES])
+        bwd = np.stack([_invert_table(row) for row in fwd])
         fwd.setflags(write=False)
         bwd.setflags(write=False)
         object.__setattr__(self, "forward", fwd)
         object.__setattr__(self, "backward", bwd)
-
-    @property
-    def inverse_sboxes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Plain inverses of the raw S-box tables (pre-post-operation)."""
-        return tuple(_invert_table(np.asarray(b, dtype=np.uint8)) for b in self.sboxes)
-
-
-def _checked_op(op: int) -> int:
-    if op not in _CODES:
-        raise OpCodeError(f"operation code must be 0, 1 or 2, got {op!r}")
-    return op
-
-
-def substitute_pixel(p: int, op: int, suite: SubstitutionSuite) -> int:
-    """One pixel through S-box `op` and its post-operation."""
-    return int(suite.forward[_checked_op(op), p & 0xFF])
-
-
-def unsubstitute_pixel(c: int, op: int, suite: SubstitutionSuite) -> int:
-    """Exact inverse of :func:`substitute_pixel`."""
-    return int(suite.backward[_checked_op(op), c & 0xFF])
 
 
 def _check_pair(img: np.ndarray, ops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -237,11 +237,18 @@ class TestInlinedLoopsMatchSteps:
     """The iterators inline the step functions; they must agree bit for bit.
 
     The reference is a naive loop over :func:`lshm_step` / :func:`clt_step`
-    that keeps every state, transient included, so the test can also check
+    that keeps every state, transient included, so the tests can also check
     that both branches of each map were taken.
     """
 
     LENGTHS = st.sampled_from([1, 7, 4096])
+
+    @staticmethod
+    def lshm_states(p, n):
+        states = [(p.x0, p.y0)]
+        for _ in range(TRANSIENT + n):
+            states.append(lshm_step(*states[-1], p))
+        return states
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -255,17 +262,23 @@ class TestInlinedLoopsMatchSteps:
     )
     @example(**vars(WINDOW_LSHM), n=4096)
     @example(**vars(REF_LSHM), n=7)
+    # operating-range keys on which the x-map never crosses 0.5: x sits at
+    # the fixed point 0, or alternates 0.9999999999999996 / 0.5000000000000009
+    @example(k1=4.0, k2=3.5, alpha=2.0, beta=1.5, x0=0.5, y0=0.5, n=4096)
+    @example(k1=3.9999999999999996, k2=3.5, alpha=2.125, beta=1.5, x0=0.5, y0=0.5, n=4096)
     def test_lshm(self, k1, k2, alpha, beta, x0, y0, n):
         p = LshmParams(k1=k1, k2=k2, alpha=alpha, beta=beta, x0=x0, y0=y0)
-        states = [(p.x0, p.y0)]
-        for _ in range(TRANSIENT + n):
-            states.append(lshm_step(*states[-1], p))
-        # cos(pi*x) < 0 exactly when x > 0.5: the sign flip was exercised
-        assert any(x > 0.5 for x, _ in states[:-1])
-        assert any(x < 0.5 for x, _ in states[:-1])
+        states = self.lshm_states(p, n)
         xs, ys = iterate_lshm(p, n)
         assert np.array_equal(xs, [x for x, _ in states[TRANSIENT + 1:]])
         assert np.array_equal(ys, [y for _, y in states[TRANSIENT + 1:]])
+
+    @pytest.mark.parametrize("p, n", [(WINDOW_LSHM, 4096), (REF_LSHM, 7)])
+    def test_lshm_examples_take_both_branches(self, p, n):
+        # cos(pi*x) < 0 exactly when x > 0.5: the sign flip was exercised
+        xs = [x for x, _ in self.lshm_states(p, n)[:-1]]
+        assert any(x > 0.5 for x in xs)
+        assert any(x < 0.5 for x in xs)
 
     @settings(max_examples=20, deadline=None)
     @given(

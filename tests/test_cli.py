@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from xcross.cli import main
-from xcross.image_io import parse_pgm, read_pgm, write_pgm
+from xcross.image_io import parse_pgm, write_pgm
 from xcross.key_schedule import (
     KEY_FIELDS,
     parse_key,
@@ -106,6 +106,14 @@ class TestKeygen:
         key = parse_key(out.read_text(encoding="ascii"))
         assert key.lshm.k1 == 3.9
 
+    def test_equal_explicit_seeds_with_random(self, tmp_path, capsys):
+        out = tmp_path / "k.key"
+        code = main(["keygen", "--out", str(out), "--random",
+                     "--sbox-seed1", "0.5", "--sbox-seed2", "0.5"])
+        assert code == 4
+        assert "distinct" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unwritable_output(self, tmp_path):
         out = tmp_path / "nodir" / "k.key"
         assert main(["keygen", "--out", str(out), "--random"]) == 2
@@ -118,7 +126,7 @@ class TestEncryptDecrypt:
         back_path = str(tmp_path / "p.pgm")
         assert main(["encrypt", "--in", plain_path, "--out", cipher_path,
                      "--key", key_file]) == 0
-        cipher = read_pgm((tmp_path / "c.pgm").read_bytes())
+        cipher = parse_pgm((tmp_path / "c.pgm").read_bytes())[1]
         assert cipher.shape == img.shape
         assert not np.array_equal(cipher, img)
         assert main(["decrypt", "--in", cipher_path, "--out", back_path,

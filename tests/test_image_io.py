@@ -14,12 +14,7 @@ from xcross.errors import (
     PgmOversizeError,
     PgmTruncatedError,
 )
-from xcross.image_io import (
-    original_size_note,
-    parse_pgm,
-    read_pgm,
-    write_pgm,
-)
+from xcross.image_io import original_size_note, parse_pgm, write_pgm
 
 TINY = np.array([[1, 2], [3, 4]], dtype=np.uint8)
 
@@ -43,15 +38,15 @@ class TestParsing:
     def test_payload_may_start_with_hash_byte(self):
         # 0x23 is '#'; it must be read as a pixel, not a comment
         raw = b"P5\n2 2\n255\n" + bytes([0x23, 0, 0, 0])
-        assert read_pgm(raw)[0, 0] == 0x23
+        assert parse_pgm(raw)[1][0, 0] == 0x23
 
     def test_trailing_bytes_ignored(self):
         raw = b"P5\n2 2\n255\n" + bytes([1, 2, 3, 4]) + b"extra"
-        assert np.array_equal(read_pgm(raw), TINY)
+        assert np.array_equal(parse_pgm(raw)[1], TINY)
 
     def test_row_major_layout(self):
         raw = b"P5\n3 2\n255\n" + bytes(range(6))
-        pixels = read_pgm(raw)
+        pixels = parse_pgm(raw)[1]
         assert pixels.shape == (2, 3)
         assert pixels[1, 0] == 3
 
@@ -137,7 +132,7 @@ class TestWriting:
     def test_noncontiguous_input(self):
         base = np.arange(64, dtype=np.uint8).reshape(8, 8)
         view = base[::2, ::2]
-        assert np.array_equal(read_pgm(write_pgm(view)), view)
+        assert np.array_equal(parse_pgm(write_pgm(view))[1], view)
 
 
 class TestRoundTrip:
@@ -147,12 +142,12 @@ class TestRoundTrip:
             h = int(rng.integers(1, 40))
             w = int(rng.integers(1, 40))
             img = rng.integers(0, 256, size=(h, w), dtype=np.uint8)
-            again = read_pgm(write_pgm(img))
+            again = parse_pgm(write_pgm(img))[1]
             assert again.shape == img.shape
             assert np.array_equal(again, img)
 
     def test_read_gives_writable_copy(self):
-        pixels = read_pgm(write_pgm(TINY))
+        pixels = parse_pgm(write_pgm(TINY))[1]
         pixels[0, 0] = 99  # must not raise
 
 
@@ -184,4 +179,4 @@ def test_write_read_identity(data, h, w):
         )
     )
     img = np.array(pixels, dtype=np.uint8).reshape(h, w)
-    assert np.array_equal(read_pgm(write_pgm(img)), img)
+    assert np.array_equal(parse_pgm(write_pgm(img))[1], img)

@@ -14,6 +14,8 @@ from xcross.key_schedule import (
     build_extraction_keys,
     build_operation_matrix,
     build_sboxes,
+    key_from_values,
+    key_values,
     parse_key,
     random_key_material,
     reference_key,
@@ -263,6 +265,12 @@ class TestKeyFile:
         )
         again = parse_key(serialize_key(key))
         assert again == key  # float equality == bit equality after repr round-trip
+
+    def test_field_values_round_trip(self, ref_key):
+        values = key_values(ref_key)
+        assert tuple(values) == KEY_FIELDS[:-1]
+        assert values["clt.lambda"] == ref_key.clt.lam
+        assert key_from_values(values) == ref_key
 
     def test_field_list_is_fixed(self, ref_key):
         text = serialize_key(ref_key)

@@ -5,13 +5,7 @@ from hypothesis import strategies as st
 
 from xcross.errors import DimensionError, OpCodeError
 from xcross.key_schedule import build_sboxes
-from xcross.substitution import (
-    SubstitutionSuite,
-    substitute_pixel,
-    substitution_stage,
-    unsubstitute_pixel,
-    unsubstitute_stage,
-)
+from xcross.substitution import SubstitutionSuite, substitution_stage, unsubstitute_stage
 
 IDENT = np.arange(256, dtype=np.uint8)
 
@@ -28,8 +22,9 @@ def ref_suite(ref_key):
 
 class TestSuite:
     def test_inverse_boxes_invert(self, ref_suite):
-        for box, inv in zip(ref_suite.sboxes, ref_suite.inverse_sboxes):
-            assert np.array_equal(inv[box], IDENT)
+        for fwd, bwd in zip(ref_suite.forward, ref_suite.backward):
+            assert np.array_equal(bwd[fwd], IDENT)
+            assert np.array_equal(fwd[bwd], IDENT)
 
     def test_rejects_non_bijection(self):
         broken = IDENT.copy()
@@ -42,32 +37,33 @@ class TestSuite:
             SubstitutionSuite(sboxes=(IDENT.copy(), IDENT.copy()))
 
 
+def _one_pixel(suite, p, op, stage=substitution_stage):
+    return int(stage(np.array([[p]], dtype=np.uint8), np.array([[op]]), suite)[0, 0])
+
+
 class TestPixelOps:
     def test_code0_is_plain_lookup(self, identity_suite):
-        assert substitute_pixel(0x3C, 0, identity_suite) == 0x3C
+        assert _one_pixel(identity_suite, 0x3C, 0) == 0x3C
 
     def test_code1_complements(self, identity_suite):
-        assert substitute_pixel(0x00, 1, identity_suite) == 0xFF
-        assert unsubstitute_pixel(0xFF, 1, identity_suite) == 0x00
+        assert _one_pixel(identity_suite, 0x00, 1) == 0xFF
+        assert _one_pixel(identity_suite, 0xFF, 1, unsubstitute_stage) == 0x00
 
     def test_code2_rotates_left(self, identity_suite):
-        assert substitute_pixel(0x80, 2, identity_suite) == 0x01
-        assert unsubstitute_pixel(0x01, 2, identity_suite) == 0x80
-
-    def test_invalid_code(self, identity_suite):
-        with pytest.raises(OpCodeError):
-            substitute_pixel(10, 3, identity_suite)
-        with pytest.raises(OpCodeError):
-            unsubstitute_pixel(10, -1, identity_suite)
+        assert _one_pixel(identity_suite, 0x80, 2) == 0x01
+        assert _one_pixel(identity_suite, 0x01, 2, unsubstitute_stage) == 0x80
 
     def test_exhaustive_round_trip_768_cases(self, ref_suite):
-        for op in (0, 1, 2):
-            seen = set()
-            for v in range(256):
-                c = substitute_pixel(v, op, ref_suite)
-                assert unsubstitute_pixel(c, op, ref_suite) == v
-                seen.add(c)
-            assert seen == set(range(256))  # each branch is a bijection
+        # every (code, byte) pair in one stage call, against the definition
+        # built from the raw S-boxes: S0[p], 255 - S1[p], rotl1(S2[p])
+        img = np.tile(IDENT, (3, 1))
+        ops = np.repeat(np.arange(3, dtype=np.uint8)[:, None], 256, axis=1)
+        out = substitution_stage(img, ops, ref_suite)
+        s0, s1, s2 = (box.astype(int) for box in ref_suite.sboxes)
+        expected = np.stack([s0, 255 - s1, ((s2 << 1) | (s2 >> 7)) & 0xFF])
+        assert np.array_equal(out, expected)
+        # inverting every row exactly makes each branch a bijection
+        assert np.array_equal(unsubstitute_stage(out, ops, ref_suite), img)
 
 
 class TestStage:
@@ -99,14 +95,6 @@ class TestStage:
             enc = substitution_stage(img, ops, ref_suite)
             assert np.array_equal(unsubstitute_stage(enc, ops, ref_suite), img)
 
-    def test_matches_scalar_path(self, ref_suite, rng):
-        img = rng.integers(0, 256, size=(4, 4), dtype=np.uint8)
-        ops = rng.integers(0, 3, size=(4, 4), dtype=np.uint8)
-        out = substitution_stage(img, ops, ref_suite)
-        for i in range(4):
-            for j in range(4):
-                assert out[i, j] == substitute_pixel(int(img[i, j]), int(ops[i, j]), ref_suite)
-
     def test_shape_mismatch(self, ref_suite):
         with pytest.raises(DimensionError):
             substitution_stage(
@@ -114,10 +102,13 @@ class TestStage:
             )
 
     def test_bad_codes_in_matrix(self, ref_suite):
-        ops = np.zeros((4, 4), dtype=np.uint8)
-        ops[1, 1] = 3
-        with pytest.raises(OpCodeError):
-            substitution_stage(np.zeros((4, 4), dtype=np.uint8), ops, ref_suite)
+        img = np.zeros((4, 4), dtype=np.uint8)
+        for bad in (3, -1):
+            ops = np.zeros((4, 4), dtype=np.int64)
+            ops[1, 1] = bad
+            for stage in (substitution_stage, unsubstitute_stage):
+                with pytest.raises(OpCodeError):
+                    stage(img, ops, ref_suite)
 
 
 @settings(max_examples=50, deadline=None)
