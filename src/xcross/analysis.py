@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, ParameterError
+from .errors import DimensionError, ParameterError, checked_image
 
 _DIRECTIONS = ("horizontal", "vertical", "diagonal")
 
@@ -39,12 +39,8 @@ class AnalysisReport:
     flags: tuple[str, ...] = ()
 
 
-def _checked_image(img: np.ndarray) -> np.ndarray:
-    img = np.asarray(img)
-    if img.dtype != np.uint8:
-        raise ParameterError(f"analysis expects uint8 images, got dtype {img.dtype}")
-    if img.ndim != 2:
-        raise DimensionError(f"analysis expects 2-D images, got shape {img.shape}")
+def _nonempty(img: np.ndarray) -> np.ndarray:
+    img = checked_image(img)
     if img.size == 0:
         raise DimensionError("image is empty")
     return img
@@ -52,7 +48,7 @@ def _checked_image(img: np.ndarray) -> np.ndarray:
 
 def entropy(img: np.ndarray) -> float:
     """Shannon entropy of the pixel histogram, in bits per pixel."""
-    img = _checked_image(img)
+    img = _nonempty(img)
     counts = np.bincount(img.reshape(-1), minlength=256)
     p = counts[counts > 0] / img.size
     return float(-(p * np.log2(p)).sum())
@@ -74,7 +70,7 @@ def adjacent_correlation(img: np.ndarray, direction: str) -> float:
     Returns 0.0 when either marginal is constant (the report carries a
     flag for that case).
     """
-    return _correlation(_checked_image(img), direction)[0]
+    return _correlation(_nonempty(img), direction)[0]
 
 
 def _correlation(img: np.ndarray, direction: str) -> tuple[float, bool]:
@@ -105,7 +101,7 @@ def _glcm_matrix(img: np.ndarray) -> np.ndarray:
 
 def glcm(img: np.ndarray) -> tuple[float, float, float, float | None]:
     """GLCM texture features: (contrast, energy, homogeneity, correlation)."""
-    img = _checked_image(img)
+    img = _nonempty(img)
     if img.shape[1] < 2:
         raise DimensionError("GLCM needs at least two columns")
     p = _glcm_matrix(img)
@@ -128,7 +124,7 @@ def glcm(img: np.ndarray) -> tuple[float, float, float, float | None]:
 
 def histogram_chi_square(img: np.ndarray) -> float:
     """Chi-square statistic of the 256-bin histogram against uniform."""
-    img = _checked_image(img)
+    img = _nonempty(img)
     counts = np.bincount(img.reshape(-1), minlength=256).astype(np.float64)
     expected = img.size / 256.0
     return float(((counts - expected) ** 2 / expected).sum())
@@ -136,7 +132,7 @@ def histogram_chi_square(img: np.ndarray) -> float:
 
 def analyze(img: np.ndarray) -> AnalysisReport:
     """All metrics in one deterministic report."""
-    img = _checked_image(img)
+    img = _nonempty(img)
     flags = []
     corrs = {}
     for d in _DIRECTIONS:

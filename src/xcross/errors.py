@@ -1,8 +1,10 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, and the one image check.
 
 The CLI maps these onto exit codes, so the split between parameter-domain,
 dimension, and file-format failures is part of the public contract.
 """
+
+import numpy as np
 
 
 class XCrossError(Exception):
@@ -47,3 +49,18 @@ class PgmTruncatedError(PgmError):
 
 class PgmOversizeError(PgmError):
     """Declared dimensions exceed the supported size cap."""
+
+
+def checked_image(img) -> np.ndarray:
+    """``img`` as an array, if it is a 2-D uint8 pixel array.
+
+    Every function that takes pixels checks them here: another dtype
+    raises ParameterError (no silent wrap to 0..255), another rank
+    DimensionError.  Callers add their own shape conditions.
+    """
+    img = np.asarray(img)
+    if img.dtype != np.uint8:
+        raise ParameterError(f"images must be uint8, got dtype {img.dtype}")
+    if img.ndim != 2:
+        raise DimensionError(f"images must be 2-D, got shape {img.shape}")
+    return img

@@ -3,21 +3,21 @@
 A block is linearized row-major, every pixel expanded MSB-first into 8
 bits, and the resulting bit array is rearranged by an extraction key
 (output bit j = input bit key[j]) before repacking.  Popcount is conserved
-per block; everything is exactly invertible.
+per block.  Rearranging by a key's inverse permutation undoes it, so the
+inverse stage is the forward one with the key schedule's inverse keys.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionError
+from .errors import DimensionError, checked_image
 from .permutation import QuadSplit
 
 
 def block_to_bits(blk: np.ndarray) -> np.ndarray:
     """Row-major, MSB-first bit expansion of a uint8 block."""
-    blk = np.asarray(blk, dtype=np.uint8)
-    return np.unpackbits(blk.reshape(-1), bitorder="big")
+    return np.unpackbits(checked_image(blk).reshape(-1), bitorder="big")
 
 
 def bits_to_block(bits: np.ndarray, rows: int, cols: int) -> np.ndarray:
@@ -40,19 +40,11 @@ def _checked_key(blk: np.ndarray, key: np.ndarray) -> np.ndarray:
 
 
 def ibt_apply(blk: np.ndarray, key: np.ndarray) -> np.ndarray:
-    blk = np.asarray(blk, dtype=np.uint8)
+    """Rearrange the bits of one uint8 block: output bit j = input bit key[j]."""
+    blk = checked_image(blk)
     key = _checked_key(blk, key)
     bits = block_to_bits(blk)
     return bits_to_block(bits[key], *blk.shape)
-
-
-def ibt_invert(blk: np.ndarray, key: np.ndarray) -> np.ndarray:
-    blk = np.asarray(blk, dtype=np.uint8)
-    key = _checked_key(blk, key)
-    bits = block_to_bits(blk)
-    out = np.empty_like(bits)
-    out[key] = bits
-    return bits_to_block(out, *blk.shape)
 
 
 def ibt_stage(q: QuadSplit, keys: tuple[np.ndarray, ...]) -> QuadSplit:
@@ -66,10 +58,14 @@ def ibt_stage(q: QuadSplit, keys: tuple[np.ndarray, ...]) -> QuadSplit:
 
 
 def ibt_unstage(q: QuadSplit, keys: tuple[np.ndarray, ...]) -> QuadSplit:
-    """Exact inverse of :func:`ibt_stage`."""
+    """Exact inverse of :func:`ibt_stage`: A<-key3, B<-key4, C<-key1, D<-key2.
+
+    Requires ``keys[2:]`` to be the inverse permutations of ``keys[:2]``,
+    as :func:`~xcross.key_schedule.build_extraction_keys` derives them.
+    """
     return QuadSplit(
-        a=ibt_invert(q.a, keys[0]),
-        b=ibt_invert(q.b, keys[1]),
-        c=ibt_invert(q.c, keys[2]),
-        d=ibt_invert(q.d, keys[3]),
+        a=ibt_apply(q.a, keys[2]),
+        b=ibt_apply(q.b, keys[3]),
+        c=ibt_apply(q.c, keys[0]),
+        d=ibt_apply(q.d, keys[1]),
     )

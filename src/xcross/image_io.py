@@ -21,6 +21,7 @@ from .errors import (
     PgmMagicError,
     PgmOversizeError,
     PgmTruncatedError,
+    checked_image,
 )
 from .key_schedule import MAX_PIXELS
 
@@ -110,11 +111,9 @@ def write_pgm(img: np.ndarray, pad_note: tuple[int, int] | None = None) -> bytes
     ``pad_note=(orig_w, orig_h)`` inserts the ``# orig-size`` comment right
     after the magic line so a later decryption can crop padding away.
     """
-    img = np.asarray(img)
-    if img.dtype != np.uint8:
-        raise ParameterError(f"PGM payload must be uint8, got {img.dtype}")
-    if img.ndim != 2 or img.size == 0:
-        raise DimensionError(f"PGM payload must be a nonempty 2-D array, got shape {img.shape}")
+    img = checked_image(img)
+    if img.size == 0:
+        raise DimensionError(f"PGM payload must be nonempty, got shape {img.shape}")
     height, width = img.shape
     parts = ["P5\n"]
     if pad_note is not None:

@@ -15,6 +15,7 @@ import numpy as np
 
 from .chaotic_maps import CltParams, LshmParams, iterate_clt, iterate_lshm
 from .errors import DimensionError, KeyFormatError, ParameterError
+from .permutation import _check_quarterable
 
 #: Hard cap on M*N, mirrored by the image reader.
 MAX_PIXELS = 2**24
@@ -72,8 +73,7 @@ class KeyMaterial:
 
 
 def _check_dims(m: int, n: int) -> None:
-    if m % 4 or n % 4 or m < 4 or n < 4:
-        raise DimensionError(f"image dimensions must be multiples of 4, got {m}x{n}")
+    _check_quarterable(m, n)
     if m * n > MAX_PIXELS:
         raise DimensionError(f"image of {m}x{n} exceeds the {MAX_PIXELS}-pixel cap")
 

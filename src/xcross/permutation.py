@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionError, ParameterError
+from .errors import DimensionError, checked_image
 
 
 class QuadSplit(NamedTuple):
@@ -33,15 +33,19 @@ class QuadSplit(NamedTuple):
 
 
 def _check_block(blk: np.ndarray) -> np.ndarray:
-    blk = np.asarray(blk)
-    if blk.dtype != np.uint8:
-        raise ParameterError(f"blocks must be uint8, got dtype {blk.dtype}")
-    if blk.ndim != 2:
-        raise DimensionError(f"blocks must be 2-D, got shape {blk.shape}")
+    blk = checked_image(blk)
     r, c = blk.shape
     if r < 2 or c < 2 or r % 2 or c % 2:
         raise DimensionError(f"block dimensions must be even and >= 2, got {r}x{c}")
     return blk
+
+
+def _check_quarterable(m: int, n: int) -> None:
+    """An m x n image splits into four quadrants of even sides."""
+    if m < 4 or n < 4 or m % 4 or n % 4:
+        raise DimensionError(
+            f"image dimensions must be multiples of 4 (so quadrants are even), got {m}x{n}"
+        )
 
 
 @lru_cache(maxsize=64)
@@ -85,17 +89,9 @@ def xcross_unpermute(blk: np.ndarray) -> np.ndarray:
 
 def split_quadrants(img: np.ndarray) -> QuadSplit:
     """Cut an image into four quadrant views (dimensions must be mod-4)."""
-    img = np.asarray(img)
-    if img.dtype != np.uint8:
-        raise ParameterError(f"images must be uint8, got dtype {img.dtype}")
-    if img.ndim != 2:
-        raise DimensionError(f"images must be 2-D, got shape {img.shape}")
-    m, n = img.shape
-    if m < 4 or n < 4 or m % 4 or n % 4:
-        raise DimensionError(
-            f"image dimensions must be multiples of 4 (so quadrants are even), got {m}x{n}"
-        )
-    hm, hn = m // 2, n // 2
+    img = checked_image(img)
+    _check_quarterable(*img.shape)
+    hm, hn = img.shape[0] // 2, img.shape[1] // 2
     return QuadSplit(a=img[:hm, :hn], b=img[:hm, hn:], c=img[hm:, :hn], d=img[hm:, hn:])
 
 

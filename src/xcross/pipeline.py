@@ -2,8 +2,10 @@
 
 Encryption order: split into quadrants -> XOR-cascaded X-Cross
 permutation -> per-quadrant bit transference -> merge -> dynamic
-substitution.  Decryption runs the exact inverses in reverse.  Both
-directions are deterministic functions of (image, key material).
+substitution.  Decryption runs the exact inverses in reverse; its bit
+transference is the forward one with the inverse keys, key3/key4/key1/key2
+for quadrants A/B/C/D.  Both directions are deterministic functions of
+(image, key material).
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DimensionError, ParameterError
+from .errors import DimensionError, ParameterError, checked_image
 from .ibt import ibt_stage, ibt_unstage
 from .key_schedule import (
     KeyMaterial,
@@ -78,17 +80,8 @@ def _build_context(key: KeyMaterial, m: int, n: int) -> CipherContext:
 _recent_context = lru_cache(maxsize=2, typed=True)(_build_context)
 
 
-def _checked_image(img: np.ndarray) -> np.ndarray:
-    img = np.asarray(img)
-    if img.dtype != np.uint8:
-        raise ParameterError(f"images must be uint8, got dtype {img.dtype}")
-    if img.ndim != 2:
-        raise DimensionError(f"images must be 2-D, got shape {img.shape}")
-    return img
-
-
 def _checked_fit(img: np.ndarray, ctx: CipherContext) -> np.ndarray:
-    img = _checked_image(img)
+    img = checked_image(img)
     if ctx.opmatrix.shape != img.shape:
         raise DimensionError(
             f"context is sized for {ctx.opmatrix.shape}, image is {img.shape}"
@@ -110,11 +103,11 @@ def decrypt_with_context(img: np.ndarray, ctx: CipherContext) -> np.ndarray:
 
 def encrypt(img: np.ndarray, key: KeyMaterial) -> np.ndarray:
     """Encrypt a uint8 grayscale image (dimensions divisible by 4)."""
-    img = _checked_image(img)
+    img = checked_image(img)
     return encrypt_with_context(img, derive_context(key, *img.shape))
 
 
 def decrypt(img: np.ndarray, key: KeyMaterial) -> np.ndarray:
     """Decrypt a ciphertext produced by :func:`encrypt` with the same key."""
-    img = _checked_image(img)
+    img = checked_image(img)
     return decrypt_with_context(img, derive_context(key, *img.shape))

@@ -3,7 +3,8 @@
 Each pixel's code picks one of three S-boxes *and* a post-operation on the
 looked-up byte: code 0 uses the box plainly, code 1 complements the
 result, code 2 rotates it left by one bit.  Every branch is a byte
-bijection, so the stage inverts exactly.
+bijection, so the stage inverts exactly.  Both directions are one gather
+from a flat (3 * 256)-entry table at index ``code << 8 | pixel``.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError, OpCodeError
+from .errors import DimensionError, OpCodeError, checked_image
 
 
 def _rotl1(v: np.ndarray) -> np.ndarray:
@@ -55,8 +56,9 @@ class SubstitutionSuite:
         object.__setattr__(self, "backward", bwd)
 
 
-def _check_pair(img: np.ndarray, ops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    img = np.asarray(img, dtype=np.uint8)
+def _lookup(table: np.ndarray, img: np.ndarray, ops: np.ndarray) -> np.ndarray:
+    """``table[ops, img]`` for a (3, 256) table, as one flat gather."""
+    img = checked_image(img)
     ops = np.asarray(ops)
     if ops.shape != img.shape:
         raise DimensionError(
@@ -64,16 +66,14 @@ def _check_pair(img: np.ndarray, ops: np.ndarray) -> tuple[np.ndarray, np.ndarra
         )
     if ops.size and (ops.min() < 0 or ops.max() > 2):
         raise OpCodeError("operation matrix contains codes outside {0, 1, 2}")
-    return img, ops.astype(np.intp)
+    return np.take(table.reshape(-1), (ops.astype(np.uint16) << 8) | img)
 
 
 def substitution_stage(img: np.ndarray, ops: np.ndarray, suite: SubstitutionSuite) -> np.ndarray:
     """Substitute every pixel according to its operation code."""
-    img, ops = _check_pair(img, ops)
-    return suite.forward[ops, img]
+    return _lookup(suite.forward, img, ops)
 
 
 def unsubstitute_stage(img: np.ndarray, ops: np.ndarray, suite: SubstitutionSuite) -> np.ndarray:
     """Exact inverse of :func:`substitution_stage`."""
-    img, ops = _check_pair(img, ops)
-    return suite.backward[ops, img]
+    return _lookup(suite.backward, img, ops)

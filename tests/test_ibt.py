@@ -8,11 +8,15 @@ from xcross.ibt import (
     bits_to_block,
     block_to_bits,
     ibt_apply,
-    ibt_invert,
     ibt_stage,
     ibt_unstage,
 )
-from xcross.key_schedule import build_extraction_arrays, build_extraction_keys
+from xcross.key_schedule import (
+    build_extraction_arrays,
+    build_extraction_keys,
+    random_key_material,
+    reference_key,
+)
 from xcross.permutation import QuadSplit, merge_quadrants, split_quadrants
 
 
@@ -49,7 +53,7 @@ class TestApplyInvert:
         blk = rng.integers(0, 256, size=(4, 4), dtype=np.uint8)
         ident = np.arange(blk.size * 8)
         assert np.array_equal(ibt_apply(blk, ident), blk)
-        assert np.array_equal(ibt_invert(blk, ident), blk)
+        assert np.array_equal(ibt_apply(blk, np.argsort(ident)), blk)
 
     def test_bit_reversal_on_single_pixel(self):
         blk = np.array([[0b10000000]], dtype=np.uint8)
@@ -66,15 +70,22 @@ class TestApplyInvert:
         perm = rng.permutation(8 * 8 * 8)
         for _ in range(1000):
             blk = rng.integers(0, 256, size=(8, 8), dtype=np.uint8)
-            assert np.array_equal(ibt_invert(ibt_apply(blk, perm), perm), blk)
+            assert np.array_equal(ibt_apply(ibt_apply(blk, perm), np.argsort(perm)), blk)
 
-    def test_invert_with_inverse_key_equals_apply(self, ref_keys_8x8, rng):
-        # key3 is key1's inverse permutation, so inverting with key3 must
-        # reproduce applying key1 (and vice versa)
-        key1, _, key3, _ = ref_keys_8x8
-        blk = rng.integers(0, 256, size=(8, 8), dtype=np.uint8)
-        assert np.array_equal(ibt_invert(blk, key3), ibt_apply(blk, key1))
-        assert np.array_equal(ibt_invert(blk, key1), ibt_apply(blk, key3))
+    @pytest.mark.parametrize(
+        "key",
+        [reference_key(), random_key_material(np.random.default_rng(1)),
+         random_key_material(np.random.default_rng(2))],
+        ids=["reference", "random1", "random2"],
+    )
+    def test_inverse_keys_undo_forward_keys(self, key, rng):
+        # ibt_unstage rests on this: key3 undoes key1 and key4 undoes key2,
+        # in both orders, for the 6x10 quadrants of a 12x20 image
+        key1, key2, key3, key4 = build_extraction_keys(*build_extraction_arrays(key, 12, 20))
+        blk = rng.integers(0, 256, size=(6, 10), dtype=np.uint8)
+        for fwd, inv in ((key1, key3), (key2, key4)):
+            assert np.array_equal(ibt_apply(ibt_apply(blk, fwd), inv), blk)
+            assert np.array_equal(ibt_apply(ibt_apply(blk, inv), fwd), blk)
 
     def test_single_bit_flip_moves_one_bit(self, rng):
         perm = rng.permutation(4 * 4 * 8)
@@ -120,4 +131,4 @@ def test_property_round_trip_and_popcount(seed, rows, cols):
     perm = r.permutation(rows * cols * 8)
     out = ibt_apply(blk, perm)
     assert popcount(out) == popcount(blk)
-    assert np.array_equal(ibt_invert(out, perm), blk)
+    assert np.array_equal(ibt_apply(out, np.argsort(perm)), blk)
