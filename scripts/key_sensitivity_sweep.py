@@ -21,11 +21,16 @@ image.  This makes the key-space structure visible:
 from __future__ import annotations
 
 import argparse
-import dataclasses
 
 import numpy as np
 
-from xcross.key_schedule import KeyMaterial, reference_key
+from xcross.key_schedule import (
+    PARAM_RANGES,
+    KeyMaterial,
+    key_from_values,
+    key_values,
+    reference_key,
+)
 from xcross.pipeline import encrypt
 from xcross.sample_images import random_image
 
@@ -33,18 +38,9 @@ MAGNITUDES = (1e-10, 1e-6, 1e-3)
 
 
 def _perturbed(key: KeyMaterial, field: str, delta: float) -> KeyMaterial:
-    if field.startswith("lshm."):
-        name = field.split(".", 1)[1]
-        lshm = dataclasses.replace(key.lshm, **{name: getattr(key.lshm, name) + delta})
-        return KeyMaterial(lshm=lshm, clt=key.clt, sbox_seeds=key.sbox_seeds)
-    if field.startswith("clt."):
-        name = {"lambda": "lam", "alpha": "alpha_c", "z0": "z0"}[field.split(".", 1)[1]]
-        clt = dataclasses.replace(key.clt, **{name: getattr(key.clt, name) + delta})
-        return KeyMaterial(lshm=key.lshm, clt=clt, sbox_seeds=key.sbox_seeds)
-    idx = int(field[-1]) - 1
-    seeds = list(key.sbox_seeds)
-    seeds[idx] += delta
-    return KeyMaterial(lshm=key.lshm, clt=key.clt, sbox_seeds=tuple(seeds))
+    values = key_values(key)
+    values[field] += delta
+    return key_from_values(values)
 
 
 def main(argv=None) -> int:
@@ -58,16 +54,11 @@ def main(argv=None) -> int:
     plain = random_image(rng, (args.size, args.size))
     base = encrypt(plain, key)
 
-    fields = (
-        "lshm.x0", "lshm.y0", "lshm.k1", "lshm.k2", "lshm.alpha", "lshm.beta",
-        "clt.z0", "clt.lambda", "clt.alpha",
-        "sbox.seed1", "sbox.seed2", "sbox.seed3",
-    )
     header = " ".join(f"{f'+{m:.0e}':>10}" for m in MAGNITUDES)
     print(f"ciphertext change fraction, {args.size}x{args.size} noise plaintext")
     print(f"{'scalar':<12} {header}")
     print("-" * (13 + 11 * len(MAGNITUDES)))
-    for field in fields:
+    for field in PARAM_RANGES:
         cells = []
         for mag in MAGNITUDES:
             other = encrypt(plain, _perturbed(key, field, mag))

@@ -1,9 +1,12 @@
 """Statistical security metrics for 8-bit grayscale images.
 
 All metrics are exhaustive (every pixel / every adjacent pair) rather than
-sampled, so repeated runs on the same image give identical reports.  The
-GLCM uses the horizontal (0,1) offset, full 256 gray levels, counts each
-pair in both orders (symmetric), and normalizes to probabilities.
+sampled, so repeated runs on the same image give identical reports.
+`analyze` counts the 256-bin histogram once and takes entropy, chi-square
+and the reported histogram from it.  The GLCM uses the horizontal (0,1)
+offset, full 256 gray levels, counts each pair in both orders (symmetric),
+and normalizes to probabilities; a pair is counted at the flat index
+``left << 8 | right``.
 """
 
 from __future__ import annotations
@@ -46,12 +49,23 @@ def _nonempty(img: np.ndarray) -> np.ndarray:
     return img
 
 
+def _histogram(img: np.ndarray) -> np.ndarray:
+    return np.bincount(img.reshape(-1), minlength=256)
+
+
+def _entropy(counts: np.ndarray) -> float:
+    p = counts[counts > 0] / counts.sum()
+    return float(-(p * np.log2(p)).sum())
+
+
+def _chi_square(counts: np.ndarray) -> float:
+    expected = counts.sum() / 256.0
+    return float(((counts - expected) ** 2 / expected).sum())
+
+
 def entropy(img: np.ndarray) -> float:
     """Shannon entropy of the pixel histogram, in bits per pixel."""
-    img = _nonempty(img)
-    counts = np.bincount(img.reshape(-1), minlength=256)
-    p = counts[counts > 0] / img.size
-    return float(-(p * np.log2(p)).sum())
+    return _entropy(_histogram(_nonempty(img)))
 
 
 def _direction_pairs(img: np.ndarray, direction: str) -> tuple[np.ndarray, np.ndarray]:
@@ -92,9 +106,8 @@ def _correlation(img: np.ndarray, direction: str) -> tuple[float, bool]:
 
 
 def _glcm_matrix(img: np.ndarray) -> np.ndarray:
-    left = img[:, :-1].reshape(-1).astype(np.intp)
-    right = img[:, 1:].reshape(-1).astype(np.intp)
-    counts = np.bincount(left * 256 + right, minlength=65536).reshape(256, 256)
+    pairs = (img[:, :-1].astype(np.uint16) << 8) | img[:, 1:]
+    counts = np.bincount(pairs.reshape(-1), minlength=65536).reshape(256, 256)
     sym = counts + counts.T
     return sym / sym.sum()
 
@@ -124,10 +137,7 @@ def glcm(img: np.ndarray) -> tuple[float, float, float, float | None]:
 
 def histogram_chi_square(img: np.ndarray) -> float:
     """Chi-square statistic of the 256-bin histogram against uniform."""
-    img = _nonempty(img)
-    counts = np.bincount(img.reshape(-1), minlength=256).astype(np.float64)
-    expected = img.size / 256.0
-    return float(((counts - expected) ** 2 / expected).sum())
+    return _chi_square(_histogram(_nonempty(img)))
 
 
 def analyze(img: np.ndarray) -> AnalysisReport:
@@ -142,8 +152,9 @@ def analyze(img: np.ndarray) -> AnalysisReport:
     contrast, energy_, homogeneity, correlation = glcm(img)
     if correlation is None:
         flags.append("glcm_correlation_undefined")
+    counts = _histogram(img)
     return AnalysisReport(
-        entropy=entropy(img),
+        entropy=_entropy(counts),
         corr_h=corrs["horizontal"],
         corr_v=corrs["vertical"],
         corr_d=corrs["diagonal"],
@@ -151,8 +162,8 @@ def analyze(img: np.ndarray) -> AnalysisReport:
         glcm_energy=energy_,
         glcm_homogeneity=homogeneity,
         glcm_correlation=correlation,
-        chi_square=histogram_chi_square(img),
-        histogram=np.bincount(img.reshape(-1), minlength=256),
+        chi_square=_chi_square(counts),
+        histogram=counts,
         flags=tuple(flags),
     )
 

@@ -189,10 +189,7 @@ def _build_parser() -> _Parser:
         )
     p_key.set_defaults(handler=cmd_keygen)
 
-    for name, handler, needs_key in (
-        ("encrypt", cmd_encrypt, True),
-        ("decrypt", cmd_decrypt, True),
-    ):
+    for name, handler in (("encrypt", cmd_encrypt), ("decrypt", cmd_decrypt)):
         p = sub.add_parser(name, help=f"{name} a PGM image", prog=f"xcross {name}")
         p.add_argument("--in", required=True, help="input PGM", metavar="PGM")
         p.add_argument("--out", required=True, help="output PGM", metavar="PGM")
@@ -236,10 +233,7 @@ def main(argv=None) -> int:
     except (PgmError, KeyFormatError) as exc:
         _diag(str(exc))
         return EXIT_FORMAT
-    except (ParameterError, DimensionError) as exc:
-        _diag(str(exc))
-        return EXIT_DOMAIN
-    except XCrossError as exc:  # any other domain failure
+    except XCrossError as exc:  # ParameterError, DimensionError and the rest
         _diag(str(exc))
         return EXIT_DOMAIN
     except OSError as exc:

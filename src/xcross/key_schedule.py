@@ -39,12 +39,7 @@ PARAM_RANGES: dict[str, tuple[float, float]] = {
     "sbox.seed3": (0.02, 0.98),
 }
 
-KEY_FIELDS = (
-    "lshm.x0", "lshm.y0", "lshm.k1", "lshm.k2", "lshm.alpha", "lshm.beta",
-    "clt.z0", "clt.lambda", "clt.alpha",
-    "sbox.seed1", "sbox.seed2", "sbox.seed3",
-    "version",
-)
+KEY_FIELDS = (*PARAM_RANGES, "version")
 
 KEY_VERSION = "1"
 

@@ -99,9 +99,7 @@ def merge_quadrants(q: QuadSplit) -> np.ndarray:
     """Reassemble the four quadrants; exact inverse of :func:`split_quadrants`."""
     if not (q.a.shape == q.b.shape == q.c.shape == q.d.shape):
         raise DimensionError("quadrants must all share one shape")
-    top = np.hstack([q.a, q.b])
-    bottom = np.hstack([q.c, q.d])
-    return np.vstack([top, bottom])
+    return np.block([[q.a, q.b], [q.c, q.d]])
 
 
 def permute_image(q: QuadSplit) -> QuadSplit:

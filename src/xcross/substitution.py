@@ -3,8 +3,10 @@
 Each pixel's code picks one of three S-boxes *and* a post-operation on the
 looked-up byte: code 0 uses the box plainly, code 1 complements the
 result, code 2 rotates it left by one bit.  Every branch is a byte
-bijection, so the stage inverts exactly.  Both directions are one gather
-from a flat (3 * 256)-entry table at index ``code << 8 | pixel``.
+bijection, so the stage inverts exactly.  The three fused forward maps
+are plain uint8 operations on the boxes, each inverse map is the argsort
+of its forward row, and both directions are one gather from a flat
+(3 * 256)-entry table at index ``code << 8 | pixel``.
 """
 
 from __future__ import annotations
@@ -14,17 +16,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError, OpCodeError, checked_image
-
-
-def _rotl1(v: np.ndarray) -> np.ndarray:
-    v = v.astype(np.uint16)
-    return (((v << 1) | (v >> 7)) & 0xFF).astype(np.uint8)
-
-
-def _invert_table(table: np.ndarray) -> np.ndarray:
-    inv = np.empty(256, dtype=np.uint8)
-    inv[table] = np.arange(256, dtype=np.uint8)
-    return inv
 
 
 @dataclass(frozen=True)
@@ -48,8 +39,8 @@ class SubstitutionSuite:
             if not np.all(np.bincount(np.asarray(box, dtype=np.uint8), minlength=256) == 1):
                 raise OpCodeError("S-box table is not a bijection on 0..255")
         s0, s1, s2 = (np.asarray(b, dtype=np.uint8) for b in self.sboxes)
-        fwd = np.stack([s0, (~s1), _rotl1(s2)]).astype(np.uint8)
-        bwd = np.stack([_invert_table(row) for row in fwd])
+        fwd = np.stack([s0, ~s1, (s2 << 1) | (s2 >> 7)])
+        bwd = np.argsort(fwd, axis=1).astype(np.uint8)
         fwd.setflags(write=False)
         bwd.setflags(write=False)
         object.__setattr__(self, "forward", fwd)

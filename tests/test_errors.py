@@ -1,9 +1,15 @@
 import numpy as np
 import pytest
 
-from xcross.analysis import analyze
+from xcross.analysis import (
+    adjacent_correlation,
+    analyze,
+    entropy,
+    glcm,
+    histogram_chi_square,
+)
 from xcross.errors import ParameterError
-from xcross.ibt import block_to_bits, ibt_apply
+from xcross.ibt import ibt_apply
 from xcross.image_io import write_pgm
 from xcross.key_schedule import build_sboxes, reference_key
 from xcross.permutation import split_quadrants, xcross_permute, xcross_unpermute
@@ -17,12 +23,15 @@ OPS = np.zeros((4, 4), dtype=np.uint8)
 ENTRY_POINTS = {
     "substitution_stage": lambda img: substitution_stage(img, OPS, SUITE),
     "unsubstitute_stage": lambda img: unsubstitute_stage(img, OPS, SUITE),
-    "block_to_bits": block_to_bits,
     "ibt_apply": lambda img: ibt_apply(img, np.arange(4 * 4 * 8)),
     "xcross_permute": xcross_permute,
     "xcross_unpermute": xcross_unpermute,
     "split_quadrants": split_quadrants,
     "analyze": analyze,
+    "entropy": entropy,
+    "histogram_chi_square": histogram_chi_square,
+    "glcm": glcm,
+    "adjacent_correlation": lambda img: adjacent_correlation(img, "horizontal"),
     "write_pgm": write_pgm,
     "encrypt": lambda img: encrypt(img, reference_key()),
     "decrypt": lambda img: decrypt(img, reference_key()),

@@ -4,13 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xcross.errors import DimensionError
-from xcross.ibt import (
-    bits_to_block,
-    block_to_bits,
-    ibt_apply,
-    ibt_stage,
-    ibt_unstage,
-)
+from xcross.ibt import ibt_apply, ibt_stage, ibt_unstage
 from xcross.key_schedule import (
     build_extraction_arrays,
     build_extraction_keys,
@@ -30,24 +24,6 @@ def popcount(blk):
     return int(np.unpackbits(np.asarray(blk, dtype=np.uint8).reshape(-1)).sum())
 
 
-class TestBitExpansion:
-    def test_msb_first_expansion(self):
-        blk = np.array([[0b10110010, 0b01001101]], dtype=np.uint8)
-        want = [1, 0, 1, 1, 0, 0, 1, 0, 0, 1, 0, 0, 1, 1, 0, 1]
-        assert block_to_bits(blk).tolist() == want
-
-    def test_zero_block(self):
-        assert not block_to_bits(np.zeros((4, 4), dtype=np.uint8)).any()
-
-    def test_round_trip(self, rng):
-        blk = rng.integers(0, 256, size=(8, 6), dtype=np.uint8)
-        assert np.array_equal(bits_to_block(block_to_bits(blk), 8, 6), blk)
-
-    def test_length_mismatch(self):
-        with pytest.raises(DimensionError):
-            bits_to_block(np.zeros(65, dtype=np.uint8), 2, 4)
-
-
 class TestApplyInvert:
     def test_identity_key(self, rng):
         blk = rng.integers(0, 256, size=(4, 4), dtype=np.uint8)
@@ -59,6 +35,18 @@ class TestApplyInvert:
         blk = np.array([[0b10000000]], dtype=np.uint8)
         rev = np.arange(7, -1, -1)
         assert ibt_apply(blk, rev)[0, 0] == 0b00000001
+
+    def test_msb_first_bit_order(self):
+        # output bit j = input bit key[j], bit 0 being the MSB: with LSB-first
+        # numbering this key would map 0b10000000 to 0b01000000 instead
+        blk = np.array([[0b10000000]], dtype=np.uint8)
+        assert ibt_apply(blk, [1, 2, 3, 4, 5, 6, 7, 0])[0, 0] == 0b00000001
+        # pixels follow each other: swapping bits 7 and 8 moves the MSB of
+        # the second pixel into the LSB of the first
+        key = np.arange(16)
+        key[7], key[8] = 8, 7
+        pair = np.array([[0b00000000, 0b10000000]], dtype=np.uint8)
+        assert ibt_apply(pair, key).tolist() == [[0b00000001, 0b00000000]]
 
     def test_popcount_conserved_under_reference_keys(self, ref_keys_8x8, rng):
         key1 = ref_keys_8x8[0]
