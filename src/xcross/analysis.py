@@ -94,14 +94,16 @@ def _correlation(img: np.ndarray, direction: str) -> tuple[float, bool]:
         raise DimensionError(
             f"image {img.shape} has too few {direction} pairs for a correlation"
         )
+    # centred in place, so at most three pixel-sized float64 arrays are live
     x = a.reshape(-1).astype(np.float64)
     y = b.reshape(-1).astype(np.float64)
-    mx, my = x.mean(), y.mean()
-    vx = ((x - mx) ** 2).mean()
-    vy = ((y - my) ** 2).mean()
+    x -= x.mean()
+    y -= y.mean()
+    vx = (x * x).mean()
+    vy = (y * y).mean()
     if vx == 0.0 or vy == 0.0:
         return 0.0, True
-    cov = ((x - mx) * (y - my)).mean()
+    cov = (x * y).mean()
     return float(cov / np.sqrt(vx * vy)), False
 
 

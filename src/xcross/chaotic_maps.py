@@ -11,8 +11,21 @@ Everything here is deliberately plain binary64 arithmetic with a fixed
 operation order.  Chaotic maps amplify a one-ulp difference exponentially,
 so "mostly the same" arithmetic produces completely different key streams;
 the only way two runs (or two implementations) agree is if every single
-floating-point operation rounds identically.  Hence: scalar ``math`` calls
-in a Python loop, no vectorized transcendentals, no re-association.
+floating-point operation rounds identically.  Hence: no vectorized
+transcendentals, no re-association, no fused multiply-add.
+
+The one-step functions :func:`lshm_step` and :func:`clt_step` and the
+Python loops in :func:`iterate_lshm` and :func:`iterate_clt` are the
+definition of both streams.  The same two loops also exist in C
+(``_maps.c``): they make the same libm calls in the same order and are
+compiled without contraction.  The C loops are built on the first
+iteration in a process and checked bit for bit against the step
+functions at load; when they cannot be built, loaded or trusted, the
+Python loops run.  Both paths emit the same bytes, with one exception:
+once a stream has overflowed to NaN (only for keys far outside the
+operating ranges, such as ``k1=-1e308``), which NaN an operation returns
+is the hardware's choice, so the paths can differ in NaN sign bits.
+Every NaN quantizes to the same byte, so the derived keys do not differ.
 
 Both iterators discard a fixed transient prefix so emitted values are
 decorrelated from the raw seeds.
@@ -20,9 +33,17 @@ decorrelated from the raw seeds.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
+import os
+import platform
+import shutil
+import sys
+import tempfile
 from array import array
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -30,6 +51,15 @@ from .errors import EmptyRequestError, ParameterError
 
 #: Iterations discarded before any value is emitted.
 TRANSIENT = 1000
+
+#: C source of the compiled loops.
+_KERNEL_SOURCE = Path(__file__).with_name("_maps.c")
+
+#: Steps of the reference key the compiled loops must reproduce at load.
+_SELF_CHECK_STEPS = 300
+
+#: Seconds a compile may take before the Python loops are used instead.
+_COMPILE_TIMEOUT_S = 60
 
 
 def _require_finite(name: str, value: float) -> None:
@@ -140,13 +170,17 @@ def iterate_lshm(params: LshmParams, n: int) -> tuple[np.ndarray, np.ndarray]:
     Returns the x-stream and y-stream as float64 arrays of length ``n``.
     Every x value lies in [0, 1); y values are unbounded.
 
-    The loop body is :func:`lshm_step` and :func:`_mod1` inlined with the
-    same binary64 operations in the same order; tests pin the two
-    bit-for-bit.
+    The Python loop below is :func:`lshm_step` and :func:`_mod1` inlined
+    with the same binary64 operations in the same order; the compiled loop
+    runs instead when it loaded.  Tests pin both bit-for-bit to the step.
     """
     if not isinstance(params, LshmParams):
         raise ParameterError("params must be LshmParams")
     n = _checked_count(n)
+    kernel = _kernel()
+    if kernel is not None:
+        xs, ys = _compiled_lshm(kernel, params, TRANSIENT + n)
+        return xs[TRANSIENT:], ys[TRANSIENT:]
     cos, pow_, abs_, pi = math.cos, math.pow, abs, math.pi
     k1, k2, alpha, beta = params.k1, params.k2, params.alpha, params.beta
     x, y = params.x0, params.y0
@@ -170,12 +204,16 @@ def iterate_lshm(params: LshmParams, n: int) -> tuple[np.ndarray, np.ndarray]:
 def iterate_clt(params: CltParams, n: int) -> np.ndarray:
     """Emit ``n`` post-transient values of the CLT stream, all in [0, 1).
 
-    The loop body is :func:`clt_step` and :func:`_mod1` inlined, pinned
-    bit-for-bit to them by tests.
+    The Python loop below is :func:`clt_step` and :func:`_mod1` inlined;
+    the compiled loop runs instead when it loaded.  Tests pin both
+    bit-for-bit to the step.
     """
     if not isinstance(params, CltParams):
         raise ParameterError("params must be CltParams")
     n = _checked_count(n)
+    kernel = _kernel()
+    if kernel is not None:
+        return _compiled_clt(kernel, params, TRANSIENT + n)[TRANSIENT:]
     lam, alpha_c = params.lam, params.alpha_c
     z = params.z0
     zs = array("d")
@@ -204,3 +242,111 @@ def _checked_count(n: int) -> int:
     if not isinstance(n, int) or n < 0:
         raise ParameterError(f"iteration count must be a positive integer, got {n!r}")
     return n
+
+
+# ---------------------------------------------------------------------------
+# the compiled loops
+
+
+@functools.cache
+def _kernel() -> ctypes.CDLL | None:
+    """The compiled loops of ``_maps.c``, or None when the Python loops must run.
+
+    Called on the first iteration in a process, never at import.  Before
+    the library is used it must reproduce :func:`lshm_step` and
+    :func:`clt_step` bit for bit on the reference key.  No compiler, an
+    unwritable cache, a failed compile or load, or a mismatch all give None.
+    """
+    try:
+        lib = ctypes.CDLL(os.fspath(_built_kernel()))
+        lshm, clt = lib.xcross_lshm, lib.xcross_clt
+    except (OSError, AttributeError):
+        return None
+    lshm.argtypes = [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_long] + [ctypes.c_double] * 7
+    lshm.restype = None
+    clt.argtypes = [ctypes.c_void_p, ctypes.c_long] + [ctypes.c_double] * 3
+    clt.restype = None
+    return lib if _kernel_matches_steps(lib) else None
+
+
+def _built_kernel() -> Path:
+    """Path of the compiled library, compiling it first if it is missing.
+
+    The library sits next to the ``.pyc`` files, under a name hashed from
+    the source, the compile command, the interpreter's cache tag and the
+    machine.  It is compiled into a temporary file that then replaces into
+    place, so concurrent first uses are safe.  Whoever can write there can
+    already rewrite the ``.py`` files.  Raises OSError when the library is
+    missing and cannot be compiled.
+    """
+    # imported here: processes that never derive a key do not pay for them
+    import hashlib
+
+    digest = hashlib.sha256(b"\0".join(
+        [_KERNEL_SOURCE.read_bytes(), " ".join(_compile_command("cc", "")).encode(),
+         str(sys.implementation.cache_tag).encode(), platform.machine().encode()]
+    )).hexdigest()
+    cache = _KERNEL_SOURCE.with_name("__pycache__")
+    path = cache / f"_maps-{digest[:8]}.so"
+    if path.exists():
+        return path
+    import subprocess  # only a compile needs it
+
+    cc = shutil.which("cc")
+    if cc is None:
+        raise FileNotFoundError("no C compiler on PATH")
+    cache.mkdir(exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=cache, prefix="_maps-", suffix=".tmp")
+    os.close(fd)
+    try:
+        subprocess.run(_compile_command(cc, tmp), check=True, capture_output=True,
+                       timeout=_COMPILE_TIMEOUT_S)
+        os.replace(tmp, path)
+    except subprocess.SubprocessError as exc:
+        raise OSError(f"compiling {_KERNEL_SOURCE.name} failed: {exc}") from exc
+    finally:
+        Path(tmp).unlink(missing_ok=True)
+    return path
+
+
+def _compile_command(cc: str, out: str) -> list[str]:
+    """Fixed flags only (``CFLAGS`` is not read): -ffp-contract=off stops the
+    compiler fusing a multiply and an add into one rounding where the
+    Python loop rounds twice."""
+    return [cc, "-O2", "-ffp-contract=off", "-fPIC", "-shared", "-o", out,
+            os.fspath(_KERNEL_SOURCE), "-lm"]
+
+
+def _compiled_lshm(lib: ctypes.CDLL, p: LshmParams, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The first ``count`` LSHM states, transient included, from the C loop."""
+    xs, ys = np.empty(count), np.empty(count)
+    lib.xcross_lshm(xs.ctypes.data, ys.ctypes.data, count,
+                    p.x0, p.y0, p.k1, p.k2, p.alpha, p.beta, math.pi)
+    return xs, ys
+
+
+def _compiled_clt(lib: ctypes.CDLL, p: CltParams, count: int) -> np.ndarray:
+    """The first ``count`` CLT states, transient included, from the C loop."""
+    zs = np.empty(count)
+    lib.xcross_clt(zs.ctypes.data, count, p.z0, p.lam, p.alpha_c)
+    return zs
+
+
+def _kernel_matches_steps(lib: ctypes.CDLL) -> bool:
+    """Whether the C loops reproduce the step functions on the reference key.
+
+    Compared as bytes, so a differently signed zero is a mismatch too.
+    """
+    from .key_schedule import reference_key
+
+    key = reference_key()
+    p, c = key.lshm, key.clt
+    x, y, z = p.x0, p.y0, c.z0
+    want = np.empty((3, _SELF_CHECK_STEPS))
+    for i in range(_SELF_CHECK_STEPS):
+        x, y = lshm_step(x, y, p)
+        z = clt_step(z, c)
+        want[:, i] = x, y, z
+    got = np.stack([*_compiled_lshm(lib, p, _SELF_CHECK_STEPS),
+                    _compiled_clt(lib, c, _SELF_CHECK_STEPS)])
+    return got.tobytes() == want.tobytes()

@@ -3,9 +3,12 @@
 A block is linearized row-major and unpacked MSB-first into 8 bits per
 pixel; one gather by an extraction key (output bit j = input bit key[j])
 rearranges those bits, and they are packed back into the block's shape.
-Popcount is conserved per block.  Rearranging by a key's inverse
+The key must be a permutation of ``range(8 * block.size)``, as
+:func:`~xcross.key_schedule.build_extraction_keys` derives it; then
+popcount is conserved per block, and rearranging by the key's inverse
 permutation undoes it, so the inverse stage is the forward one with the
-key schedule's inverse keys.
+key schedule's inverse keys.  Only the key's length is checked: a full
+check would cost one more pass over the key per quadrant and call.
 """
 
 from __future__ import annotations
@@ -17,7 +20,13 @@ from .permutation import QuadSplit
 
 
 def ibt_apply(blk: np.ndarray, key: np.ndarray) -> np.ndarray:
-    """Rearrange the bits of one uint8 block: output bit j = input bit key[j]."""
+    """Rearrange the bits of one uint8 block: output bit j = input bit key[j].
+
+    ``key`` must be a permutation of ``range(8 * blk.size)``, as
+    :func:`~xcross.key_schedule.build_extraction_keys` derives it.  Only
+    its length is checked: an in-range key of that length that is not a
+    permutation gathers without error and duplicates or drops bits.
+    """
     blk = checked_image(blk)
     key = np.asarray(key)
     if key.ndim != 1 or key.size != blk.size * 8:

@@ -67,10 +67,12 @@ def derive_context(key: KeyMaterial, m: int, n: int) -> CipherContext:
 
 
 def _build_context(key: KeyMaterial, m: int, n: int) -> CipherContext:
-    rea1, rea2 = build_extraction_arrays(key, m, n)
-    keys = build_extraction_keys(rea1, rea2)
+    # the CLT products first, so their temporaries are freed before the
+    # four intp keys exist; the streams are independent, so no byte changes
     opmatrix = build_operation_matrix(key, m, n)
     sboxes = build_sboxes(key)
+    rea1, rea2 = build_extraction_arrays(key, m, n)
+    keys = build_extraction_keys(rea1, rea2)
     for arr in (*keys, opmatrix, *sboxes):
         arr.setflags(write=False)
     return CipherContext(keys=keys, opmatrix=opmatrix, suite=SubstitutionSuite(sboxes=sboxes))

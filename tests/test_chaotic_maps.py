@@ -1,4 +1,10 @@
+import dataclasses
 import math
+import os
+import shutil
+import subprocess
+import sys
+from contextlib import contextmanager
 from types import SimpleNamespace
 
 import numpy as np
@@ -7,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from xcross import chaotic_maps
 from xcross.chaotic_maps import (
     TRANSIENT,
     CltParams,
@@ -17,7 +24,8 @@ from xcross.chaotic_maps import (
     lshm_step,
 )
 from xcross.errors import EmptyRequestError, ParameterError
-from xcross.key_schedule import PARAM_RANGES
+from xcross.key_schedule import PARAM_RANGES, reference_key
+from xcross.pipeline import _build_context
 
 REF_LSHM = LshmParams(k1=3.9, k2=3.6, alpha=2.1, beta=2.0, x0=0.3, y0=0.5)
 REF_CLT = CltParams(lam=3.77, alpha_c=3.1, z0=0.37)
@@ -233,22 +241,55 @@ def operating(name: str) -> st.SearchStrategy[float]:
     return st.floats(lo, hi)
 
 
-class TestInlinedLoopsMatchSteps:
-    """The iterators inline the step functions; they must agree bit for bit.
+def lshm_states(p, n):
+    """Every LSHM state from the seed on, transient included, by :func:`lshm_step`."""
+    states = [(p.x0, p.y0)]
+    for _ in range(TRANSIENT + n):
+        states.append(lshm_step(*states[-1], p))
+    return states
 
-    The reference is a naive loop over :func:`lshm_step` / :func:`clt_step`
-    that keeps every state, transient included, so the tests can also check
-    that both branches of each map were taken.
+
+def clt_states(p, n):
+    """Every CLT state from the seed on, transient included, by :func:`clt_step`."""
+    states = [p.z0]
+    for _ in range(TRANSIENT + n):
+        states.append(clt_step(states[-1], p))
+    return states
+
+
+def same_bits(got, want) -> bool:
+    """Bit equality of float64 sequences: signed zeros and NaN payloads count."""
+    return np.array_equal(np.asarray(got, np.float64).view(np.uint64),
+                          np.asarray(want, np.float64).view(np.uint64))
+
+
+@contextmanager
+def python_loops():
+    """Iterate with the Python loops inside the ``with`` block."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(chaotic_maps, "_kernel", lambda: None)
+        yield
+
+
+def both_loops(iterate, params, n):
+    """``iterate(params, n)`` by the compiled loops (the Python loops when
+    they did not load), then by the Python loops."""
+    compiled = iterate(params, n)
+    with python_loops():
+        return compiled, iterate(params, n)
+
+
+class TestInlinedLoopsMatchSteps:
+    """Both iterator paths must agree with the step functions bit for bit.
+
+    Every example runs the compiled loops and then the Python loops; one
+    test covers both because Hypothesis refuses to run a test function
+    under two classes or with a function-scoped fixture.  The reference is a naive loop over :func:`lshm_step` / :func:`clt_step`
+    that keeps every state, transient included, so the tests can also
+    check that both branches of each map were taken.
     """
 
     LENGTHS = st.sampled_from([1, 7, 4096])
-
-    @staticmethod
-    def lshm_states(p, n):
-        states = [(p.x0, p.y0)]
-        for _ in range(TRANSIENT + n):
-            states.append(lshm_step(*states[-1], p))
-        return states
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -268,15 +309,15 @@ class TestInlinedLoopsMatchSteps:
     @example(k1=3.9999999999999996, k2=3.5, alpha=2.125, beta=1.5, x0=0.5, y0=0.5, n=4096)
     def test_lshm(self, k1, k2, alpha, beta, x0, y0, n):
         p = LshmParams(k1=k1, k2=k2, alpha=alpha, beta=beta, x0=x0, y0=y0)
-        states = self.lshm_states(p, n)
-        xs, ys = iterate_lshm(p, n)
-        assert np.array_equal(xs, [x for x, _ in states[TRANSIENT + 1:]])
-        assert np.array_equal(ys, [y for _, y in states[TRANSIENT + 1:]])
+        states = lshm_states(p, n)[TRANSIENT + 1:]
+        for xs, ys in both_loops(iterate_lshm, p, n):
+            assert same_bits(xs, [x for x, _ in states])
+            assert same_bits(ys, [y for _, y in states])
 
     @pytest.mark.parametrize("p, n", [(WINDOW_LSHM, 4096), (REF_LSHM, 7)])
     def test_lshm_examples_take_both_branches(self, p, n):
         # cos(pi*x) < 0 exactly when x > 0.5: the sign flip was exercised
-        xs = [x for x, _ in self.lshm_states(p, n)[:-1]]
+        xs = [x for x, _ in lshm_states(p, n)[:-1]]
         assert any(x > 0.5 for x in xs)
         assert any(x < 0.5 for x in xs)
 
@@ -290,9 +331,94 @@ class TestInlinedLoopsMatchSteps:
     @example(lam=REF_CLT.lam, alpha_c=REF_CLT.alpha_c, z0=REF_CLT.z0, n=4096)
     def test_clt(self, lam, alpha_c, z0, n):
         p = CltParams(lam=lam, alpha_c=alpha_c, z0=z0)
-        states = [p.z0]
-        for _ in range(TRANSIENT + n):
-            states.append(clt_step(states[-1], p))
+        states = clt_states(p, n)
         assert any(z < 0.5 for z in states[:-1])
         assert any(z >= 0.5 for z in states[:-1])
-        assert np.array_equal(iterate_clt(p, n), states[TRANSIENT + 1:])
+        for zs in both_loops(iterate_clt, p, n):
+            assert same_bits(zs, states[TRANSIENT + 1:])
+
+
+def context_arrays(ctx):
+    return [*ctx.keys, ctx.opmatrix, *ctx.suite.sboxes]
+
+
+class TestCompiledLoops:
+    """Loading the compiled loops, and falling back to the Python loops."""
+
+    @pytest.fixture()
+    def kernel(self):
+        if chaotic_maps._kernel() is None:
+            pytest.skip("the compiled map loops did not load")
+
+    @pytest.fixture()
+    def source_copy(self, tmp_path, monkeypatch):
+        """Build from a copy of the C source, so the cache is under tmp_path."""
+        copy = tmp_path / "_maps.c"
+        shutil.copyfile(chaotic_maps._KERNEL_SOURCE, copy)
+        monkeypatch.setattr(chaotic_maps, "_KERNEL_SOURCE", copy)
+        return copy
+
+    @staticmethod
+    def assert_python_loops_in_use(monkeypatch):
+        # the uncached loader, so the patched conditions decide each call
+        monkeypatch.setattr(chaotic_maps, "_kernel", chaotic_maps._kernel.__wrapped__)
+        assert chaotic_maps._kernel() is None
+        states = lshm_states(REF_LSHM, 64)[TRANSIENT + 1:]
+        xs, ys = iterate_lshm(REF_LSHM, 64)
+        assert same_bits(xs, [x for x, _ in states]) and same_bits(ys, [y for _, y in states])
+        assert same_bits(iterate_clt(REF_CLT, 64), clt_states(REF_CLT, 64)[TRANSIENT + 1:])
+
+    @pytest.mark.parametrize("key, side", [
+        pytest.param(reference_key(), 256, id="reference"),
+        # streams that overflow to NaN: the two paths may differ in NaN
+        # sign bits, but every NaN quantizes to the same byte
+        pytest.param(
+            dataclasses.replace(reference_key(), lshm=LshmParams(
+                k1=-1e308, k2=1e308, alpha=1e308, beta=2.5, x0=0.0, y0=-1e300)),
+            16, id="overflow",
+            marks=pytest.mark.filterwarnings("ignore:invalid value encountered in cast")),
+    ])
+    def test_context_bytes_match_python_loops(self, kernel, key, side):
+        compiled = context_arrays(_build_context(key, side, side))
+        with python_loops():
+            python = context_arrays(_build_context(key, side, side))
+        for got, want in zip(compiled, python):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def test_compiles_once_into_the_cache(self, kernel, source_copy, monkeypatch):
+        assert chaotic_maps._kernel.__wrapped__() is not None
+        (built,) = (source_copy.parent / "__pycache__").iterdir()
+        assert built.name.startswith("_maps-") and built.suffix == ".so"
+        # a second load finds the cached library and needs no compiler
+        monkeypatch.setattr(chaotic_maps.shutil, "which", lambda name: None)
+        assert chaotic_maps._kernel.__wrapped__() is not None
+
+    def test_concurrent_first_uses_share_one_library(self, kernel, source_copy):
+        # processes race to compile the same library (four: more than a
+        # small CI runner's cores, few enough for a large machine's memory)
+        code = ("import sys; from pathlib import Path; from xcross import chaotic_maps as c; "
+                "c._KERNEL_SOURCE = Path(sys.argv[1]); print(c._kernel() is not None)")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        procs = [subprocess.Popen([sys.executable, "-c", code, str(source_copy)], env=env,
+                                  stdout=subprocess.PIPE, text=True)
+                 for _ in range(4)]
+        outs = [proc.communicate(timeout=120)[0] for proc in procs]
+        assert outs == ["True\n"] * len(procs)
+        assert [p.suffix for p in (source_copy.parent / "__pycache__").iterdir()] == [".so"]
+
+    def test_missing_compiler_keeps_python_loops(self, source_copy, monkeypatch):
+        monkeypatch.setattr(chaotic_maps.shutil, "which", lambda name: None)
+        self.assert_python_loops_in_use(monkeypatch)
+        assert not (source_copy.parent / "__pycache__").exists()
+
+    def test_unloadable_library_keeps_python_loops(self, kernel, source_copy, monkeypatch):
+        # built but not yet loaded: a loaded library must not be rewritten
+        chaotic_maps._built_kernel().write_bytes(b"not a shared library")
+        self.assert_python_loops_in_use(monkeypatch)
+
+    def test_self_check_mismatch_keeps_python_loops(self, kernel, source_copy, monkeypatch):
+        # a kernel whose CLT step halves very slightly wrong
+        text = source_copy.read_text()
+        source_copy.write_text(text.replace("alpha_c * z / 2.0", "alpha_c * z * 0.4999999999"))
+        assert source_copy.read_text() != text
+        self.assert_python_loops_in_use(monkeypatch)
