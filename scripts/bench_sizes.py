@@ -3,12 +3,11 @@
 
 Writes ``BENCH_sizes.json``: for each size and each map-loop path (the
 compiled loops, and the Python loops they reproduce), the median seconds
-of each stage over ``--reps`` repetitions with the reference key, and the
+of each stage over ``REPS`` repetitions with the reference key, and the
 peak RSS of the process.  Every (size, path) runs in a fresh process, so
 one size's heap does not inflate the next one's peak.
 
-    PYTHONPATH=src python3 scripts/bench_sizes.py
-    PYTHONPATH=src python3 scripts/bench_sizes.py --sizes 256 1024 --reps 5 --out /tmp/b.json
+    PYTHONPATH=src python3 scripts/bench_sizes.py [--out BENCH_sizes.json]
 
 Stages, in the order the library runs them for one context:
 
@@ -26,7 +25,7 @@ Stages, in the order the library runs them for one context:
 ``ru_maxrss_mb`` is the process's peak RSS after all repetitions.  The
 Python-loop runs switch the compiled loops off the way the tests do, by
 replacing ``chaotic_maps._kernel``; a compiled run that finds no compiled
-loops exits with an error rather than report Python timings under their
+loops exits with the cause rather than report Python timings under their
 name.
 """
 
@@ -49,6 +48,8 @@ from xcross.analysis import analyze
 from xcross.key_schedule import reference_key
 from xcross.sample_images import random_image
 
+SIZES = (256, 1024, 2048)
+REPS = 3
 LOOPS = ("compiled", "python")
 STAGES = ("lshm_s", "clt_s", "quantize_s", "argsort_invert_s", "sboxes_s", "derive_s",
           "encrypt_s", "decrypt_s", "analyze_s")
@@ -60,12 +61,12 @@ def _timed(fn, *args):
     return result, time.perf_counter() - start
 
 
-def measure(side: int, loops: str, reps: int) -> dict:
+def measure(side: int, loops: str) -> dict:
     """Median stage times at side x side and the peak RSS, in this process."""
     if loops == "python":
         chaotic_maps._kernel = lambda: None
     elif chaotic_maps._kernel() is None:
-        raise SystemExit("the compiled map loops did not load")
+        raise SystemExit(f"the compiled map loops did not load: {chaotic_maps._kernel_failure}")
     key = reference_key()
     m = n = side
     plain = random_image(np.random.default_rng(0), (m, n))
@@ -76,7 +77,7 @@ def measure(side: int, loops: str, reps: int) -> dict:
         times[stage].append(seconds)
         return result
 
-    for _ in range(reps):
+    for _ in range(REPS):
         streams = record("lshm_s", chaotic_maps.iterate_lshm, key.lshm, (m // 2) * (n // 2) * 8)
         zs = record("clt_s", chaotic_maps.iterate_clt, key.clt, m * n)
         lshm, clt = key_schedule.iterate_lshm, key_schedule.iterate_clt
@@ -105,9 +106,6 @@ def measure(side: int, loops: str, reps: int) -> dict:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--sizes", type=int, nargs="+", default=[256, 1024, 2048],
-                        help="image side lengths (multiples of 4)")
-    parser.add_argument("--reps", type=int, default=3, help="repetitions per stage")
     parser.add_argument("--out", type=Path, default=Path("BENCH_sizes.json"))
     parser.add_argument("--child", nargs=2, metavar=("SIDE", "LOOPS"),
                         help=argparse.SUPPRESS)
@@ -115,15 +113,15 @@ def main(argv=None) -> int:
 
     if args.child:
         side, loops = args.child
-        print(json.dumps(measure(int(side), loops, args.reps)))
+        print(json.dumps(measure(int(side), loops)))
         return 0
 
     sizes = {}
-    for side in args.sizes:
+    for side in SIZES:
         row = {}
         for loops in LOOPS:
             proc = subprocess.run(
-                [sys.executable, __file__, "--reps", str(args.reps), "--child", str(side), loops],
+                [sys.executable, __file__, "--child", str(side), loops],
                 stdout=subprocess.PIPE, check=True, text=True)
             row[loops] = json.loads(proc.stdout)
             print(f"{side}x{side} {loops}: derive {row[loops]['derive_s']:.3f} s, "
@@ -132,7 +130,7 @@ def main(argv=None) -> int:
     report = {
         "host": {"machine": platform.machine(), "python": platform.python_version(),
                  "numpy": np.__version__},
-        "reps": args.reps,
+        "reps": REPS,
         "unit": "seconds (median of reps); ru_maxrss_mb in MB",
         "sizes": sizes,
     }

@@ -33,6 +33,7 @@ decorrelated from the raw seeds.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 import math
@@ -41,6 +42,7 @@ import platform
 import shutil
 import sys
 import tempfile
+import time
 from array import array
 from dataclasses import dataclass
 from pathlib import Path
@@ -60,6 +62,9 @@ _SELF_CHECK_STEPS = 300
 
 #: Seconds a compile may take before the Python loops are used instead.
 _COMPILE_TIMEOUT_S = 60
+
+#: Why :func:`_kernel` gave None, or None while the compiled loops are in use.
+_kernel_failure: str | None = None
 
 
 def _require_finite(name: str, value: float) -> None:
@@ -255,39 +260,49 @@ def _kernel() -> ctypes.CDLL | None:
     Called on the first iteration in a process, never at import.  Before
     the library is used it must reproduce :func:`lshm_step` and
     :func:`clt_step` bit for bit on the reference key.  No compiler, an
-    unwritable cache, a failed compile or load, or a mismatch all give None.
+    unwritable cache, a failed compile or load, or a mismatch all give None,
+    and the cause is kept in ``_kernel_failure``.
     """
+    global _kernel_failure
     try:
         lib = ctypes.CDLL(os.fspath(_built_kernel()))
         lshm, clt = lib.xcross_lshm, lib.xcross_clt
-    except (OSError, AttributeError):
+    except (OSError, AttributeError) as exc:
+        _kernel_failure = f"{type(exc).__name__}: {exc}"
         return None
     lshm.argtypes = [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_long] + [ctypes.c_double] * 7
     lshm.restype = None
     clt.argtypes = [ctypes.c_void_p, ctypes.c_long] + [ctypes.c_double] * 3
     clt.restype = None
-    return lib if _kernel_matches_steps(lib) else None
+    if not _kernel_matches_steps(lib):
+        _kernel_failure = (f"{lib._name} differs from lshm_step/clt_step on the "
+                           f"reference key within {_SELF_CHECK_STEPS} steps")
+        return None
+    _kernel_failure = None
+    return lib
 
 
 def _built_kernel() -> Path:
     """Path of the compiled library, compiling it first if it is missing.
 
-    The library sits next to the ``.pyc`` files, under a name hashed from
-    the source, the compile command, the interpreter's cache tag and the
-    machine.  It is compiled into a temporary file that then replaces into
-    place, so concurrent first uses are safe.  Whoever can write there can
-    already rewrite the ``.py`` files.  Raises OSError when the library is
-    missing and cannot be compiled.
+    The library sits next to the ``.pyc`` files, named like them after the
+    interpreter's cache tag and the machine, plus a hash of the source and
+    the compile command.  It is compiled into a temporary file that then
+    replaces into place, so concurrent first uses are safe; a new library
+    removes this interpreter's libraries of older sources and the temporary
+    files of killed compiles.  Whoever can write there can already rewrite
+    the ``.py`` files.  Raises OSError when the library is missing and
+    cannot be compiled.
     """
     # imported here: processes that never derive a key do not pay for them
     import hashlib
 
-    digest = hashlib.sha256(b"\0".join(
-        [_KERNEL_SOURCE.read_bytes(), " ".join(_compile_command("cc", "")).encode(),
-         str(sys.implementation.cache_tag).encode(), platform.machine().encode()]
-    )).hexdigest()
+    digest = hashlib.sha256(
+        b"\0".join([_KERNEL_SOURCE.read_bytes(), " ".join(_compile_command("cc", "")).encode()])
+    ).hexdigest()
     cache = _KERNEL_SOURCE.with_name("__pycache__")
-    path = cache / f"_maps-{digest[:8]}.so"
+    prefix = f"_maps.{sys.implementation.cache_tag}-{platform.machine()}-"
+    path = cache / f"{prefix}{digest[:8]}.so"
     if path.exists():
         return path
     import subprocess  # only a compile needs it
@@ -296,25 +311,33 @@ def _built_kernel() -> Path:
     if cc is None:
         raise FileNotFoundError("no C compiler on PATH")
     cache.mkdir(exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=cache, prefix="_maps-", suffix=".tmp")
+    fd, tmp = tempfile.mkstemp(dir=cache, prefix="_maps.", suffix=".tmp")
     os.close(fd)
     try:
+        # run beside the source, so the command (and the hash) holds no
+        # absolute path and a moved checkout keeps its library
         subprocess.run(_compile_command(cc, tmp), check=True, capture_output=True,
-                       timeout=_COMPILE_TIMEOUT_S)
+                       cwd=_KERNEL_SOURCE.parent, timeout=_COMPILE_TIMEOUT_S)
         os.replace(tmp, path)
     except subprocess.SubprocessError as exc:
-        raise OSError(f"compiling {_KERNEL_SOURCE.name} failed: {exc}") from exc
+        stderr = (getattr(exc, "stderr", None) or b"").decode(errors="replace").strip()
+        raise OSError(f"compiling {_KERNEL_SOURCE.name} failed: {exc} {stderr}".strip()) from exc
     finally:
         Path(tmp).unlink(missing_ok=True)
+    stale_before = time.time() - _COMPILE_TIMEOUT_S
+    for old in [*cache.glob(f"{prefix}*.so"), *cache.glob("_maps.*.tmp")]:
+        with contextlib.suppress(OSError):
+            if old != path and (old.suffix == ".so" or old.stat().st_mtime < stale_before):
+                old.unlink()
     return path
 
 
 def _compile_command(cc: str, out: str) -> list[str]:
     """Fixed flags only (``CFLAGS`` is not read): -ffp-contract=off stops the
     compiler fusing a multiply and an add into one rounding where the
-    Python loop rounds twice."""
+    Python loop rounds twice.  Run in the source's directory."""
     return [cc, "-O2", "-ffp-contract=off", "-fPIC", "-shared", "-o", out,
-            os.fspath(_KERNEL_SOURCE), "-lm"]
+            _KERNEL_SOURCE.name, "-lm"]
 
 
 def _compiled_lshm(lib: ctypes.CDLL, p: LshmParams, count: int) -> tuple[np.ndarray, np.ndarray]:

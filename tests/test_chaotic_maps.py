@@ -1,9 +1,11 @@
 import dataclasses
 import math
 import os
+import platform
 import shutil
 import subprocess
 import sys
+import time
 from contextlib import contextmanager
 from types import SimpleNamespace
 
@@ -348,7 +350,7 @@ class TestCompiledLoops:
     @pytest.fixture()
     def kernel(self):
         if chaotic_maps._kernel() is None:
-            pytest.skip("the compiled map loops did not load")
+            pytest.skip(f"the compiled map loops did not load: {chaotic_maps._kernel_failure}")
 
     @pytest.fixture()
     def source_copy(self, tmp_path, monkeypatch):
@@ -359,10 +361,12 @@ class TestCompiledLoops:
         return copy
 
     @staticmethod
-    def assert_python_loops_in_use(monkeypatch):
+    def assert_python_loops_in_use(monkeypatch, cause):
         # the uncached loader, so the patched conditions decide each call
         monkeypatch.setattr(chaotic_maps, "_kernel", chaotic_maps._kernel.__wrapped__)
+        monkeypatch.setattr(chaotic_maps, "_kernel_failure", None)
         assert chaotic_maps._kernel() is None
+        assert cause in chaotic_maps._kernel_failure
         states = lshm_states(REF_LSHM, 64)[TRANSIENT + 1:]
         xs, ys = iterate_lshm(REF_LSHM, 64)
         assert same_bits(xs, [x for x, _ in states]) and same_bits(ys, [y for _, y in states])
@@ -386,9 +390,20 @@ class TestCompiledLoops:
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
     def test_compiles_once_into_the_cache(self, kernel, source_copy, monkeypatch):
+        cache = source_copy.parent / "__pycache__"
+        cache.mkdir()
+        prefix = f"_maps.{sys.implementation.cache_tag}-{platform.machine()}-"
+        # a library of an older source, a killed compile's leftover, a
+        # compile still running, and another interpreter's library
+        stale, killed = cache / f"{prefix}00000000.so", cache / "_maps.killed.tmp"
+        running, other = cache / "_maps.running.tmp", cache / "_maps.other-tag-00000000.so"
+        for path in stale, killed, running, other:
+            path.write_bytes(b"")
+        old = time.time() - 2 * chaotic_maps._COMPILE_TIMEOUT_S
+        os.utime(killed, (old, old))
         assert chaotic_maps._kernel.__wrapped__() is not None
-        (built,) = (source_copy.parent / "__pycache__").iterdir()
-        assert built.name.startswith("_maps-") and built.suffix == ".so"
+        (built,) = set(cache.iterdir()) - {running, other}
+        assert built.name.startswith(prefix) and built.suffix == ".so"
         # a second load finds the cached library and needs no compiler
         monkeypatch.setattr(chaotic_maps.shutil, "which", lambda name: None)
         assert chaotic_maps._kernel.__wrapped__() is not None
@@ -408,17 +423,22 @@ class TestCompiledLoops:
 
     def test_missing_compiler_keeps_python_loops(self, source_copy, monkeypatch):
         monkeypatch.setattr(chaotic_maps.shutil, "which", lambda name: None)
-        self.assert_python_loops_in_use(monkeypatch)
+        self.assert_python_loops_in_use(monkeypatch, "no C compiler")
         assert not (source_copy.parent / "__pycache__").exists()
+
+    def test_compile_error_keeps_python_loops(self, kernel, source_copy, monkeypatch):
+        source_copy.write_text("not C\n")
+        self.assert_python_loops_in_use(monkeypatch, "compiling _maps.c failed")
+        assert [p.suffix for p in (source_copy.parent / "__pycache__").iterdir()] == []
 
     def test_unloadable_library_keeps_python_loops(self, kernel, source_copy, monkeypatch):
         # built but not yet loaded: a loaded library must not be rewritten
         chaotic_maps._built_kernel().write_bytes(b"not a shared library")
-        self.assert_python_loops_in_use(monkeypatch)
+        self.assert_python_loops_in_use(monkeypatch, "OSError")
 
     def test_self_check_mismatch_keeps_python_loops(self, kernel, source_copy, monkeypatch):
         # a kernel whose CLT step halves very slightly wrong
         text = source_copy.read_text()
         source_copy.write_text(text.replace("alpha_c * z / 2.0", "alpha_c * z * 0.4999999999"))
         assert source_copy.read_text() != text
-        self.assert_python_loops_in_use(monkeypatch)
+        self.assert_python_loops_in_use(monkeypatch, "differs from lshm_step/clt_step")
