@@ -1,4 +1,5 @@
-/* Compiled LSHM and CLT loops, bit for bit the loops in chaotic_maps.py.
+/* Compiled LSHM and CLT loops, bit for bit the loops in chaotic_maps.py,
+ * and the extraction-key sort and IBT gather of key_schedule.py and ibt.py.
  *
  * Every double operation below is the one the Python loop performs, in the
  * same order: built with -ffp-contract=off nothing is fused, and cos/pow/
@@ -8,6 +9,7 @@
  * transient included, into the caller's buffers.
  */
 #include <math.h>
+#include <stdint.h>
 
 static double mod1(double v)
 {
@@ -48,4 +50,45 @@ void xcross_clt(double *zs, long count, double z, double lam, double alpha_c)
         z = mod1(z);
         zs[i] = z;
     }
+}
+
+/* np.argsort(rea, kind="stable") into key and its inverse permutation into
+ * inv, by one counting sort: equal bytes keep their order.  n <= 2**31. */
+void xcross_sort_keys(const uint8_t *rea, long n, int32_t *key, int32_t *inv)
+{
+    long offs[256] = {0};
+    for (long s = 0; s < n; s++)
+        offs[rea[s]]++;
+    for (long b = 0, start = 0; b < 256; b++) {
+        long count = offs[b];
+        offs[b] = start;
+        start += count;
+    }
+    for (long s = 0; s < n; s++) {
+        long j = offs[rea[s]]++;
+        key[j] = (int32_t)s;
+        inv[s] = (int32_t)j;
+    }
+}
+
+/* Bit j of out = bit key[j] of in, bits numbered MSB first through the
+ * nbytes bytes; key holds 8 * nbytes entries.  Returns 1 at the first
+ * entry outside [0, 8 * nbytes), leaving out partly written, else 0. */
+int xcross_ibt(const uint8_t *in, uint8_t *out, const int32_t *key, long nbytes)
+{
+    unsigned long nbits = 8 * (unsigned long)nbytes;
+    for (long i = 0; i < nbytes; i++, key += 8) {
+        unsigned acc = 0;
+        /* eight independent bits, one compare each: a negative entry
+         * converts to an unsigned value far above nbits */
+#pragma GCC unroll 8
+        for (int b = 0; b < 8; b++) {
+            unsigned long k = (unsigned long)(long)key[b];
+            if (k >= nbits)
+                return 1;
+            acc |= (in[k >> 3] >> (7 - (k & 7)) & 1u) << (7 - b);
+        }
+        out[i] = (uint8_t)acc;
+    }
+    return 0;
 }

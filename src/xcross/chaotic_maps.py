@@ -18,10 +18,13 @@ The one-step functions :func:`lshm_step` and :func:`clt_step` and the
 Python loops in :func:`iterate_lshm` and :func:`iterate_clt` are the
 definition of both streams.  The same two loops also exist in C
 (``_maps.c``): they make the same libm calls in the same order and are
-compiled without contraction.  The C loops are built on the first
-iteration in a process and checked bit for bit against the step
-functions at load; when they cannot be built, loaded or trusted, the
-Python loops run.  Both paths emit the same bytes, with one exception:
+compiled without contraction.  The same library holds the extraction-key
+sort of :mod:`~xcross.key_schedule` and the bit gather of
+:mod:`~xcross.ibt`.  It is built on first use in a process and checked at
+load: the C loops bit for bit against the step functions, the sort and
+the gather byte for byte against their NumPy definitions.  When it cannot
+be built, loaded or trusted, the Python loops and the NumPy definitions
+run.  Both paths emit the same bytes, with one exception:
 once a stream has overflowed to NaN (only for keys far outside the
 operating ranges, such as ``k1=-1e308``), which NaN an operation returns
 is the hardware's choice, so the paths can differ in NaN sign bits.
@@ -54,7 +57,7 @@ from .errors import EmptyRequestError, ParameterError
 #: Iterations discarded before any value is emitted.
 TRANSIENT = 1000
 
-#: C source of the compiled loops.
+#: C source of the compiled loops, key sort and bit gather.
 _KERNEL_SOURCE = Path(__file__).with_name("_maps.c")
 
 #: Steps of the reference key the compiled loops must reproduce at load.
@@ -255,18 +258,22 @@ def _checked_count(n: int) -> int:
 
 @functools.cache
 def _kernel() -> ctypes.CDLL | None:
-    """The compiled loops of ``_maps.c``, or None when the Python loops must run.
+    """The compiled library of ``_maps.c``, or None when the Python loops
+    and the NumPy sort and gather must run.
 
-    Called on the first iteration in a process, never at import.  Before
-    the library is used it must reproduce :func:`lshm_step` and
-    :func:`clt_step` bit for bit on the reference key.  No compiler, an
-    unwritable cache, a failed compile or load, or a mismatch all give None,
-    and the cause is kept in ``_kernel_failure``.
+    Called on the first iteration, key sort or gather by an int32 key in a
+    process, never at import.  Before the library is used its loops must
+    reproduce :func:`lshm_step` and :func:`clt_step` bit for bit on the
+    reference key, and its sort and gather their NumPy definitions on that
+    key's extraction arrays.  No compiler, an unwritable cache, a failed
+    compile or load, or a mismatch all give None, and the cause is kept in
+    ``_kernel_failure``.
     """
     global _kernel_failure
     try:
         lib = ctypes.CDLL(os.fspath(_built_kernel()))
         lshm, clt = lib.xcross_lshm, lib.xcross_clt
+        sort_keys, ibt = lib.xcross_sort_keys, lib.xcross_ibt
     except (OSError, AttributeError) as exc:
         _kernel_failure = f"{type(exc).__name__}: {exc}"
         return None
@@ -274,9 +281,17 @@ def _kernel() -> ctypes.CDLL | None:
     lshm.restype = None
     clt.argtypes = [ctypes.c_void_p, ctypes.c_long] + [ctypes.c_double] * 3
     clt.restype = None
+    sort_keys.argtypes = [ctypes.c_void_p, ctypes.c_long, ctypes.c_void_p, ctypes.c_void_p]
+    sort_keys.restype = None
+    ibt.argtypes = [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_long]
+    ibt.restype = ctypes.c_int
     if not _kernel_matches_steps(lib):
         _kernel_failure = (f"{lib._name} differs from lshm_step/clt_step on the "
                            f"reference key within {_SELF_CHECK_STEPS} steps")
+        return None
+    if not _kernel_matches_numpy(lib):
+        _kernel_failure = (f"{lib._name} differs from the NumPy key sort or bit gather "
+                           f"on the reference key's 8x8 extraction arrays")
         return None
     _kernel_failure = None
     return lib
@@ -289,8 +304,9 @@ def _built_kernel() -> Path:
     interpreter's cache tag and the machine, plus a hash of the source and
     the compile command.  It is compiled into a temporary file that then
     replaces into place, so concurrent first uses are safe; a new library
-    removes this interpreter's libraries of older sources and the temporary
-    files of killed compiles.  Whoever can write there can already rewrite
+    removes this interpreter's libraries of older sources, libraries named
+    ``_maps-<hash>.so`` by an earlier scheme, and the temporary files of
+    killed compiles.  Whoever can write there can already rewrite
     the ``.py`` files.  Raises OSError when the library is missing and
     cannot be compiled.
     """
@@ -325,7 +341,8 @@ def _built_kernel() -> Path:
     finally:
         Path(tmp).unlink(missing_ok=True)
     stale_before = time.time() - _COMPILE_TIMEOUT_S
-    for old in [*cache.glob(f"{prefix}*.so"), *cache.glob("_maps.*.tmp")]:
+    for old in [*cache.glob(f"{prefix}*.so"), *cache.glob("_maps-*.so"),
+                *cache.glob("_maps.*.tmp")]:
         with contextlib.suppress(OSError):
             if old != path and (old.suffix == ".so" or old.stat().st_mtime < stale_before):
                 old.unlink()
@@ -355,6 +372,28 @@ def _compiled_clt(lib: ctypes.CDLL, p: CltParams, count: int) -> np.ndarray:
     return zs
 
 
+def _compiled_sort_keys(lib: ctypes.CDLL, rea: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stable argsort of a uint8 vector and its inverse, as int32, from the C
+    counting sort.  The caller keeps ``rea.size`` at most 2**31."""
+    rea = np.ascontiguousarray(rea, dtype=np.uint8)
+    key, inv = np.empty(rea.size, np.int32), np.empty(rea.size, np.int32)
+    lib.xcross_sort_keys(rea.ctypes.data, rea.size, key.ctypes.data, inv.ctypes.data)
+    return key, inv
+
+
+def _compiled_ibt(lib: ctypes.CDLL, blk: np.ndarray, key: np.ndarray) -> np.ndarray | None:
+    """The bits of a uint8 block gathered by the C loop, or None unless
+    ``key`` is a C-contiguous int32 vector of ``8 * blk.size`` entries that
+    all lie in ``range(8 * blk.size)``."""
+    if key.dtype != np.int32 or not key.flags.c_contiguous or key.shape != (8 * blk.size,):
+        return None
+    blk = np.ascontiguousarray(blk, dtype=np.uint8)
+    out = np.empty(blk.shape, np.uint8)
+    if lib.xcross_ibt(blk.ctypes.data, out.ctypes.data, key.ctypes.data, blk.size):
+        return None
+    return out
+
+
 def _kernel_matches_steps(lib: ctypes.CDLL) -> bool:
     """Whether the C loops reproduce the step functions on the reference key.
 
@@ -373,3 +412,23 @@ def _kernel_matches_steps(lib: ctypes.CDLL) -> bool:
     got = np.stack([*_compiled_lshm(lib, p, _SELF_CHECK_STEPS),
                     _compiled_clt(lib, c, _SELF_CHECK_STEPS)])
     return got.tobytes() == want.tobytes()
+
+
+def _kernel_matches_numpy(lib: ctypes.CDLL) -> bool:
+    """Whether the C sort and gather reproduce their NumPy definitions on the
+    extraction arrays of the reference key for 8x8 quadrants, as bytes."""
+    from .ibt import _gather_bits
+    from .key_schedule import _argsort_keys, _quantized, reference_key
+
+    xs, ys = _compiled_lshm(lib, reference_key().lshm, TRANSIENT + 8 * 8 * 8)
+    reas = [_quantized(s[TRANSIENT:], 1e5, 256) for s in (xs, ys)]
+    blk = reas[1][:64].reshape(8, 8)
+    for rea in reas:
+        got, want = _compiled_sort_keys(lib, rea), _argsort_keys(rea)
+        if [k.tobytes() for k in got] != [k.tobytes() for k in want]:
+            return False
+        for key in want:
+            out = _compiled_ibt(lib, blk, key)
+            if out is None or out.tobytes() != _gather_bits(blk, key).tobytes():
+                return False
+    return True

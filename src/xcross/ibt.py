@@ -9,12 +9,19 @@ popcount is conserved per block, and rearranging by the key's inverse
 permutation undoes it, so the inverse stage is the forward one with the
 key schedule's inverse keys.  Only the key's length is checked: a full
 check would cost one more pass over the key per quadrant and call.
+
+The NumPy unpack/gather/pack is the definition.  For the int32 keys of the
+key schedule the compiled library gathers the bits instead, one output
+byte at a time, without the unpacked copy; it checks every index and
+hands any key with one outside ``range(8 * block.size)`` to the NumPy
+gather, so such keys wrap or raise exactly as there.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from . import chaotic_maps
 from .errors import DimensionError, checked_image
 from .permutation import QuadSplit
 
@@ -33,6 +40,13 @@ def ibt_apply(blk: np.ndarray, key: np.ndarray) -> np.ndarray:
         raise DimensionError(
             f"extraction key of length {key.size} does not fit a block of {blk.size} pixels"
         )
+    kernel = chaotic_maps._kernel() if key.dtype == np.int32 else None
+    out = None if kernel is None else chaotic_maps._compiled_ibt(kernel, blk, key)
+    return _gather_bits(blk, key) if out is None else out
+
+
+def _gather_bits(blk: np.ndarray, key: np.ndarray) -> np.ndarray:
+    """Output bit j = input bit key[j], by NumPy: the definition of the gather."""
     return np.packbits(np.unpackbits(blk.reshape(-1))[key]).reshape(blk.shape)
 
 

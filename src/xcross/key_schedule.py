@@ -13,12 +13,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import chaotic_maps
 from .chaotic_maps import CltParams, LshmParams, iterate_clt, iterate_lshm
 from .errors import DimensionError, KeyFormatError, ParameterError
 from .permutation import _check_quarterable
 
 #: Hard cap on M*N, mirrored by the image reader.
 MAX_PIXELS = 2**24
+
+#: Stream values quantized per pass, so the float64 temporaries of
+#: `round_half_away` stay this size whatever the image.
+_QUANTIZE_CHUNK = 2**16
 
 #: Operating ranges for key generation.  `keygen --random` draws uniformly
 #: from these, and explicitly supplied values are validated against them;
@@ -76,13 +81,40 @@ def _check_dims(m: int, n: int) -> None:
 def round_half_away(values: np.ndarray) -> np.ndarray:
     """Elementwise round-to-nearest with ties away from zero, as int64."""
     v = np.asarray(values, dtype=np.float64)
+    return _round_half_away_into(v, np.empty_like(v), np.empty_like(v),
+                                 np.empty(v.shape, np.int64))
+
+
+def _round_half_away_into(v: np.ndarray, frac: np.ndarray, r: np.ndarray,
+                          out: np.ndarray) -> np.ndarray:
+    """:func:`round_half_away` of float64 ``v`` into int64 ``out``, with
+    ``frac`` and ``r`` as float64 work buffers of ``v``'s shape."""
     # round |v| half up, then restore the sign; |v| - floor(|v|) is exact
-    frac = np.abs(v)
-    r = np.floor(frac)
+    np.abs(v, out=frac)
+    np.floor(frac, out=r)
     frac -= r
     r += frac >= 0.5
     np.copysign(r, v, out=r)
-    return r.astype(np.int64)
+    np.copyto(out, r, casting="unsafe")
+    return out
+
+
+def _quantized(stream: np.ndarray, scale: float, modulus: int) -> np.ndarray:
+    """``round_half_away(stream * scale) mod modulus`` as uint8, computed
+    `_QUANTIZE_CHUNK` values at a time in buffers of that size."""
+    out = np.empty(stream.size, np.uint8)
+    chunk = min(stream.size, _QUANTIZE_CHUNK)
+    v, frac, r = np.empty(chunk), np.empty(chunk), np.empty(chunk)
+    q = np.empty(chunk, np.int64)
+    for start in range(0, stream.size, _QUANTIZE_CHUNK):
+        part = stream[start:start + _QUANTIZE_CHUNK]
+        k = part.size
+        np.multiply(part, scale, out=v[:k])
+        _round_half_away_into(v[:k], frac[:k], r[:k], q[:k])
+        if modulus != 256:  # the int64 -> uint8 cast below is mod 256
+            np.mod(q[:k], modulus, out=q[:k])
+        np.copyto(out[start:start + k], q[:k], casting="unsafe")
+    return out
 
 
 def build_extraction_arrays(key: KeyMaterial, m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -90,16 +122,13 @@ def build_extraction_arrays(key: KeyMaterial, m: int, n: int) -> tuple[np.ndarra
 
     Each stream value v becomes round(v * 10^5) mod 256 (ties away from
     zero), returned as uint8 arrays.  The y stream can go negative; the
-    int64 -> uint8 wrap is the mathematical mod 256 there too.  Array
-    length is (m/2 * n/2) * 8: one entry per bit of one quadrant.
+    mod is the mathematical one there too.  Array length is
+    (m/2 * n/2) * 8: one entry per bit of one quadrant.
     """
     _check_dims(m, n)
     length = (m // 2) * (n // 2) * 8
     xs, ys = iterate_lshm(key.lshm, length)
-    rea1 = round_half_away(xs * 1e5).astype(np.uint8)
-    del xs
-    rea2 = round_half_away(ys * 1e5).astype(np.uint8)
-    return rea1, rea2
+    return _quantized(xs, 1e5, 256), _quantized(ys, 1e5, 256)
 
 
 def build_extraction_keys(rea1: np.ndarray, rea2: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -107,10 +136,12 @@ def build_extraction_keys(rea1: np.ndarray, rea2: np.ndarray) -> tuple[np.ndarra
 
     key1/key2 are the stable ascending argsorts of rea1/rea2 (ties keep
     their original order); key3/key4 are their inverse permutations
-    (key3[key1[i]] = i).  All four are intp arrays, the index dtype NumPy
-    gathers and scatters with at no conversion cost.  For the uint8
-    arrays of :func:`build_extraction_arrays` the stable sort is a radix
-    sort.
+    (key3[key1[i]] = i).  All four are int32 arrays: a context lives as
+    long as its keys, and int32 halves them against intp (4 x 134 MB
+    rather than 4 x 268 MB at the 4096^2 cap).  The compiled IBT gather
+    reads int32 keys as they are; the NumPy fallback casts them per call.
+    For the uint8 arrays of :func:`build_extraction_arrays` the compiled
+    library builds each key and its inverse in one counting sort.
     """
     rea1 = np.asarray(rea1)
     rea2 = np.asarray(rea2)
@@ -118,15 +149,26 @@ def build_extraction_keys(rea1: np.ndarray, rea2: np.ndarray) -> tuple[np.ndarra
         raise DimensionError(
             f"extraction arrays must be equal-length vectors, got {rea1.shape} and {rea2.shape}"
         )
-    key1 = np.argsort(rea1, kind="stable")
-    key2 = np.argsort(rea2, kind="stable")
-    return key1, key2, _invert_permutation(key1), _invert_permutation(key2)
+    if rea1.size > 2**31:
+        raise DimensionError(f"extraction arrays of {rea1.size} entries exceed int32 keys")
+    (key1, key3), (key2, key4) = _sorted_keys(rea1), _sorted_keys(rea2)
+    return key1, key2, key3, key4
 
 
-def _invert_permutation(perm: np.ndarray) -> np.ndarray:
-    inv = np.empty_like(perm)
-    inv[perm] = np.arange(perm.size, dtype=perm.dtype)
-    return inv
+def _sorted_keys(rea: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_argsort_keys` of ``rea``, by the compiled sort for uint8."""
+    kernel = chaotic_maps._kernel() if rea.dtype == np.uint8 else None
+    if kernel is None:
+        return _argsort_keys(rea)
+    return chaotic_maps._compiled_sort_keys(kernel, rea)
+
+
+def _argsort_keys(rea: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The stable ascending argsort of ``rea`` and its inverse, as int32."""
+    key = np.argsort(rea, kind="stable").astype(np.int32)
+    inv = np.empty_like(key)
+    inv[key] = np.arange(key.size, dtype=np.int32)
+    return key, inv
 
 
 def build_operation_matrix(key: KeyMaterial, m: int, n: int) -> np.ndarray:
@@ -137,8 +179,7 @@ def build_operation_matrix(key: KeyMaterial, m: int, n: int) -> np.ndarray:
     """
     _check_dims(m, n)
     zs = iterate_clt(key.clt, m * n)
-    codes = np.mod(round_half_away(zs * 1e3), 3)
-    return codes.astype(np.uint8).reshape(m, n)
+    return _quantized(zs, 1e3, 3).reshape(m, n)
 
 
 def sbox_from_stream(stream: np.ndarray) -> np.ndarray:

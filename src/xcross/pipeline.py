@@ -33,7 +33,7 @@ from .permutation import (
 from .substitution import SubstitutionSuite, substitution_stage, unsubstitute_stage
 
 #: Largest image, in pixels, whose context `derive_context` keeps.  A
-#: context holds four intp keys of 2*M*N entries each (about 65 MB at
+#: context holds four int32 keys of 2*M*N entries each (about 32 MB at
 #: 1024^2), so large ones are rebuilt rather than held.
 _MEMO_MAX_PIXELS = 256 * 256
 
@@ -68,7 +68,7 @@ def derive_context(key: KeyMaterial, m: int, n: int) -> CipherContext:
 
 def _build_context(key: KeyMaterial, m: int, n: int) -> CipherContext:
     # the CLT products first, so their temporaries are freed before the
-    # four intp keys exist; the streams are independent, so no byte changes
+    # four keys exist; the streams are independent, so no byte changes
     opmatrix = build_operation_matrix(key, m, n)
     sboxes = build_sboxes(key)
     rea1, rea2 = build_extraction_arrays(key, m, n)

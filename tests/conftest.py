@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from xcross import chaotic_maps
 from xcross.key_schedule import reference_key
 
 
@@ -12,3 +13,12 @@ def ref_key():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(0xC0FFEE)
+
+
+@pytest.fixture(scope="module")
+def compiled_library():
+    """The compiled library of ``_maps.c``; skips where it did not load."""
+    lib = chaotic_maps._kernel()
+    if lib is None:
+        pytest.skip(f"the compiled library did not load: {chaotic_maps._kernel_failure}")
+    return lib

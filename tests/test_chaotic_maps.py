@@ -389,15 +389,24 @@ class TestCompiledLoops:
         for got, want in zip(compiled, python):
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
+    def test_context_keys_are_read_only_int32_on_both_paths(self):
+        compiled = _build_context(reference_key(), 16, 16)
+        with python_loops():
+            python = _build_context(reference_key(), 16, 16)
+        for key in (*compiled.keys, *python.keys):
+            assert key.dtype == np.int32 and not key.flags.writeable
+
     def test_compiles_once_into_the_cache(self, kernel, source_copy, monkeypatch):
         cache = source_copy.parent / "__pycache__"
         cache.mkdir()
         prefix = f"_maps.{sys.implementation.cache_tag}-{platform.machine()}-"
-        # a library of an older source, a killed compile's leftover, a
-        # compile still running, and another interpreter's library
-        stale, killed = cache / f"{prefix}00000000.so", cache / "_maps.killed.tmp"
-        running, other = cache / "_maps.running.tmp", cache / "_maps.other-tag-00000000.so"
-        for path in stale, killed, running, other:
+        # a library of an older source, one named by the earlier scheme, a
+        # killed compile's leftover, a compile still running, and another
+        # interpreter's library
+        stale, legacy = cache / f"{prefix}00000000.so", cache / "_maps-0123abcd.so"
+        killed, running = cache / "_maps.killed.tmp", cache / "_maps.running.tmp"
+        other = cache / "_maps.other-tag-00000000.so"
+        for path in stale, legacy, killed, running, other:
             path.write_bytes(b"")
         old = time.time() - 2 * chaotic_maps._COMPILE_TIMEOUT_S
         os.utime(killed, (old, old))
@@ -442,3 +451,16 @@ class TestCompiledLoops:
         source_copy.write_text(text.replace("alpha_c * z / 2.0", "alpha_c * z * 0.4999999999"))
         assert source_copy.read_text() != text
         self.assert_python_loops_in_use(monkeypatch, "differs from lshm_step/clt_step")
+
+    @pytest.mark.parametrize("old, new", [
+        # a sort that numbers each bin from the end: not the stable order
+        ("key[j] = (int32_t)s;", "key[j] = (int32_t)(n - 1 - s);"),
+        # a gather that numbers the bits of a byte LSB first
+        ("(7 - (k & 7))", "(k & 7)"),
+    ], ids=["sort", "gather"])
+    def test_key_sort_or_gather_mismatch_refuses_library(self, kernel, source_copy,
+                                                         monkeypatch, old, new):
+        text = source_copy.read_text()
+        assert old in text
+        source_copy.write_text(text.replace(old, new))
+        self.assert_python_loops_in_use(monkeypatch, "differs from the NumPy key sort or bit gather")

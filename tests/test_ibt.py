@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from xcross import chaotic_maps
 from xcross.errors import DimensionError
 from xcross.ibt import ibt_apply, ibt_stage, ibt_unstage
 from xcross.key_schedule import (
@@ -120,3 +121,49 @@ def test_property_round_trip_and_popcount(seed, rows, cols):
     out = ibt_apply(blk, perm)
     assert popcount(out) == popcount(blk)
     assert np.array_equal(ibt_apply(out, np.argsort(perm)), blk)
+
+
+def numpy_gather(blk, key):
+    """The IBT gather by intp indices, as the NumPy path has always run it."""
+    return np.packbits(np.unpackbits(blk.reshape(-1))[np.asarray(key, np.intp)]).reshape(blk.shape)
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 12), cols=st.integers(1, 12))
+def test_compiled_gather_matches_numpy(compiled_library, seed, rows, cols):
+    r = np.random.default_rng(seed)
+    img = r.integers(0, 256, size=(2 * rows, 2 * cols), dtype=np.uint8)
+    # three quadrants as non-contiguous views of the image, one contiguous copy
+    for blk in (img[:rows, :cols], img[:rows, cols:], img[rows:, cols:], img[rows:].copy()):
+        key = r.permutation(8 * blk.size).astype(np.int32)
+        want = numpy_gather(blk, key)
+        assert np.array_equal(chaotic_maps._compiled_ibt(compiled_library, blk, key), want)
+        assert np.array_equal(ibt_apply(blk, key), want)
+        # a non-contiguous int32 key takes the NumPy path, same bits
+        strided = np.repeat(key, 2)[::2]
+        assert chaotic_maps._compiled_ibt(compiled_library, blk, strided) is None
+        assert np.array_equal(ibt_apply(blk, strided), want)
+
+
+class TestOutOfRangeInt32Keys:
+    """The compiled gather refuses such keys; ibt_apply then does as NumPy does."""
+
+    @pytest.fixture()
+    def blk_key(self, rng):
+        return (rng.integers(0, 256, size=(4, 4), dtype=np.uint8),
+                rng.permutation(128).astype(np.int32))
+
+    @pytest.mark.parametrize("bad", [-1, -128])
+    def test_negative_index_wraps(self, compiled_library, blk_key, bad):
+        blk, key = blk_key
+        key[37] = bad
+        assert chaotic_maps._compiled_ibt(compiled_library, blk, key) is None
+        assert np.array_equal(ibt_apply(blk, key), numpy_gather(blk, key))
+
+    @pytest.mark.parametrize("bad", [128, -129, np.iinfo(np.int32).max, np.iinfo(np.int32).min])
+    def test_out_of_range_index_raises(self, compiled_library, blk_key, bad):
+        blk, key = blk_key
+        key[127] = bad
+        assert chaotic_maps._compiled_ibt(compiled_library, blk, key) is None
+        with pytest.raises(IndexError):
+            ibt_apply(blk, key)

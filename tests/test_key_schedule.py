@@ -2,11 +2,15 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
+from xcross import chaotic_maps
 from xcross.chaotic_maps import CltParams, LshmParams, iterate_clt, iterate_lshm
 from xcross.errors import DimensionError, KeyFormatError, ParameterError
 from xcross.key_schedule import (
+    _QUANTIZE_CHUNK,
     KEY_FIELDS,
     PARAM_RANGES,
     KeyMaterial,
@@ -19,6 +23,7 @@ from xcross.key_schedule import (
     parse_key,
     random_key_material,
     reference_key,
+    _quantized,
     round_half_away,
     sbox_from_stream,
     serialize_key,
@@ -58,6 +63,33 @@ class TestRounding:
         got = round_half_away(vals * 1e5)
         want = [oracles.round_half_away_exact(float(v * 1e5), 1) for v in vals]
         assert got.tolist() == want
+
+
+class TestChunkedQuantize:
+    """``_quantized`` must give round_half_away's bytes across chunk borders."""
+
+    @staticmethod
+    def reference(stream, scale, modulus):
+        return np.mod(round_half_away(stream * scale), modulus).astype(np.uint8)
+
+    @pytest.mark.parametrize("scale, modulus", [(1.0, 256), (1e5, 256), (1e3, 3)])
+    def test_matches_round_half_away(self, rng, scale, modulus):
+        stream = rng.uniform(-4.0, 4.0, 2 * _QUANTIZE_CHUNK + 3)
+        # exact ties both ways, signed zeros and a negative tie at each border
+        stream[::5] = (np.arange(stream[::5].size) % 1000 - 500) + 0.5
+        stream[1::11] = -0.0
+        stream[_QUANTIZE_CHUNK - 1:2 * _QUANTIZE_CHUNK + 1:_QUANTIZE_CHUNK] = -2.5
+        got = _quantized(stream, scale, modulus)
+        assert got.dtype == np.uint8
+        assert got.tobytes() == self.reference(stream, scale, modulus).tobytes()
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in cast")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in subtract")
+    def test_non_finite_values_match_round_half_away(self):
+        stream = np.array([np.nan, -np.nan, np.inf, -np.inf, 1e300, -1e300, 0.5])
+        for modulus in (256, 3):
+            got = _quantized(stream, 1e5, modulus)
+            assert got.tobytes() == self.reference(stream, 1e5, modulus).tobytes()
 
 
 class TestExtractionArrays:
@@ -111,6 +143,42 @@ class TestExtractionKeys:
     def test_length_mismatch(self):
         with pytest.raises(DimensionError):
             build_extraction_keys(np.arange(8), np.arange(9))
+
+    def test_too_long_for_int32_keys(self):
+        # a broadcast view: 2**31 + 1 entries in one byte of memory
+        rea = np.broadcast_to(np.uint8(0), (2**31 + 1,))
+        with pytest.raises(DimensionError, match="int32"):
+            build_extraction_keys(rea, rea)
+
+    def test_int32_keys_for_any_input_dtype(self):
+        for rea in (np.array([3, 1, 2], np.uint8), np.array([30, 10, 20])):
+            assert {k.dtype for k in build_extraction_keys(rea, rea)} == {np.dtype(np.int32)}
+
+
+@st.composite
+def extraction_arrays(draw):
+    """uint8 vectors of a multiple of 8 entries up to 4096: random, constant,
+    ascending or descending (the last a non-contiguous view)."""
+    n = 8 * draw(st.integers(1, 512))
+    kind = draw(st.sampled_from(["random", "constant", "ascending", "descending"]))
+    if kind == "random":
+        return np.random.default_rng(draw(st.integers(0, 2**32 - 1))).integers(
+            0, 256, n, dtype=np.uint8)
+    if kind == "constant":
+        return np.full(n, draw(st.integers(0, 255)), np.uint8)
+    ramp = (np.arange(n) * draw(st.integers(1, 256)) // n).astype(np.uint8)
+    return ramp if kind == "ascending" else ramp[::-1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(rea=extraction_arrays())
+def test_compiled_sort_is_stable_argsort_and_inverse(compiled_library, rea):
+    key, inv = chaotic_maps._compiled_sort_keys(compiled_library, rea)
+    want = np.argsort(rea, kind="stable")
+    want_inv = np.empty_like(want)
+    want_inv[want] = np.arange(want.size)
+    assert key.dtype == inv.dtype == np.int32
+    assert np.array_equal(key, want) and np.array_equal(inv, want_inv)
 
 
 class TestOperationMatrix:
