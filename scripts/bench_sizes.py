@@ -49,7 +49,7 @@ from xcross.key_schedule import reference_key
 from xcross.sample_images import random_image
 
 SIZES = (256, 1024, 2048)
-REPS = 3
+REPS = 7
 LOOPS = ("compiled", "python")
 STAGES = ("lshm_s", "clt_s", "quantize_s", "argsort_invert_s", "sboxes_s", "derive_s",
           "encrypt_s", "decrypt_s", "analyze_s")

@@ -14,17 +14,17 @@ the only way two runs (or two implementations) agree is if every single
 floating-point operation rounds identically.  Hence: no vectorized
 transcendentals, no re-association, no fused multiply-add.
 
-The one-step functions :func:`lshm_step` and :func:`clt_step` and the
-Python loops in :func:`iterate_lshm` and :func:`iterate_clt` are the
-definition of both streams.  The same two loops also exist in C
-(``_maps.c``): they make the same libm calls in the same order and are
-compiled without contraction.  The same library holds the extraction-key
-sort of :mod:`~xcross.key_schedule` and the bit gather of
+One Python loop per map, :func:`_lshm_loop` and :func:`_clt_loop`, is the
+definition of both streams; :func:`lshm_step` and :func:`clt_step` are one
+turn of that loop.  The same two loops also exist in C (``_maps.c``): they
+mirror the Python loops, make the same libm calls in the same order and
+are compiled without contraction.  The same library holds the
+extraction-key sort of :mod:`~xcross.key_schedule` and the bit gather of
 :mod:`~xcross.ibt`.  It is built on first use in a process and checked at
-load: the C loops bit for bit against the step functions, the sort and
-the gather byte for byte against their NumPy definitions.  When it cannot
-be built, loaded or trusted, the Python loops and the NumPy definitions
-run.  Both paths emit the same bytes, with one exception:
+load: the C loops bit for bit against the Python loops, the sort and the
+gather byte for byte against their NumPy definitions.  When it cannot be
+built, loaded or trusted, the Python loops and the NumPy definitions run.
+Both paths emit the same bytes, with one exception:
 once a stream has overflowed to NaN (only for keys far outside the
 operating ranges, such as ``k1=-1e308``), which NaN an operation returns
 is the hardware's choice, so the paths can differ in NaN sign bits.
@@ -46,7 +46,6 @@ import shutil
 import sys
 import tempfile
 import time
-from array import array
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -138,38 +137,18 @@ class CltParams:
             raise ParameterError(f"clt.z0 must lie in (0, 1), got {self.z0!r}")
 
 
-def _mod1(v: float) -> float:
-    """Reduce into [0, 1), fixing the two ways CPython's ``%`` can betray us.
-
-    For a tiny negative v, ``v % 1.0`` returns exactly ``1.0`` (the excluded
-    endpoint); and a negative zero result would compare equal to 0.0 but
-    print differently.  Both are normalized away.
-    """
-    r = v % 1.0
-    if r >= 1.0:
-        r = 0.0
-    return r + 0.0
-
-
 def lshm_step(x: float, y: float, p: LshmParams) -> tuple[float, float]:
     """One application of the LSHM recurrence to the state ``(x, y)``."""
-    c = math.cos(math.pi * x)
-    t = math.pow(abs(c), p.beta)
-    if c < 0.0:
-        t = -t
-    x_next = _mod1(p.k1 * (1.0 + p.alpha * t))
-    y_next = p.k2 * (math.cos(y) * (1.0 - x))
-    return x_next, y_next
+    xs, ys = [0.0], [0.0]
+    _lshm_loop(None, xs, ys, x, y, p)
+    return xs[0], ys[0]
 
 
 def clt_step(z: float, p: CltParams) -> float:
     """One application of the CLT recurrence to the state ``z``."""
-    t = p.lam * z * (1.0 - z)
-    if z < 0.5:
-        s = p.alpha_c * z / 2.0
-    else:
-        s = p.alpha_c * (1.0 - z) / 2.0
-    return _mod1(t + s)
+    zs = [0.0]
+    _clt_loop(None, zs, z, p)
+    return zs[0]
 
 
 def iterate_lshm(params: LshmParams, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -177,71 +156,72 @@ def iterate_lshm(params: LshmParams, n: int) -> tuple[np.ndarray, np.ndarray]:
 
     Returns the x-stream and y-stream as float64 arrays of length ``n``.
     Every x value lies in [0, 1); y values are unbounded.
-
-    The Python loop below is :func:`lshm_step` and :func:`_mod1` inlined
-    with the same binary64 operations in the same order; the compiled loop
-    runs instead when it loaded.  Tests pin both bit-for-bit to the step.
     """
     if not isinstance(params, LshmParams):
         raise ParameterError("params must be LshmParams")
     n = _checked_count(n)
-    kernel = _kernel()
-    if kernel is not None:
-        xs, ys = _compiled_lshm(kernel, params, TRANSIENT + n)
-        return xs[TRANSIENT:], ys[TRANSIENT:]
+    xs, ys = np.empty(TRANSIENT + n), np.empty(TRANSIENT + n)
+    _lshm_loop(_kernel(), xs, ys, params.x0, params.y0, params)
+    return xs[TRANSIENT:], ys[TRANSIENT:]
+
+
+def iterate_clt(params: CltParams, n: int) -> np.ndarray:
+    """Emit ``n`` post-transient values of the CLT stream, all in [0, 1)."""
+    if not isinstance(params, CltParams):
+        raise ParameterError("params must be CltParams")
+    n = _checked_count(n)
+    zs = np.empty(TRANSIENT + n)
+    _clt_loop(_kernel(), zs, params.z0, params)
+    return zs[TRANSIENT:]
+
+
+def _lshm_loop(lib: ctypes.CDLL | None, xs, ys, x: float, y: float, p: LshmParams) -> None:
+    """Write the ``len(xs)`` LSHM states that follow ``(x, y)`` into ``xs``
+    and ``ys``: by the C loop when ``lib`` is the compiled library (the
+    buffers are then C-contiguous float64 arrays of one length), else by
+    the Python loop."""
+    if lib is not None:
+        lib.xcross_lshm(xs.ctypes.data, ys.ctypes.data, len(xs),
+                        x, y, p.k1, p.k2, p.alpha, p.beta, math.pi)
+        return
     cos, pow_, abs_, pi = math.cos, math.pow, abs, math.pi
-    k1, k2, alpha, beta = params.k1, params.k2, params.alpha, params.beta
-    x, y = params.x0, params.y0
-    xs, ys = array("d"), array("d")
-    x_append, y_append = xs.append, ys.append
-    for _ in range(TRANSIENT + n):
+    k1, k2, alpha, beta = p.k1, p.k2, p.alpha, p.beta
+    for i in range(len(xs)):
         c = cos(pi * x)
         t = pow_(abs_(c), beta)
         if c < 0.0:
             t = -t
         y = k2 * (cos(y) * (1.0 - x))
+        # mod 1 with the two ways CPython's ``%`` can betray us fixed: for a
+        # tiny negative v, ``v % 1.0`` returns exactly 1.0 (the excluded
+        # endpoint), and a negative zero would compare equal to 0.0 but
+        # print differently
         x = k1 * (1.0 + alpha * t) % 1.0
         if x >= 1.0:
             x = 0.0
         x += 0.0
-        x_append(x)
-        y_append(y)
-    return _emitted(xs), _emitted(ys)
+        xs[i] = x
+        ys[i] = y
 
 
-def iterate_clt(params: CltParams, n: int) -> np.ndarray:
-    """Emit ``n`` post-transient values of the CLT stream, all in [0, 1).
-
-    The Python loop below is :func:`clt_step` and :func:`_mod1` inlined;
-    the compiled loop runs instead when it loaded.  Tests pin both
-    bit-for-bit to the step.
-    """
-    if not isinstance(params, CltParams):
-        raise ParameterError("params must be CltParams")
-    n = _checked_count(n)
-    kernel = _kernel()
-    if kernel is not None:
-        return _compiled_clt(kernel, params, TRANSIENT + n)[TRANSIENT:]
-    lam, alpha_c = params.lam, params.alpha_c
-    z = params.z0
-    zs = array("d")
-    z_append = zs.append
-    for _ in range(TRANSIENT + n):
+def _clt_loop(lib: ctypes.CDLL | None, zs, z: float, p: CltParams) -> None:
+    """Write the ``len(zs)`` CLT states that follow ``z`` into ``zs``: by
+    the C loop when ``lib`` is the compiled library (``zs`` is then a
+    C-contiguous float64 array), else by the Python loop."""
+    if lib is not None:
+        lib.xcross_clt(zs.ctypes.data, len(zs), z, p.lam, p.alpha_c)
+        return
+    lam, alpha_c = p.lam, p.alpha_c
+    for i in range(len(zs)):
         if z < 0.5:
             z = lam * z * (1.0 - z) + alpha_c * z / 2.0
         else:
             z = lam * z * (1.0 - z) + alpha_c * (1.0 - z) / 2.0
-        z %= 1.0
+        z %= 1.0  # fixed as in _lshm_loop
         if z >= 1.0:
             z = 0.0
         z += 0.0
-        z_append(z)
-    return _emitted(zs)
-
-
-def _emitted(values: array) -> np.ndarray:
-    """Zero-copy float64 view of ``values`` past the transient prefix."""
-    return np.frombuffer(values, dtype=np.float64)[TRANSIENT:]
+        zs[i] = z
 
 
 def _checked_count(n: int) -> int:
@@ -263,11 +243,10 @@ def _kernel() -> ctypes.CDLL | None:
 
     Called on the first iteration, key sort or gather by an int32 key in a
     process, never at import.  Before the library is used its loops must
-    reproduce :func:`lshm_step` and :func:`clt_step` bit for bit on the
-    reference key, and its sort and gather their NumPy definitions on that
-    key's extraction arrays.  No compiler, an unwritable cache, a failed
-    compile or load, or a mismatch all give None, and the cause is kept in
-    ``_kernel_failure``.
+    reproduce the Python loops bit for bit on the reference key, and its
+    sort and gather their NumPy definitions on that key's extraction arrays.
+    No compiler, an unwritable cache, a failed compile or load, or a
+    mismatch all give None, and the cause is kept in ``_kernel_failure``.
     """
     global _kernel_failure
     try:
@@ -357,21 +336,6 @@ def _compile_command(cc: str, out: str) -> list[str]:
             _KERNEL_SOURCE.name, "-lm"]
 
 
-def _compiled_lshm(lib: ctypes.CDLL, p: LshmParams, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """The first ``count`` LSHM states, transient included, from the C loop."""
-    xs, ys = np.empty(count), np.empty(count)
-    lib.xcross_lshm(xs.ctypes.data, ys.ctypes.data, count,
-                    p.x0, p.y0, p.k1, p.k2, p.alpha, p.beta, math.pi)
-    return xs, ys
-
-
-def _compiled_clt(lib: ctypes.CDLL, p: CltParams, count: int) -> np.ndarray:
-    """The first ``count`` CLT states, transient included, from the C loop."""
-    zs = np.empty(count)
-    lib.xcross_clt(zs.ctypes.data, count, p.z0, p.lam, p.alpha_c)
-    return zs
-
-
 def _compiled_sort_keys(lib: ctypes.CDLL, rea: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Stable argsort of a uint8 vector and its inverse, as int32, from the C
     counting sort.  The caller keeps ``rea.size`` at most 2**31."""
@@ -395,7 +359,7 @@ def _compiled_ibt(lib: ctypes.CDLL, blk: np.ndarray, key: np.ndarray) -> np.ndar
 
 
 def _kernel_matches_steps(lib: ctypes.CDLL) -> bool:
-    """Whether the C loops reproduce the step functions on the reference key.
+    """Whether the C loops reproduce the Python loops on the reference key.
 
     Compared as bytes, so a differently signed zero is a mismatch too.
     """
@@ -403,14 +367,10 @@ def _kernel_matches_steps(lib: ctypes.CDLL) -> bool:
 
     key = reference_key()
     p, c = key.lshm, key.clt
-    x, y, z = p.x0, p.y0, c.z0
-    want = np.empty((3, _SELF_CHECK_STEPS))
-    for i in range(_SELF_CHECK_STEPS):
-        x, y = lshm_step(x, y, p)
-        z = clt_step(z, c)
-        want[:, i] = x, y, z
-    got = np.stack([*_compiled_lshm(lib, p, _SELF_CHECK_STEPS),
-                    _compiled_clt(lib, c, _SELF_CHECK_STEPS)])
+    got, want = np.empty((2, 3, _SELF_CHECK_STEPS))
+    for loop_lib, (xs, ys, zs) in ((lib, got), (None, want)):
+        _lshm_loop(loop_lib, xs, ys, p.x0, p.y0, p)
+        _clt_loop(loop_lib, zs, c.z0, c)
     return got.tobytes() == want.tobytes()
 
 
@@ -420,7 +380,9 @@ def _kernel_matches_numpy(lib: ctypes.CDLL) -> bool:
     from .ibt import _gather_bits
     from .key_schedule import _argsort_keys, _quantized, reference_key
 
-    xs, ys = _compiled_lshm(lib, reference_key().lshm, TRANSIENT + 8 * 8 * 8)
+    p = reference_key().lshm
+    xs, ys = np.empty((2, TRANSIENT + 8 * 8 * 8))
+    _lshm_loop(lib, xs, ys, p.x0, p.y0, p)
     reas = [_quantized(s[TRANSIENT:], 1e5, 256) for s in (xs, ys)]
     blk = reas[1][:64].reshape(8, 8)
     for rea in reas:

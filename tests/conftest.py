@@ -1,3 +1,5 @@
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
@@ -22,3 +24,12 @@ def compiled_library():
     if lib is None:
         pytest.skip(f"the compiled library did not load: {chaotic_maps._kernel_failure}")
     return lib
+
+
+@contextmanager
+def python_loops():
+    """Derive with the Python loops and the NumPy sort and gather inside the
+    ``with`` block."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(chaotic_maps, "_kernel", lambda: None)
+        yield

@@ -6,7 +6,6 @@ import shutil
 import subprocess
 import sys
 import time
-from contextlib import contextmanager
 from types import SimpleNamespace
 
 import numpy as np
@@ -15,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from conftest import python_loops
 from xcross import chaotic_maps
 from xcross.chaotic_maps import (
     TRANSIENT,
@@ -265,14 +265,6 @@ def same_bits(got, want) -> bool:
                           np.asarray(want, np.float64).view(np.uint64))
 
 
-@contextmanager
-def python_loops():
-    """Iterate with the Python loops inside the ``with`` block."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(chaotic_maps, "_kernel", lambda: None)
-        yield
-
-
 def both_loops(iterate, params, n):
     """``iterate(params, n)`` by the compiled loops (the Python loops when
     they did not load), then by the Python loops."""
@@ -348,11 +340,6 @@ class TestCompiledLoops:
     """Loading the compiled loops, and falling back to the Python loops."""
 
     @pytest.fixture()
-    def kernel(self):
-        if chaotic_maps._kernel() is None:
-            pytest.skip(f"the compiled map loops did not load: {chaotic_maps._kernel_failure}")
-
-    @pytest.fixture()
     def source_copy(self, tmp_path, monkeypatch):
         """Build from a copy of the C source, so the cache is under tmp_path."""
         copy = tmp_path / "_maps.c"
@@ -382,7 +369,7 @@ class TestCompiledLoops:
             16, id="overflow",
             marks=pytest.mark.filterwarnings("ignore:invalid value encountered in cast")),
     ])
-    def test_context_bytes_match_python_loops(self, kernel, key, side):
+    def test_context_bytes_match_python_loops(self, compiled_library, key, side):
         compiled = context_arrays(_build_context(key, side, side))
         with python_loops():
             python = context_arrays(_build_context(key, side, side))
@@ -396,7 +383,7 @@ class TestCompiledLoops:
         for key in (*compiled.keys, *python.keys):
             assert key.dtype == np.int32 and not key.flags.writeable
 
-    def test_compiles_once_into_the_cache(self, kernel, source_copy, monkeypatch):
+    def test_compiles_once_into_the_cache(self, compiled_library, source_copy, monkeypatch):
         cache = source_copy.parent / "__pycache__"
         cache.mkdir()
         prefix = f"_maps.{sys.implementation.cache_tag}-{platform.machine()}-"
@@ -417,7 +404,7 @@ class TestCompiledLoops:
         monkeypatch.setattr(chaotic_maps.shutil, "which", lambda name: None)
         assert chaotic_maps._kernel.__wrapped__() is not None
 
-    def test_concurrent_first_uses_share_one_library(self, kernel, source_copy):
+    def test_concurrent_first_uses_share_one_library(self, compiled_library, source_copy):
         # processes race to compile the same library (four: more than a
         # small CI runner's cores, few enough for a large machine's memory)
         code = ("import sys; from pathlib import Path; from xcross import chaotic_maps as c; "
@@ -435,17 +422,20 @@ class TestCompiledLoops:
         self.assert_python_loops_in_use(monkeypatch, "no C compiler")
         assert not (source_copy.parent / "__pycache__").exists()
 
-    def test_compile_error_keeps_python_loops(self, kernel, source_copy, monkeypatch):
+    def test_compile_error_keeps_python_loops(self, compiled_library, source_copy,
+                                              monkeypatch):
         source_copy.write_text("not C\n")
         self.assert_python_loops_in_use(monkeypatch, "compiling _maps.c failed")
         assert [p.suffix for p in (source_copy.parent / "__pycache__").iterdir()] == []
 
-    def test_unloadable_library_keeps_python_loops(self, kernel, source_copy, monkeypatch):
+    def test_unloadable_library_keeps_python_loops(self, compiled_library, source_copy,
+                                                   monkeypatch):
         # built but not yet loaded: a loaded library must not be rewritten
         chaotic_maps._built_kernel().write_bytes(b"not a shared library")
         self.assert_python_loops_in_use(monkeypatch, "OSError")
 
-    def test_self_check_mismatch_keeps_python_loops(self, kernel, source_copy, monkeypatch):
+    def test_self_check_mismatch_keeps_python_loops(self, compiled_library, source_copy,
+                                                    monkeypatch):
         # a kernel whose CLT step halves very slightly wrong
         text = source_copy.read_text()
         source_copy.write_text(text.replace("alpha_c * z / 2.0", "alpha_c * z * 0.4999999999"))
@@ -458,8 +448,8 @@ class TestCompiledLoops:
         # a gather that numbers the bits of a byte LSB first
         ("(7 - (k & 7))", "(k & 7)"),
     ], ids=["sort", "gather"])
-    def test_key_sort_or_gather_mismatch_refuses_library(self, kernel, source_copy,
-                                                         monkeypatch, old, new):
+    def test_key_sort_or_gather_mismatch_refuses_library(self, compiled_library,
+                                                         source_copy, monkeypatch, old, new):
         text = source_copy.read_text()
         assert old in text
         source_copy.write_text(text.replace(old, new))

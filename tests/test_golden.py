@@ -8,14 +8,18 @@ hold for *any* self-consistent key).  These digests catch that.
 
 Derived arrays are hashed at a fixed dtype (extraction arrays as uint8,
 extraction keys as little-endian int64) so the digests pin values, not the
-in-memory representation.  Should one of these ever need to change, that
-is a new key version, not a refactor.
+in-memory representation.  The derived artifacts are pinned on both loop
+paths: the default one (the compiled library where it loads) and the
+Python loops with the NumPy key sort, which otherwise run only where the
+library does not load.  Should one of these ever need to change, that is a
+new key version, not a refactor.
 """
 
 import hashlib
 
 import numpy as np
 import pytest
+from conftest import python_loops
 
 from xcross.analysis import analyze, report_csv
 from xcross.cli import main
@@ -110,9 +114,20 @@ def artifacts(ref_key):
     return derived_artifacts(ref_key)
 
 
+@pytest.fixture(scope="module")
+def python_loop_artifacts(ref_key):
+    with python_loops():
+        return derived_artifacts(ref_key)
+
+
 @pytest.mark.parametrize("name", sorted(ARTIFACT_DIGESTS))
 def test_reference_key_artifact_digest(artifacts, name):
     assert sha256(artifacts[name]) == ARTIFACT_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(ARTIFACT_DIGESTS))
+def test_python_loop_artifact_digest(python_loop_artifacts, name):
+    assert sha256(python_loop_artifacts[name]) == ARTIFACT_DIGESTS[name]
 
 
 @pytest.mark.parametrize("name", sorted(CIPHERTEXT_DIGESTS))
