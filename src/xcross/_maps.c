@@ -4,12 +4,24 @@
  * Every double operation below is the one the Python loop performs, in the
  * same order: built with -ffp-contract=off nothing is fused, and cos/pow/
  * fabs are the libm functions CPython's math module calls.  mod1() is
- * CPython's float % 1.0 (fmod, then the sign fix) followed by _mod1's
- * ">= 1.0" fix and its "+ 0.0".  Each function writes `count` states,
- * transient included, into the caller's buffers.
+ * CPython's float % 1.0 (fmod, then the sign fix) followed by the ">= 1.0"
+ * fix and the "+ 0.0" of _lshm_loop and _clt_loop.  Each function writes
+ * `count` states, transient included, into the caller's buffers.
+ *
+ * The IBT gather has a second, AVX2 body, compiled for that target by a
+ * function attribute, so the compile command stays the same.  It is taken
+ * per call, on x86-64 CPUs that report AVX2 and for blocks whose byte count
+ * is a multiple of 4; other CPUs and blocks run the scalar loop.  It reads
+ * each bit through the aligned 4-byte word holding it, which lies inside
+ * the block because the block is a whole number of such words.
  */
 #include <math.h>
 #include <stdint.h>
+
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#include <immintrin.h>
+#define XCROSS_AVX2 1
+#endif
 
 static double mod1(double v)
 {
@@ -71,11 +83,47 @@ void xcross_sort_keys(const uint8_t *rea, long n, int32_t *key, int32_t *inv)
     }
 }
 
+#ifdef XCROSS_AVX2
+/* xcross_ibt for nbytes a multiple of 4 and at most 2**28, so 8 * nbytes - 1
+ * fits an unsigned 32-bit lane and every negative entry compares above it.
+ * One output byte per turn: eight entries checked and gathered at once. */
+__attribute__((target("avx2")))
+static int ibt_avx2(const uint8_t *in, uint8_t *out, const int32_t *key, long nbytes)
+{
+    const __m256i last = _mm256_set1_epi32((int)(8 * nbytes - 1));
+    const __m256i three = _mm256_set1_epi32(3), seven = _mm256_set1_epi32(7);
+    const __m256i top = _mm256_set1_epi32(24);
+    const __m256i reversed = _mm256_setr_epi32(7, 6, 5, 4, 3, 2, 1, 0);
+    for (long i = 0; i < nbytes; i++, key += 8) {
+        __m256i k = _mm256_loadu_si256((const __m256i *)key);
+        __m256i ok = _mm256_cmpeq_epi32(_mm256_max_epu32(k, last), last);
+        if (_mm256_movemask_ps(_mm256_castsi256_ps(ok)) != 0xff)
+            return 1;
+        /* bit k is bit 7 - (k & 7) of byte k >> 3, which is byte (k >> 3) & 3
+         * of the little-endian word k >> 5: shifting that word left by
+         * 24 - 8 * ((k >> 3) & 3) + (k & 7) moves the bit to bit 31 */
+        __m256i words = _mm256_i32gather_epi32((const int *)in, _mm256_srli_epi32(k, 5), 4);
+        __m256i byte = _mm256_and_si256(_mm256_srli_epi32(k, 3), three);
+        __m256i shift = _mm256_add_epi32(_mm256_sub_epi32(top, _mm256_slli_epi32(byte, 3)),
+                                         _mm256_and_si256(k, seven));
+        /* entry 0 gives the output byte's MSB, and movemask puts lane 0 in
+         * bit 0: reverse the lanes first */
+        __m256i bits = _mm256_permutevar8x32_epi32(_mm256_sllv_epi32(words, shift), reversed);
+        out[i] = (uint8_t)_mm256_movemask_ps(_mm256_castsi256_ps(bits));
+    }
+    return 0;
+}
+#endif
+
 /* Bit j of out = bit key[j] of in, bits numbered MSB first through the
  * nbytes bytes; key holds 8 * nbytes entries.  Returns 1 at the first
  * entry outside [0, 8 * nbytes), leaving out partly written, else 0. */
 int xcross_ibt(const uint8_t *in, uint8_t *out, const int32_t *key, long nbytes)
 {
+#ifdef XCROSS_AVX2
+    if (nbytes % 4 == 0 && nbytes <= 1L << 28 && __builtin_cpu_supports("avx2"))
+        return ibt_avx2(in, out, key, nbytes);
+#endif
     unsigned long nbits = 8 * (unsigned long)nbytes;
     for (long i = 0; i < nbytes; i++, key += 8) {
         unsigned acc = 0;

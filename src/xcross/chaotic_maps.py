@@ -270,7 +270,7 @@ def _kernel() -> ctypes.CDLL | None:
         return None
     if not _kernel_matches_numpy(lib):
         _kernel_failure = (f"{lib._name} differs from the NumPy key sort or bit gather "
-                           f"on the reference key's 8x8 extraction arrays")
+                           f"on the reference key's extraction arrays")
         return None
     _kernel_failure = None
     return lib
@@ -376,7 +376,12 @@ def _kernel_matches_steps(lib: ctypes.CDLL) -> bool:
 
 def _kernel_matches_numpy(lib: ctypes.CDLL) -> bool:
     """Whether the C sort and gather reproduce their NumPy definitions on the
-    extraction arrays of the reference key for 8x8 quadrants, as bytes."""
+    extraction arrays of the reference key for 8x8 quadrants, as bytes.
+
+    The gather is also checked on a 7x9 block with keys sorted from the
+    arrays' first 504 bytes: 63 bytes, not a multiple of 4, take the scalar
+    loop where the 8x8 block may take the AVX2 one.
+    """
     from .ibt import _gather_bits
     from .key_schedule import _argsort_keys, _quantized, reference_key
 
@@ -384,13 +389,14 @@ def _kernel_matches_numpy(lib: ctypes.CDLL) -> bool:
     xs, ys = np.empty((2, TRANSIENT + 8 * 8 * 8))
     _lshm_loop(lib, xs, ys, p.x0, p.y0, p)
     reas = [_quantized(s[TRANSIENT:], 1e5, 256) for s in (xs, ys)]
-    blk = reas[1][:64].reshape(8, 8)
+    square, odd = reas[1][:64].reshape(8, 8), reas[1][:63].reshape(7, 9)
     for rea in reas:
         got, want = _compiled_sort_keys(lib, rea), _argsort_keys(rea)
         if [k.tobytes() for k in got] != [k.tobytes() for k in want]:
             return False
-        for key in want:
-            out = _compiled_ibt(lib, blk, key)
-            if out is None or out.tobytes() != _gather_bits(blk, key).tobytes():
-                return False
+        for blk, keys in ((square, want), (odd, _argsort_keys(rea[:8 * odd.size]))):
+            for key in keys:
+                out = _compiled_ibt(lib, blk, key)
+                if out is None or out.tobytes() != _gather_bits(blk, key).tobytes():
+                    return False
     return True

@@ -12,9 +12,12 @@ check would cost one more pass over the key per quadrant and call.
 
 The NumPy unpack/gather/pack is the definition.  For the int32 keys of the
 key schedule the compiled library gathers the bits instead, one output
-byte at a time, without the unpacked copy; it checks every index and
-hands any key with one outside ``range(8 * block.size)`` to the NumPy
-gather, so such keys wrap or raise exactly as there.
+byte at a time, without the unpacked copy.  On x86-64 CPUs that report
+AVX2 it fetches that byte's eight bits with one hardware gather when the
+block's byte count is a multiple of 4 (every cipher quadrant's is); other
+CPUs and blocks run its scalar loop.  Both check every index and hand any
+key with one outside ``range(8 * block.size)`` to the NumPy gather, so
+such keys wrap or raise exactly as there.
 """
 
 from __future__ import annotations

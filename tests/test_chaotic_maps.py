@@ -6,6 +6,7 @@ import shutil
 import subprocess
 import sys
 import time
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -28,6 +29,17 @@ from xcross.chaotic_maps import (
 from xcross.errors import EmptyRequestError, ParameterError
 from xcross.key_schedule import PARAM_RANGES, reference_key
 from xcross.pipeline import _build_context
+
+
+def cpu_reports_avx2() -> bool:
+    """Whether this is an x86-64 Linux host whose CPU flags list AVX2, where
+    the compiled gather takes its AVX2 body for whole 4-byte blocks."""
+    try:
+        flags = Path("/proc/cpuinfo").read_text()
+    except OSError:
+        return False
+    return platform.machine() == "x86_64" and "avx2" in flags.split()
+
 
 REF_LSHM = LshmParams(k1=3.9, k2=3.6, alpha=2.1, beta=2.0, x0=0.3, y0=0.5)
 REF_CLT = CltParams(lam=3.77, alpha_c=3.1, z0=0.37)
@@ -444,10 +456,13 @@ class TestCompiledLoops:
 
     @pytest.mark.parametrize("old, new", [
         # a sort that numbers each bin from the end: not the stable order
-        ("key[j] = (int32_t)s;", "key[j] = (int32_t)(n - 1 - s);"),
-        # a gather that numbers the bits of a byte LSB first
-        ("(7 - (k & 7))", "(k & 7)"),
-    ], ids=["sort", "gather"])
+        pytest.param("key[j] = (int32_t)s;", "key[j] = (int32_t)(n - 1 - s);", id="sort"),
+        # a scalar gather that numbers the bits of a byte LSB first
+        pytest.param("(7 - (k & 7))", "(k & 7)", id="gather"),
+        # an AVX2 gather that shifts by the bit's position in a nibble, not a byte
+        pytest.param("(k, seven)", "(k, three)", id="gather_simd", marks=pytest.mark.skipif(
+            not cpu_reports_avx2(), reason="only CPUs that report AVX2 run the AVX2 gather")),
+    ])
     def test_key_sort_or_gather_mismatch_refuses_library(self, compiled_library,
                                                          source_copy, monkeypatch, old, new):
         text = source_copy.read_text()

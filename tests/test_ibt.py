@@ -167,3 +167,29 @@ class TestOutOfRangeInt32Keys:
         assert chaotic_maps._compiled_ibt(compiled_library, blk, key) is None
         with pytest.raises(IndexError):
             ibt_apply(blk, key)
+
+    # 16 bytes take the AVX2 gather on CPUs that have it, 15 the scalar loop
+    # everywhere; the bad entry is the first or last of the second group of 8
+    either_path = pytest.mark.parametrize("shape", [(4, 4), (3, 5)], ids=["4x4", "3x5"])
+    either_lane = pytest.mark.parametrize("lane", [0, 7], ids=["lane0", "lane7"])
+
+    @either_path
+    @either_lane
+    def test_negative_entry_wraps_on_either_path(self, compiled_library, rng, shape, lane):
+        blk = rng.integers(0, 256, size=shape, dtype=np.uint8)
+        key = rng.permutation(8 * blk.size).astype(np.int32)
+        key[8 + lane] = -1
+        assert chaotic_maps._compiled_ibt(compiled_library, blk, key) is None
+        assert np.array_equal(ibt_apply(blk, key), numpy_gather(blk, key))
+
+    @either_path
+    @either_lane
+    @pytest.mark.parametrize("past_end", [True, False], ids=["nbits", "int32min"])
+    def test_entry_out_of_range_raises_on_either_path(self, compiled_library, rng, shape,
+                                                      lane, past_end):
+        blk = rng.integers(0, 256, size=shape, dtype=np.uint8)
+        key = rng.permutation(8 * blk.size).astype(np.int32)
+        key[8 + lane] = key.size if past_end else np.iinfo(np.int32).min
+        assert chaotic_maps._compiled_ibt(compiled_library, blk, key) is None
+        with pytest.raises(IndexError):
+            ibt_apply(blk, key)
