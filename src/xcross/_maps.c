@@ -4,9 +4,10 @@
  * Every double operation below is the one the Python loop performs, in the
  * same order: built with -ffp-contract=off nothing is fused, and cos/pow/
  * fabs are the libm functions CPython's math module calls.  mod1() is
- * CPython's float % 1.0 (fmod, then the sign fix) followed by the ">= 1.0"
- * fix and the "+ 0.0" of _lshm_loop and _clt_loop.  Each function writes
- * `count` states, transient included, into the caller's buffers.
+ * CPython's float % 1.0 (fmod, the sign fix, and +0.0 for a zero
+ * remainder) followed by the ">= 1.0" fix of _lshm_loop and _clt_loop.
+ * Each function writes `count` states, transient included, into the
+ * caller's buffers.
  *
  * The IBT gather has a second, AVX2 body, compiled for that target by a
  * function attribute, so the compile command stays the same.  It is taken
@@ -26,15 +27,11 @@
 static double mod1(double v)
 {
     double r = fmod(v, 1.0);
-    if (r != 0.0) {
-        if (r < 0.0)
-            r += 1.0;
-    } else {
-        r = 0.0;
-    }
+    if (r < 0.0)
+        r += 1.0;
     if (r >= 1.0)
         r = 0.0;
-    return r + 0.0;
+    return r + 0.0; /* fmod's -0.0 becomes the +0.0 of CPython's % */
 }
 
 void xcross_lshm(double *xs, double *ys, long count, double x, double y,

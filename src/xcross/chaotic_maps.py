@@ -192,14 +192,12 @@ def _lshm_loop(lib: ctypes.CDLL | None, xs, ys, x: float, y: float, p: LshmParam
         if c < 0.0:
             t = -t
         y = k2 * (cos(y) * (1.0 - x))
-        # mod 1 with the two ways CPython's ``%`` can betray us fixed: for a
+        # mod 1, with the one way CPython's ``%`` leaves [0, 1) fixed: for a
         # tiny negative v, ``v % 1.0`` returns exactly 1.0 (the excluded
-        # endpoint), and a negative zero would compare equal to 0.0 but
-        # print differently
+        # endpoint); a zero remainder is always +0.0
         x = k1 * (1.0 + alpha * t) % 1.0
         if x >= 1.0:
             x = 0.0
-        x += 0.0
         xs[i] = x
         ys[i] = y
 
@@ -220,7 +218,6 @@ def _clt_loop(lib: ctypes.CDLL | None, zs, z: float, p: CltParams) -> None:
         z %= 1.0  # fixed as in _lshm_loop
         if z >= 1.0:
             z = 0.0
-        z += 0.0
         zs[i] = z
 
 
@@ -283,9 +280,8 @@ def _built_kernel() -> Path:
     interpreter's cache tag and the machine, plus a hash of the source and
     the compile command.  It is compiled into a temporary file that then
     replaces into place, so concurrent first uses are safe; a new library
-    removes this interpreter's libraries of older sources, libraries named
-    ``_maps-<hash>.so`` by an earlier scheme, and the temporary files of
-    killed compiles.  Whoever can write there can already rewrite
+    removes this interpreter's libraries of older sources and the temporary
+    files of killed compiles.  Whoever can write there can already rewrite
     the ``.py`` files.  Raises OSError when the library is missing and
     cannot be compiled.
     """
@@ -320,8 +316,7 @@ def _built_kernel() -> Path:
     finally:
         Path(tmp).unlink(missing_ok=True)
     stale_before = time.time() - _COMPILE_TIMEOUT_S
-    for old in [*cache.glob(f"{prefix}*.so"), *cache.glob("_maps-*.so"),
-                *cache.glob("_maps.*.tmp")]:
+    for old in [*cache.glob(f"{prefix}*.so"), *cache.glob("_maps.*.tmp")]:
         with contextlib.suppress(OSError):
             if old != path and (old.suffix == ".so" or old.stat().st_mtime < stale_before):
                 old.unlink()

@@ -5,7 +5,9 @@ pairs are consumed outermost-first, and inside a row pair the column pairs
 alternate outermost / innermost-remaining.  Each column pair contributes
 its four corner pixels in the order (top,right), (bottom,left), (top,left),
 (bottom,right) — the two diagonals of the little rectangle, crossed.  The
-emitted pixel sequence refills the block row-major.
+emitted pixel sequence refills the block row-major.  Every row pair emits
+in the same column order, so one schedule of 2·cols read positions over
+the pair's two rows serves the whole block.
 
 At image level the four quadrants are chained: each quadrant is XORed with
 the previous quadrant's *output* before being X-Cross permuted, so a
@@ -49,42 +51,40 @@ def _check_quarterable(m: int, n: int) -> None:
 
 
 @lru_cache(maxsize=64)
-def _emission_order(rows: int, cols: int) -> np.ndarray:
-    """Flat source index of each emitted pixel, in emission order."""
-    half_rows = rows // 2
+def _pair_schedule(cols: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read positions of one row pair laid out as ``[top row | bottom row]``,
+    in emission order, and their inverse."""
     pairs = cols // 2
     # column-pair visit order: outermost, innermost-remaining, next-outermost, ...
-    p_seq = np.empty(pairs, dtype=np.intp)
-    p_seq[0::2] = np.arange((pairs + 1) // 2)
-    p_seq[1::2] = pairs - 1 - np.arange(pairs // 2)
-    left = p_seq
-    right = cols - 1 - p_seq
-    tops = np.arange(half_rows, dtype=np.intp)[:, None]
-    bottoms = rows - 1 - tops
-    order = np.empty((half_rows, pairs, 4), dtype=np.intp)
-    order[:, :, 0] = tops * cols + right
-    order[:, :, 1] = bottoms * cols + left
-    order[:, :, 2] = tops * cols + left
-    order[:, :, 3] = bottoms * cols + right
-    flat = order.reshape(-1)
-    flat.setflags(write=False)
-    return flat
+    left = np.empty(pairs, dtype=np.intp)
+    left[0::2] = np.arange((pairs + 1) // 2)
+    left[1::2] = pairs - 1 - np.arange(pairs // 2)
+    right = cols - 1 - left
+    # (top,right), (bottom,left), (top,left), (bottom,right) per column pair
+    read = np.stack([right, cols + left, left, cols + right], axis=1).reshape(-1)
+    back = np.argsort(read)
+    read.setflags(write=False)
+    back.setflags(write=False)
+    return read, back
 
 
 def xcross_permute(blk: np.ndarray) -> np.ndarray:
     """Apply the X-Cross position permutation to one block."""
     blk = _check_block(blk)
-    order = _emission_order(*blk.shape)
-    return blk.reshape(-1)[order].reshape(blk.shape)
+    rows, cols = blk.shape
+    read, _ = _pair_schedule(cols)
+    # row t beside row rows-1-t, outermost pair first
+    pairs = np.concatenate([blk[: rows // 2], blk[::-1][: rows // 2]], axis=1)
+    return pairs.take(read, axis=1).reshape(rows, cols)
 
 
 def xcross_unpermute(blk: np.ndarray) -> np.ndarray:
     """Exact inverse of :func:`xcross_permute`."""
     blk = _check_block(blk)
-    order = _emission_order(*blk.shape)
-    out = np.empty(blk.size, dtype=np.uint8)
-    out[order] = blk.reshape(-1)
-    return out.reshape(blk.shape)
+    rows, cols = blk.shape
+    _, back = _pair_schedule(cols)
+    pairs = blk.reshape(rows // 2, 2 * cols).take(back, axis=1)
+    return np.concatenate([pairs[:, :cols], pairs[::-1, cols:]])
 
 
 def split_quadrants(img: np.ndarray) -> QuadSplit:

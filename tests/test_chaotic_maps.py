@@ -285,14 +285,20 @@ def both_loops(iterate, params, n):
         return compiled, iterate(params, n)
 
 
-class TestInlinedLoopsMatchSteps:
-    """Both iterator paths must agree with the step functions bit for bit.
+class TestIteratorPathsMatchSteps:
+    """Both iterator paths, the compiled loops and the Python loops, must
+    agree with the step functions bit for bit.
 
-    Every example runs the compiled loops and then the Python loops; one
-    test covers both because Hypothesis refuses to run a test function
-    under two classes or with a function-scoped fixture.  The reference is a naive loop over :func:`lshm_step` / :func:`clt_step`
+    Every example runs ``iterate_lshm``/``iterate_clt`` by the compiled
+    loops (the Python loops when the library did not load) and then by the
+    Python loops; one test covers both because Hypothesis refuses to run a
+    test function under two classes or with a function-scoped fixture.  The
+    reference is a naive loop over :func:`lshm_step` / :func:`clt_step`
     that keeps every state, transient included, so the tests can also
-    check that both branches of each map were taken.
+    check that both branches of each map were taken.  The step functions
+    run the same Python loop one turn at a time, so on the Python path this
+    checks the transient and buffer handling; the 50-digit oracle tests pin
+    the arithmetic itself.
     """
 
     LENGTHS = st.sampled_from([1, 7, 4096])
@@ -399,13 +405,12 @@ class TestCompiledLoops:
         cache = source_copy.parent / "__pycache__"
         cache.mkdir()
         prefix = f"_maps.{sys.implementation.cache_tag}-{platform.machine()}-"
-        # a library of an older source, one named by the earlier scheme, a
-        # killed compile's leftover, a compile still running, and another
-        # interpreter's library
-        stale, legacy = cache / f"{prefix}00000000.so", cache / "_maps-0123abcd.so"
+        # a library of an older source, a killed compile's leftover, a
+        # compile still running, and another interpreter's library
+        stale = cache / f"{prefix}00000000.so"
         killed, running = cache / "_maps.killed.tmp", cache / "_maps.running.tmp"
         other = cache / "_maps.other-tag-00000000.so"
-        for path in stale, legacy, killed, running, other:
+        for path in stale, killed, running, other:
             path.write_bytes(b"")
         old = time.time() - 2 * chaotic_maps._COMPILE_TIMEOUT_S
         os.utime(killed, (old, old))

@@ -15,7 +15,7 @@ from xcross.permutation import (
     xcross_unpermute,
 )
 
-EVEN_SIZES = [4, 6, 8, 10, 12]
+EVEN_SIZES = [2, 4, 6, 8, 10, 12]
 
 
 def index_block(rows, cols):
@@ -62,6 +62,15 @@ class TestXCrossBlock:
             np.bincount(out.reshape(-1), minlength=256),
         )
 
+    def test_strided_blocks_match_contiguous_copies(self, rng):
+        img = rng.integers(0, 256, size=(16, 16), dtype=np.uint8)
+        for quad in split_quadrants(img):
+            for blk in (quad, quad[::-1]):
+                assert not blk.flags.c_contiguous
+                copy = np.ascontiguousarray(blk)
+                assert np.array_equal(xcross_permute(blk), xcross_permute(copy))
+                assert np.array_equal(xcross_unpermute(blk), xcross_unpermute(copy))
+
     @pytest.mark.parametrize("shape", [(3, 4), (4, 3), (5, 5), (1, 8), (2,)])
     def test_bad_shapes_rejected(self, shape):
         with pytest.raises(DimensionError):
@@ -74,7 +83,8 @@ class TestXCrossBlock:
 
 class TestAgainstBruteForceTable:
     """The independent nested-loop schedule is the yardstick (all even
-    sizes 4..12 in both dimensions, squares and rectangles)."""
+    sizes 2..12 in both dimensions, squares and rectangles; a side of 2 is
+    a single row pair or a single column pair)."""
 
     @pytest.mark.parametrize("rows", EVEN_SIZES)
     @pytest.mark.parametrize("cols", EVEN_SIZES)
