@@ -1,5 +1,7 @@
 /* Compiled LSHM and CLT loops, bit for bit the loops in chaotic_maps.py,
- * and the extraction-key sort and IBT gather of key_schedule.py and ibt.py.
+ * the extraction-key sort and IBT gather of key_schedule.py and ibt.py,
+ * and the image statistics of analysis.py: pixel and pair counts, and each
+ * direction's correlation sums, added in NumPy's own pairwise order.
  *
  * Every double operation below is the one the Python loop performs, in the
  * same order: built with -ffp-contract=off nothing is fused, and cos/pow/
@@ -15,6 +17,11 @@
  * is a multiple of 4; other CPUs and blocks run the scalar loop.  It reads
  * each bit through the aligned 4-byte word holding it, which lies inside
  * the block because the block is a whole number of such words.
+ *
+ * The correlation sums are those of analysis.py's NumPy definition, term
+ * for term: every product is rounded as there, and np.add.reduce's
+ * pairwise summation is repeated, blocks, eight accumulators and all, so
+ * the sums agree bit for bit with no pixel-sized float64 array.
  */
 #include <math.h>
 #include <stdint.h>
@@ -136,4 +143,114 @@ int xcross_ibt(const uint8_t *in, uint8_t *out, const int32_t *key, long nbytes)
         out[i] = (uint8_t)acc;
     }
     return 0;
+}
+
+/* The adjacent pairs of one direction: a = the h x w view at `a`, whose
+ * rows lie `stride` bytes apart, and b = the same view `off` bytes on.
+ * Pair i is the view's pixel i in row-major order. */
+struct pairs {
+    const uint8_t *a;
+    long w, stride, off;
+    double mx, my;
+};
+
+/* NumPy's pairwise sum of u[i] * v[i], i < n <= 128: the leaf of
+ * DOUBLE_pairwise_sum (numpy's loops_utils.h.src), term for term */
+static double pairwise_leaf(const double *u, const double *v, long n)
+{
+    if (n < 8) {
+        double res = 0.;
+        for (long i = 0; i < n; i++)
+            res += u[i] * v[i];
+        return res;
+    }
+    double r[8];
+    for (int j = 0; j < 8; j++)
+        r[j] = u[j] * v[j];
+    long i;
+    for (i = 8; i < n - (n % 8); i += 8)
+        for (int j = 0; j < 8; j++)
+            r[j] += u[i + j] * v[i + j];
+    double res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
+    for (; i < n; i++)
+        res += u[i] * v[i];
+    return res;
+}
+
+/* sums[0..2] = the pairwise sums of (a-mx)^2, (b-my)^2 and (a-mx)(b-my)
+ * over pairs lo .. lo+n-1, split as NumPy splits them */
+static void pairwise_moments(const struct pairs *p, long lo, long n, double *sums)
+{
+    if (n > 128) {
+        long n2 = n / 2;
+        n2 -= n2 % 8;
+        double high[3];
+        pairwise_moments(p, lo, n2, sums);
+        pairwise_moments(p, lo + n2, n - n2, high);
+        for (int k = 0; k < 3; k++)
+            sums[k] += high[k];
+        return;
+    }
+    double x[128], y[128];
+    const double mx = p->mx, my = p->my;
+    long r = lo / p->w, c = lo % p->w;
+    for (long i = 0; i < n; r++, c = 0) {
+        const uint8_t *qa = p->a + r * p->stride + c, *qb = qa + p->off;
+        long run = p->w - c < n - i ? p->w - c : n - i;
+        for (long k = 0; k < run; k++) {
+            x[i + k] = qa[k] - mx;
+            y[i + k] = qb[k] - my;
+        }
+        i += run;
+    }
+    sums[0] = pairwise_leaf(x, x, n);
+    sums[1] = pairwise_leaf(y, y, n);
+    sums[2] = pairwise_leaf(x, y, n);
+}
+
+/* The centred second moments of the h x w pairs (a, b) described above,
+ * h * w >= 1: the means are exact integer sums over the count, as
+ * x.mean() of the float64 pixels gives them, and the three sums are those
+ * np.add.reduce adds over the flattened centred products. */
+void xcross_moments(const uint8_t *a, long h, long w, long stride, long off, double *sums)
+{
+    uint64_t sa = 0, sb = 0;
+    for (long r = 0; r < h; r++) {
+        const uint8_t *ra = a + r * stride, *rb = ra + off;
+        long c = 0;
+        /* 16 bytes at a time into 32-bit partial sums, a loop that -O2
+         * vectorises; one byte at a time into 64 bits it does not */
+        for (; c + 16 <= w; c += 16) {
+            unsigned ba = 0, bb = 0;
+            for (int k = 0; k < 16; k++) {
+                ba += ra[c + k];
+                bb += rb[c + k];
+            }
+            sa += ba;
+            sb += bb;
+        }
+        for (; c < w; c++) {
+            sa += ra[c];
+            sb += rb[c];
+        }
+    }
+    double n = (double)(h * w);
+    struct pairs p = {a, w, stride, off, (double)sa / n, (double)sb / n};
+    pairwise_moments(&p, 0, h * w, sums);
+}
+
+/* np.bincount of the rows x cols pixels at img, rows `stride` bytes apart,
+ * added into counts: of each pixel when `pairs` is 0 (256 bins), else of
+ * each horizontal pair at left << 8 | right (65536 bins). */
+void xcross_counts(const uint8_t *img, long rows, long cols, long stride, int pairs,
+                   int64_t *counts)
+{
+    for (long r = 0; r < rows; r++, img += stride) {
+        if (pairs)
+            for (long c = 0; c + 1 < cols; c++)
+                counts[img[c] << 8 | img[c + 1]]++;
+        else
+            for (long c = 0; c < cols; c++)
+                counts[img[c]]++;
+    }
 }

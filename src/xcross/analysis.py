@@ -7,17 +7,32 @@ and the reported histogram from it.  The GLCM uses the horizontal (0,1)
 offset, full 256 gray levels, counts each pair in both orders (symmetric),
 and normalizes to probabilities; a pair is counted at the flat index
 ``left << 8 | right``.
+
+The NumPy code below is the definition of every statistic.  The compiled
+library of :mod:`~xcross.chaotic_maps` counts the histogram and the GLCM
+pairs, and takes each direction's correlation sums in one pass over the
+pixels, without pixel-sized float64 arrays: it adds the same products in
+NumPy's own pairwise order, so both paths give the same report bytes.  A
+zero covariance sum, whose sign NumPy's reduction decides, is taken by
+NumPy.  The library is checked against these definitions when it loads;
+where it does not load or match, the NumPy code runs.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import chaotic_maps
 from .errors import DimensionError, ParameterError, checked_image
 
 _DIRECTIONS = ("horizontal", "vertical", "diagonal")
+
+#: The 256 gray levels, read-only.
+_LEVELS = np.arange(256, dtype=np.float64)
+_LEVELS.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -46,11 +61,24 @@ def _nonempty(img: np.ndarray) -> np.ndarray:
     img = checked_image(img)
     if img.size == 0:
         raise DimensionError("image is empty")
-    return img
+    # the compiled statistics read each row as adjacent bytes
+    return img if img.strides[1] == 1 else np.ascontiguousarray(img)
+
+
+def _counts(lib, img: np.ndarray, pairs: bool) -> np.ndarray:
+    """The 256-bin histogram of ``img``, or with ``pairs`` the counts of its
+    horizontal pairs at ``left << 8 | right``: by the C loop when ``lib`` is
+    the compiled library and it takes the image, else by np.bincount."""
+    counts = None if lib is None else chaotic_maps._compiled_counts(lib, img, pairs)
+    if counts is not None:
+        return counts
+    if pairs:
+        img = (img[:, :-1].astype(np.uint16) << 8) | img[:, 1:]
+    return np.bincount(img.reshape(-1), minlength=65536 if pairs else 256)
 
 
 def _histogram(img: np.ndarray) -> np.ndarray:
-    return np.bincount(img.reshape(-1), minlength=256)
+    return _counts(chaotic_maps._kernel(), img, pairs=False)
 
 
 def _entropy(counts: np.ndarray) -> float:
@@ -94,22 +122,46 @@ def _correlation(img: np.ndarray, direction: str) -> tuple[float, bool]:
         raise DimensionError(
             f"image {img.shape} has too few {direction} pairs for a correlation"
         )
+    lib = chaotic_maps._kernel()
+    sums = None if lib is None else chaotic_maps._compiled_moments(lib, a, b)
+    # NumPy's reduction decides the sign of a zero sum: take it from NumPy
+    if sums is None or sums[2] == 0.0:
+        sums = _centred_sums(a, b)
+    # as ndarray.mean divides np.add.reduce's sum by the count
+    sxx, syy, sxy = sums
+    vx = sxx / a.size
+    vy = syy / a.size
+    if vx == 0.0 or vy == 0.0:
+        return 0.0, True
+    cov = sxy / a.size
+    return float(cov / np.sqrt(vx * vy)), False
+
+
+def _centred_sums(a: np.ndarray, b: np.ndarray) -> tuple[float, float, float]:
+    """The sums of x*x, y*y and x*y for the pixels of ``a`` and ``b`` as
+    float64, x and y centred on their means: by NumPy, the definition."""
     # centred in place, so at most three pixel-sized float64 arrays are live
     x = a.reshape(-1).astype(np.float64)
     y = b.reshape(-1).astype(np.float64)
     x -= x.mean()
     y -= y.mean()
-    vx = (x * x).mean()
-    vy = (y * y).mean()
-    if vx == 0.0 or vy == 0.0:
-        return 0.0, True
-    cov = (x * y).mean()
-    return float(cov / np.sqrt(vx * vy)), False
+    return (x * x).sum(), (y * y).sum(), (x * y).sum()
+
+
+@functools.cache
+def _glcm_weights() -> tuple[np.ndarray, np.ndarray]:
+    """The GLCM contrast and homogeneity weights of cell (i, j), ``(i-j)**2``
+    and ``1 + |i-j|``: built once, on first use, so importing the module
+    allocates neither, and read-only."""
+    diff = _LEVELS[:, None] - _LEVELS[None, :]
+    weights = diff**2, 1.0 + np.abs(diff)
+    for table in weights:
+        table.flags.writeable = False
+    return weights
 
 
 def _glcm_matrix(img: np.ndarray) -> np.ndarray:
-    pairs = (img[:, :-1].astype(np.uint16) << 8) | img[:, 1:]
-    counts = np.bincount(pairs.reshape(-1), minlength=65536).reshape(256, 256)
+    counts = _counts(chaotic_maps._kernel(), img, pairs=True).reshape(256, 256)
     sym = counts + counts.T
     return sym / sym.sum()
 
@@ -120,19 +172,18 @@ def glcm(img: np.ndarray) -> tuple[float, float, float, float | None]:
     if img.shape[1] < 2:
         raise DimensionError("GLCM needs at least two columns")
     p = _glcm_matrix(img)
-    levels = np.arange(256, dtype=np.float64)
-    diff = levels[:, None] - levels[None, :]
-    contrast = float((diff**2 * p).sum())
+    diff_squared, one_plus_abs_diff = _glcm_weights()
+    contrast = float((diff_squared * p).sum())
     energy = float((p**2).sum())
-    homogeneity = float((p / (1.0 + np.abs(diff))).sum())
+    homogeneity = float((p / one_plus_abs_diff).sum())
     pi = p.sum(axis=1)
-    mu = float((levels * pi).sum())
-    var = float(((levels - mu) ** 2 * pi).sum())
+    mu = float((_LEVELS * pi).sum())
+    var = float(((_LEVELS - mu) ** 2 * pi).sum())
     if var == 0.0:
         correlation = None
     else:
         correlation = float(
-            ((levels[:, None] - mu) * (levels[None, :] - mu) * p).sum() / var
+            ((_LEVELS[:, None] - mu) * (_LEVELS[None, :] - mu) * p).sum() / var
         )
     return contrast, energy, homogeneity, correlation
 

@@ -19,11 +19,13 @@ definition of both streams; :func:`lshm_step` and :func:`clt_step` are one
 turn of that loop.  The same two loops also exist in C (``_maps.c``): they
 mirror the Python loops, make the same libm calls in the same order and
 are compiled without contraction.  The same library holds the
-extraction-key sort of :mod:`~xcross.key_schedule` and the bit gather of
-:mod:`~xcross.ibt`.  It is built on first use in a process and checked at
-load: the C loops bit for bit against the Python loops, the sort and the
-gather byte for byte against their NumPy definitions.  When it cannot be
-built, loaded or trusted, the Python loops and the NumPy definitions run.
+extraction-key sort of :mod:`~xcross.key_schedule`, the bit gather of
+:mod:`~xcross.ibt`, and the pixel and pair counts and correlation sums of
+:mod:`~xcross.analysis`.  It is built on first use in a process and checked
+at load: the C loops bit for bit against the Python loops, the sort, the
+gather and the statistics byte for byte against their NumPy definitions.
+When it cannot be built, loaded or trusted, the Python loops and the NumPy
+definitions run.
 Both paths emit the same bytes, with one exception:
 once a stream has overflowed to NaN (only for keys far outside the
 operating ranges, such as ``k1=-1e308``), which NaN an operation returns
@@ -46,6 +48,7 @@ import shutil
 import sys
 import tempfile
 import time
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -56,7 +59,7 @@ from .errors import EmptyRequestError, ParameterError
 #: Iterations discarded before any value is emitted.
 TRANSIENT = 1000
 
-#: C source of the compiled loops, key sort and bit gather.
+#: C source of the compiled loops, key sort, bit gather and image statistics.
 _KERNEL_SOURCE = Path(__file__).with_name("_maps.c")
 
 #: Steps of the reference key the compiled loops must reproduce at load.
@@ -236,12 +239,13 @@ def _checked_count(n: int) -> int:
 @functools.cache
 def _kernel() -> ctypes.CDLL | None:
     """The compiled library of ``_maps.c``, or None when the Python loops
-    and the NumPy sort and gather must run.
+    and the NumPy sort, gather and statistics must run.
 
-    Called on the first iteration, key sort or gather by an int32 key in a
-    process, never at import.  Before the library is used its loops must
-    reproduce the Python loops bit for bit on the reference key, and its
-    sort and gather their NumPy definitions on that key's extraction arrays.
+    Called on the first iteration, key sort, gather by an int32 key or
+    image statistic in a process, never at import.  Before the library is
+    used its loops must reproduce the Python loops bit for bit on the
+    reference key, its sort and gather their NumPy definitions on that
+    key's extraction arrays, and its statistics theirs on fixed images.
     No compiler, an unwritable cache, a failed compile or load, or a
     mismatch all give None, and the cause is kept in ``_kernel_failure``.
     """
@@ -250,6 +254,7 @@ def _kernel() -> ctypes.CDLL | None:
         lib = ctypes.CDLL(os.fspath(_built_kernel()))
         lshm, clt = lib.xcross_lshm, lib.xcross_clt
         sort_keys, ibt = lib.xcross_sort_keys, lib.xcross_ibt
+        moments, counts = lib.xcross_moments, lib.xcross_counts
     except (OSError, AttributeError) as exc:
         _kernel_failure = f"{type(exc).__name__}: {exc}"
         return None
@@ -261,6 +266,10 @@ def _kernel() -> ctypes.CDLL | None:
     sort_keys.restype = None
     ibt.argtypes = [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_long]
     ibt.restype = ctypes.c_int
+    moments.argtypes = [ctypes.c_void_p] + [ctypes.c_long] * 4 + [ctypes.c_void_p]
+    moments.restype = None
+    counts.argtypes = [ctypes.c_void_p] + [ctypes.c_long] * 3 + [ctypes.c_int, ctypes.c_void_p]
+    counts.restype = None
     if not _kernel_matches_steps(lib):
         _kernel_failure = (f"{lib._name} differs from lshm_step/clt_step on the "
                            f"reference key within {_SELF_CHECK_STEPS} steps")
@@ -268,6 +277,10 @@ def _kernel() -> ctypes.CDLL | None:
     if not _kernel_matches_numpy(lib):
         _kernel_failure = (f"{lib._name} differs from the NumPy key sort or bit gather "
                            f"on the reference key's extraction arrays")
+        return None
+    if not _kernel_matches_statistics(lib):
+        _kernel_failure = (f"{lib._name} differs from the NumPy image statistics "
+                           f"on the self-check images")
         return None
     _kernel_failure = None
     return lib
@@ -277,23 +290,22 @@ def _built_kernel() -> Path:
     """Path of the compiled library, compiling it first if it is missing.
 
     The library sits next to the ``.pyc`` files, named like them after the
-    interpreter's cache tag and the machine, plus a hash of the source and
-    the compile command.  It is compiled into a temporary file that then
+    interpreter's cache tag and the machine, plus the CRC-32 of the source
+    and the compile command (a cache name, not a security check: NumPy has
+    already loaded zlib, while importing hashlib takes milliseconds).  It
+    is compiled into a temporary file that then
     replaces into place, so concurrent first uses are safe; a new library
     removes this interpreter's libraries of older sources and the temporary
     files of killed compiles.  Whoever can write there can already rewrite
     the ``.py`` files.  Raises OSError when the library is missing and
     cannot be compiled.
     """
-    # imported here: processes that never derive a key do not pay for them
-    import hashlib
-
-    digest = hashlib.sha256(
+    crc = zlib.crc32(
         b"\0".join([_KERNEL_SOURCE.read_bytes(), " ".join(_compile_command("cc", "")).encode()])
-    ).hexdigest()
+    )
     cache = _KERNEL_SOURCE.with_name("__pycache__")
     prefix = f"_maps.{sys.implementation.cache_tag}-{platform.machine()}-"
-    path = cache / f"{prefix}{digest[:8]}.so"
+    path = cache / f"{prefix}{crc:08x}.so"
     if path.exists():
         return path
     import subprocess  # only a compile needs it
@@ -353,6 +365,33 @@ def _compiled_ibt(lib: ctypes.CDLL, blk: np.ndarray, key: np.ndarray) -> np.ndar
     return out
 
 
+def _compiled_moments(lib: ctypes.CDLL, a: np.ndarray,
+                      b: np.ndarray) -> tuple[float, float, float] | None:
+    """The sums of (a-mean(a))**2, (b-mean(b))**2 and their product over
+    the pixels of two equally shaped, non-empty uint8 views of one image,
+    added by the C loop in NumPy's pairwise order; or None unless both
+    views step one byte per column and their rows lie equally far apart."""
+    if (a.dtype != np.uint8 or b.dtype != np.uint8 or a.ndim != 2 or a.base is None
+            or a.base is not b.base or a.shape != b.shape or a.strides != b.strides
+            or a.strides[1] != 1):
+        return None
+    sums = (ctypes.c_double * 3)()
+    lib.xcross_moments(a.ctypes.data, *a.shape, a.strides[0],
+                       b.ctypes.data - a.ctypes.data, sums)
+    return sums[0], sums[1], sums[2]
+
+
+def _compiled_counts(lib: ctypes.CDLL, img: np.ndarray, pairs: bool) -> np.ndarray | None:
+    """The histogram of a 2-D uint8 image by the C loop, or with ``pairs``
+    its horizontal pair counts at ``left << 8 | right``, as np.bincount
+    counts them; or None unless the image steps one byte per column."""
+    if img.dtype != np.uint8 or img.ndim != 2 or img.strides[1] != 1:
+        return None
+    counts = np.zeros(65536 if pairs else 256, np.int64)
+    lib.xcross_counts(img.ctypes.data, *img.shape, img.strides[0], pairs, counts.ctypes.data)
+    return counts
+
+
 def _kernel_matches_steps(lib: ctypes.CDLL) -> bool:
     """Whether the C loops reproduce the Python loops on the reference key.
 
@@ -394,4 +433,32 @@ def _kernel_matches_numpy(lib: ctypes.CDLL) -> bool:
                 out = _compiled_ibt(lib, blk, key)
                 if out is None or out.tobytes() != _gather_bits(blk, key).tobytes():
                     return False
+    return True
+
+
+def _kernel_matches_statistics(lib: ctypes.CDLL) -> bool:
+    """Whether the C moments and counts reproduce their NumPy definitions
+    in :mod:`~xcross.analysis`, as bytes.
+
+    The sums are checked on 3x4, 12x13 and 91x92 blocks of hashed bytes,
+    whose pair counts in the three directions cross 8 and 128 (where
+    NumPy's pairwise sum changes form) and 8192 (its buffer size), and on
+    a view of the largest that takes every third row from the bottom up;
+    the counts on that view.
+    """
+    from .analysis import _DIRECTIONS, _centred_sums, _counts, _direction_pairs
+
+    pixels = (np.arange(91 * 92, dtype=np.uint32) * np.uint32(2654435761) >> 24).astype(np.uint8)
+    large = pixels.reshape(91, 92)
+    view = large[::-3]
+    for img in (pixels[:12].reshape(3, 4), pixels[:156].reshape(12, 13), large, view):
+        for direction in _DIRECTIONS:
+            a, b = _direction_pairs(img, direction)
+            got = _compiled_moments(lib, a, b)
+            if got is None or np.array(got).tobytes() != np.array(_centred_sums(a, b)).tobytes():
+                return False
+    for pairs in (False, True):
+        got, want = _compiled_counts(lib, view, pairs), _counts(None, view, pairs)
+        if got is None or got.dtype != want.dtype or not np.array_equal(got, want):
+            return False
     return True

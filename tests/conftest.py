@@ -28,8 +28,8 @@ def compiled_library():
 
 @contextmanager
 def python_loops():
-    """Derive with the Python loops and the NumPy sort and gather inside the
-    ``with`` block."""
+    """Derive with the Python loops and the NumPy sort and gather, and take
+    image statistics by NumPy, inside the ``with`` block."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(chaotic_maps, "_kernel", lambda: None)
         yield

@@ -1,10 +1,18 @@
-"""Statistical metrics: hand-computable cases, invariants, report formats."""
+"""Statistical metrics: hand-computable cases, invariants, report formats.
+
+Every test class runs twice: as written, on the default path (the compiled
+statistics where the library loads), and as its ``...NumPy`` subclass at
+the end of the module, with the NumPy definitions.  The tests after those
+compare the two paths byte for byte.
+"""
 
 import numpy as np
 import pytest
+from conftest import python_loops
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from xcross import analysis, chaotic_maps
 from xcross.analysis import (
     AnalysisReport,
     adjacent_correlation,
@@ -283,3 +291,132 @@ def test_metric_ranges_hold_for_arbitrary_images(data, m, n):
     assert 0.0 < report.glcm_homogeneity <= 1.0
     if report.glcm_correlation is not None:
         assert abs(report.glcm_correlation) <= 1.0 + 1e-9
+
+
+class NumPyStatistics:
+    """Runs the inherited tests with the NumPy definitions of the statistics."""
+
+    @pytest.fixture(autouse=True)
+    def numpy_statistics(self):
+        with python_loops():
+            yield
+
+
+class TestEntropyNumPy(NumPyStatistics, TestEntropy):
+    pass
+
+
+class TestAdjacentCorrelationNumPy(NumPyStatistics, TestAdjacentCorrelation):
+    pass
+
+
+class TestGlcmNumPy(NumPyStatistics, TestGlcm):
+    pass
+
+
+class TestChiSquareNumPy(NumPyStatistics, TestChiSquare):
+    pass
+
+
+class TestPermutationInvarianceNumPy(NumPyStatistics, TestPermutationInvariance):
+    pass
+
+
+class TestAnalyzeNumPy(NumPyStatistics, TestAnalyze):
+    pass
+
+
+class TestReportFormatsNumPy(NumPyStatistics, TestReportFormats):
+    pass
+
+
+def report_or_error(img):
+    """The CSV report of ``img``, or the class and text of the error."""
+    try:
+        return report_csv(analyze(img))
+    except DimensionError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def numpy_report(img):
+    with python_loops():
+        return report_or_error(img)
+
+
+def hashed_pixels(rows, cols):
+    """Well-spread bytes from multiplicative hashing, no RNG involved."""
+    n = np.arange(rows * cols, dtype=np.uint32) * np.uint32(2654435761)
+    return (n >> 24).astype(np.uint8).reshape(rows, cols)
+
+
+class TestCompiledStatistics:
+    """The compiled statistics against their NumPy definitions."""
+
+    # pair counts of the three directions (horizontal, vertical, diagonal)
+    # on both sides of 8 and 128, where NumPy's pairwise sum changes form,
+    # and of 8192, its buffer size
+    @pytest.mark.parametrize("shape", [
+        (2, 8), (2, 9), (3, 4), (2, 65), (2, 129), (2, 130), (12, 13),
+        (2, 4097), (2, 8192), (2, 8193), (91, 92), (8193, 2),
+    ], ids=lambda shape: f"{shape[0]}x{shape[1]}")
+    def test_sums_and_reports_match_numpy_across_block_sizes(self, compiled_library, shape):
+        img = hashed_pixels(*shape)
+        for direction in ("horizontal", "vertical", "diagonal"):
+            a, b = analysis._direction_pairs(img, direction)
+            got = chaotic_maps._compiled_moments(compiled_library, a, b)
+            want = analysis._centred_sums(a, b)
+            assert np.array(got).tobytes() == np.array(want).tobytes(), direction
+        assert report_csv(analyze(img)) == numpy_report(img)
+
+    def test_zero_covariance_sum_is_taken_by_numpy(self, compiled_library, monkeypatch):
+        # its 8 diagonal pairs have nonzero variances and covariance
+        # exactly 0: NumPy's reduction, not the library, signs that zero
+        img = np.array([[2, 0, 1, 2, 1], [0, 1, 2, 2, 2], [0, 1, 1, 1, 2]], dtype=np.uint8)
+        sums = chaotic_maps._compiled_moments(compiled_library,
+                                              *analysis._direction_pairs(img, "diagonal"))
+        assert sums[0] > 0.0 and sums[1] > 0.0 and sums[2] == 0.0
+        calls = []
+
+        def centred_sums(a, b):
+            calls.append(a.shape)
+            return numpy_sums(a, b)
+
+        numpy_sums = analysis._centred_sums
+        monkeypatch.setattr(analysis, "_centred_sums", centred_sums)
+        report = analyze(img)
+        assert calls == [(2, 4)]
+        assert report.corr_d == 0.0 and report.flags == ()
+        assert report_csv(report) == numpy_report(img)
+
+    def test_counts_match_bincount(self, compiled_library):
+        img = hashed_pixels(17, 23)
+        for pairs in (False, True):
+            got = chaotic_maps._compiled_counts(compiled_library, img, pairs)
+            want = analysis._counts(None, img, pairs)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def test_views_the_library_cannot_read_are_declined(self, compiled_library):
+        img = hashed_pixels(8, 10)
+        assert chaotic_maps._compiled_counts(compiled_library, img[:, ::2], True) is None
+        assert chaotic_maps._compiled_moments(compiled_library, img[:, :-2:2], img[:, 1::2]) is None
+        assert chaotic_maps._compiled_moments(compiled_library, img[:-1], img[1:, :]) is not None
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    data=st.data(),
+    rows=st.integers(min_value=2, max_value=40),
+    cols=st.integers(min_value=2, max_value=40),
+    row_step=st.sampled_from([1, 2, 3, -1, -2]),
+    col_step=st.sampled_from([1, 2, -1]),
+)
+def test_compiled_and_numpy_reports_agree(compiled_library, data, rows, cols,
+                                          row_step, col_step):
+    pixels = data.draw(st.binary(min_size=rows * cols, max_size=rows * cols))
+    # the drawn pixels in a strided view, between bytes a wrong stride would read
+    base = hashed_pixels(abs(row_step) * rows, abs(col_step) * cols)
+    img = base[::row_step, ::col_step]
+    img[...] = np.frombuffer(pixels, dtype=np.uint8).reshape(rows, cols)
+    if data.draw(st.booleans(), label="few levels"):
+        img = img % 3  # small variances, ties and exact zero sums
+    assert report_or_error(img) == numpy_report(img)

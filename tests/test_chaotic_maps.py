@@ -474,3 +474,17 @@ class TestCompiledLoops:
         assert old in text
         source_copy.write_text(text.replace(old, new))
         self.assert_python_loops_in_use(monkeypatch, "differs from the NumPy key sort or bit gather")
+
+    @pytest.mark.parametrize("old, new", [
+        # correlation sums added left to right, not in NumPy's eight lanes
+        pytest.param("if (n < 8) {", "if (n < 8 || 1) {", id="sums"),
+        # pair counts at right << 8 | left
+        pytest.param("counts[img[c] << 8 | img[c + 1]]", "counts[img[c + 1] << 8 | img[c]]",
+                     id="pair_counts"),
+    ])
+    def test_statistics_mismatch_refuses_library(self, compiled_library, source_copy,
+                                                 monkeypatch, old, new):
+        text = source_copy.read_text()
+        assert old in text
+        source_copy.write_text(text.replace(old, new))
+        self.assert_python_loops_in_use(monkeypatch, "differs from the NumPy image statistics")
