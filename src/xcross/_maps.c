@@ -6,17 +6,22 @@
  * Every double operation below is the one the Python loop performs, in the
  * same order: built with -ffp-contract=off nothing is fused, and cos/pow/
  * fabs are the libm functions CPython's math module calls.  mod1() is
- * CPython's float % 1.0 (fmod, the sign fix, and +0.0 for a zero
- * remainder) followed by the ">= 1.0" fix of _lshm_loop and _clt_loop.
- * Each function writes `count` states, transient included, into the
- * caller's buffers.
+ * CPython's float % 1.0 followed by the ">= 1.0" fix of _lshm_loop and
+ * _clt_loop, with v - trunc(v) in place of fmod(v, 1.0): both are exact, so
+ * they agree, and a zero remainder comes out +0.0 as in CPython.  Each
+ * function writes `count` states, transient included, into the caller's
+ * buffers.
  *
- * The IBT gather has a second, AVX2 body, compiled for that target by a
- * function attribute, so the compile command stays the same.  It is taken
- * per call, on x86-64 CPUs that report AVX2 and for blocks whose byte count
- * is a multiple of 4; other CPUs and blocks run the scalar loop.  It reads
- * each bit through the aligned 4-byte word holding it, which lies inside
- * the block because the block is a whole number of such words.
+ * Two functions have a second, AVX2 body, compiled for that target (never
+ * "fma") by a function attribute, so the compile command stays the same.
+ * Both are taken on x86-64 CPUs that report AVX2; other CPUs, and builds
+ * without XCROSS_AVX2, run the scalar code.
+ *  - The IBT gather, per call, for blocks whose byte count is a multiple of
+ *    4; other blocks run the scalar loop.  It reads each bit through the
+ *    aligned 4-byte word holding it, which lies inside the block because the
+ *    block is a whole number of such words.
+ *  - The leaves of the correlation sums of 8 or more pairs, where one pass
+ *    keeps all three sums' eight accumulators in vector lanes.
  *
  * The correlation sums are those of analysis.py's NumPy definition, term
  * for term: every product is rounded as there, and np.add.reduce's
@@ -25,6 +30,7 @@
  */
 #include <math.h>
 #include <stdint.h>
+#include <string.h>
 
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 #include <immintrin.h>
@@ -33,12 +39,13 @@
 
 static double mod1(double v)
 {
-    double r = fmod(v, 1.0);
+    /* exact, as fmod is; rounding to nearest, a zero v - v is +0.0 */
+    double r = v - trunc(v);
     if (r < 0.0)
         r += 1.0;
     if (r >= 1.0)
         r = 0.0;
-    return r + 0.0; /* fmod's -0.0 becomes the +0.0 of CPython's % */
+    return r;
 }
 
 void xcross_lshm(double *xs, double *ys, long count, double x, double y,
@@ -152,6 +159,7 @@ struct pairs {
     const uint8_t *a;
     long w, stride, off;
     double mx, my;
+    int avx2; /* whether the leaves of at least 8 pairs take moments_avx2 */
 };
 
 /* NumPy's pairwise sum of u[i] * v[i], i < n <= 128: the leaf of
@@ -177,6 +185,59 @@ static double pairwise_leaf(const double *u, const double *v, long n)
     return res;
 }
 
+#ifdef XCROSS_AVX2
+/* The (a-mx)^2, (b-my)^2 and (a-mx)(b-my) of pairs 0 .. 7, lanes 0-3 of
+ * each sum in t[k][0] and lanes 4-7 in t[k][1] */
+__attribute__((target("avx2")))
+static inline void products_avx2(const uint8_t *qa, const uint8_t *qb, __m256d mx, __m256d my,
+                                 __m256d t[3][2])
+{
+    __m128i ba = _mm_loadl_epi64((const __m128i *)qa), bb = _mm_loadl_epi64((const __m128i *)qb);
+#pragma GCC unroll 2
+    for (int h = 0; h < 2; h++, ba = _mm_srli_si128(ba, 4), bb = _mm_srli_si128(bb, 4)) {
+        __m256d x = _mm256_sub_pd(_mm256_cvtepi32_pd(_mm_cvtepu8_epi32(ba)), mx);
+        __m256d y = _mm256_sub_pd(_mm256_cvtepi32_pd(_mm_cvtepu8_epi32(bb)), my);
+        t[0][h] = _mm256_mul_pd(x, x);
+        t[1][h] = _mm256_mul_pd(y, y);
+        t[2][h] = _mm256_mul_pd(x, y);
+    }
+}
+
+/* pairwise_leaf's three sums over the pairs (qa[i], qb[i]), 8 <= n <= 128,
+ * in one pass: lane j of each sum's two vectors is accumulator r[j] there,
+ * and every product, add and combine is the one pairwise_leaf rounds */
+__attribute__((target("avx2")))
+static void moments_avx2(const uint8_t *qa, const uint8_t *qb, long n, double mx, double my,
+                         double *sums)
+{
+    const __m256d vmx = _mm256_set1_pd(mx), vmy = _mm256_set1_pd(my);
+    __m256d r[3][2], t[3][2];
+    products_avx2(qa, qb, vmx, vmy, r);
+    long i;
+    for (i = 8; i < n - (n % 8); i += 8) {
+        products_avx2(qa + i, qb + i, vmx, vmy, t);
+#pragma GCC unroll 3
+        for (int k = 0; k < 3; k++)
+#pragma GCC unroll 2
+            for (int h = 0; h < 2; h++)
+                r[k][h] = _mm256_add_pd(r[k][h], t[k][h]);
+    }
+#pragma GCC unroll 3
+    for (int k = 0; k < 3; k++) {
+        /* (r0+r1, r4+r5, r2+r3, r6+r7), then ((r0+r1)+(r2+r3)) + ((r4+r5)+(r6+r7)) */
+        __m256d pairs = _mm256_hadd_pd(r[k][0], r[k][1]);
+        __m128d q = _mm_add_pd(_mm256_castpd256_pd128(pairs), _mm256_extractf128_pd(pairs, 1));
+        sums[k] = _mm_cvtsd_f64(q) + _mm_cvtsd_f64(_mm_unpackhi_pd(q, q));
+    }
+    for (; i < n; i++) {
+        double x = qa[i] - mx, y = qb[i] - my;
+        sums[0] += x * x;
+        sums[1] += y * y;
+        sums[2] += x * y;
+    }
+}
+#endif
+
 /* sums[0..2] = the pairwise sums of (a-mx)^2, (b-my)^2 and (a-mx)(b-my)
  * over pairs lo .. lo+n-1, split as NumPy splits them */
 static void pairwise_moments(const struct pairs *p, long lo, long n, double *sums)
@@ -191,17 +252,32 @@ static void pairwise_moments(const struct pairs *p, long lo, long n, double *sum
             sums[k] += high[k];
         return;
     }
-    double x[128], y[128];
-    const double mx = p->mx, my = p->my;
+    /* the leaf's bytes: read in place when it lies in one row, else copied */
+    uint8_t ca[128], cb[128];
+    const uint8_t *qa = ca, *qb = cb;
     long r = lo / p->w, c = lo % p->w;
-    for (long i = 0; i < n; r++, c = 0) {
-        const uint8_t *qa = p->a + r * p->stride + c, *qb = qa + p->off;
-        long run = p->w - c < n - i ? p->w - c : n - i;
-        for (long k = 0; k < run; k++) {
-            x[i + k] = qa[k] - mx;
-            y[i + k] = qb[k] - my;
+    if (c + n <= p->w) {
+        qa = p->a + r * p->stride + c;
+        qb = qa + p->off;
+    } else {
+        for (long i = 0; i < n; r++, c = 0) {
+            const uint8_t *ra = p->a + r * p->stride + c;
+            long run = p->w - c < n - i ? p->w - c : n - i;
+            memcpy(ca + i, ra, run);
+            memcpy(cb + i, ra + p->off, run);
+            i += run;
         }
-        i += run;
+    }
+#ifdef XCROSS_AVX2
+    if (p->avx2 && n >= 8) {
+        moments_avx2(qa, qb, n, p->mx, p->my, sums);
+        return;
+    }
+#endif
+    double x[128], y[128];
+    for (long i = 0; i < n; i++) {
+        x[i] = qa[i] - p->mx;
+        y[i] = qb[i] - p->my;
     }
     sums[0] = pairwise_leaf(x, x, n);
     sums[1] = pairwise_leaf(y, y, n);
@@ -235,7 +311,10 @@ void xcross_moments(const uint8_t *a, long h, long w, long stride, long off, dou
         }
     }
     double n = (double)(h * w);
-    struct pairs p = {a, w, stride, off, (double)sa / n, (double)sb / n};
+    struct pairs p = {a, w, stride, off, (double)sa / n, (double)sb / n, 0};
+#ifdef XCROSS_AVX2
+    p.avx2 = __builtin_cpu_supports("avx2");
+#endif
     pairwise_moments(&p, 0, h * w, sums);
 }
 

@@ -18,12 +18,15 @@ One Python loop per map, :func:`_lshm_loop` and :func:`_clt_loop`, is the
 definition of both streams; :func:`lshm_step` and :func:`clt_step` are one
 turn of that loop.  The same two loops also exist in C (``_maps.c``): they
 mirror the Python loops, make the same libm calls in the same order and
-are compiled without contraction.  The same library holds the
+are compiled without contraction; their ``% 1.0`` is ``v - trunc(v)``,
+exact as ``fmod`` is and without its cost.  The same library holds the
 extraction-key sort of :mod:`~xcross.key_schedule`, the bit gather of
 :mod:`~xcross.ibt`, and the pixel and pair counts and correlation sums of
-:mod:`~xcross.analysis`.  It is built on first use in a process and checked
-at load: the C loops bit for bit against the Python loops, the sort, the
-gather and the statistics byte for byte against their NumPy definitions.
+:mod:`~xcross.analysis`; the gather and the sums have a second body for
+x86-64 CPUs that report AVX2.  It is built on first use in a process and
+checked at load: the C loops bit for bit against the Python loops, the
+sort, the gather and the statistics byte for byte against their NumPy
+definitions.
 When it cannot be built, loaded or trusted, the Python loops and the NumPy
 definitions run.
 Both paths emit the same bytes, with one exception:
@@ -444,11 +447,18 @@ def _kernel_matches_statistics(lib: ctypes.CDLL) -> bool:
     whose pair counts in the three directions cross 8 and 128 (where
     NumPy's pairwise sum changes form) and 8192 (its buffer size), and on
     a view of the largest that takes every third row from the bottom up;
-    the counts on that view.
+    the counts on that view.  The hash is mixed as murmur3 finalises one,
+    so that neighbouring products share no pattern: on the bytes of a bare
+    multiplicative hash, a sum whose accumulators were combined in another
+    order still matched.
     """
     from .analysis import _DIRECTIONS, _centred_sums, _counts, _direction_pairs
 
-    pixels = (np.arange(91 * 92, dtype=np.uint32) * np.uint32(2654435761) >> 24).astype(np.uint8)
+    h = np.arange(91 * 92, dtype=np.uint32) * np.uint32(2654435761)
+    h ^= h >> 15
+    h *= np.uint32(0x85EBCA77)
+    h ^= h >> 13
+    pixels = (h >> 24).astype(np.uint8)
     large = pixels.reshape(91, 92)
     view = large[::-3]
     for img in (pixels[:12].reshape(3, 4), pixels[:156].reshape(12, 13), large, view):

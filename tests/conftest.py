@@ -33,3 +33,34 @@ def python_loops():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(chaotic_maps, "_kernel", lambda: None)
         yield
+
+
+def hashed_pixels(rows, cols):
+    """Well-spread bytes from a multiplicative hash mixed as murmur3
+    finalises one, no RNG involved: neighbouring pixels share no pattern,
+    so a sum added in another order shows in its last bits."""
+    h = np.arange(rows * cols, dtype=np.uint32) * np.uint32(2654435761)
+    h ^= h >> 15
+    h *= np.uint32(0x85EBCA77)
+    h ^= h >> 13
+    return (h >> 24).astype(np.uint8).reshape(rows, cols)
+
+
+#: Hashed images for the correlation sums, as (rows, cols, row step) by id.
+#: Their pair counts in the three directions lie on both sides of 8 and 128,
+#: where NumPy's pairwise sum changes form, and of 8192, its buffer size.
+#: At 300x3 every leaf of the sum spans rows; at 1024x1024, the benchmark's
+#: size, also with its rows reversed, leaves start mid-row and split many
+#: times.
+SUM_BLOCKS = {
+    f"{rows}x{cols}": (rows, cols, 1)
+    for rows, cols in [(2, 8), (2, 9), (3, 4), (2, 65), (2, 129), (2, 130), (12, 13),
+                       (2, 4097), (2, 8192), (2, 8193), (91, 92), (8193, 2), (300, 3),
+                       (1024, 1024)]
+}
+SUM_BLOCKS["1024x1024_flipped"] = (1024, 1024, -1)
+
+
+def sum_block(rows, cols, row_step):
+    """The image of one SUM_BLOCKS entry."""
+    return hashed_pixels(rows, cols)[::row_step]

@@ -8,7 +8,7 @@ compare the two paths byte for byte.
 
 import numpy as np
 import pytest
-from conftest import python_loops
+from conftest import SUM_BLOCKS, hashed_pixels, python_loops, sum_block
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -343,24 +343,12 @@ def numpy_report(img):
         return report_or_error(img)
 
 
-def hashed_pixels(rows, cols):
-    """Well-spread bytes from multiplicative hashing, no RNG involved."""
-    n = np.arange(rows * cols, dtype=np.uint32) * np.uint32(2654435761)
-    return (n >> 24).astype(np.uint8).reshape(rows, cols)
-
-
 class TestCompiledStatistics:
     """The compiled statistics against their NumPy definitions."""
 
-    # pair counts of the three directions (horizontal, vertical, diagonal)
-    # on both sides of 8 and 128, where NumPy's pairwise sum changes form,
-    # and of 8192, its buffer size
-    @pytest.mark.parametrize("shape", [
-        (2, 8), (2, 9), (3, 4), (2, 65), (2, 129), (2, 130), (12, 13),
-        (2, 4097), (2, 8192), (2, 8193), (91, 92), (8193, 2),
-    ], ids=lambda shape: f"{shape[0]}x{shape[1]}")
-    def test_sums_and_reports_match_numpy_across_block_sizes(self, compiled_library, shape):
-        img = hashed_pixels(*shape)
+    @pytest.mark.parametrize("block", list(SUM_BLOCKS.values()), ids=list(SUM_BLOCKS))
+    def test_sums_and_reports_match_numpy_across_block_sizes(self, compiled_library, block):
+        img = sum_block(*block)
         for direction in ("horizontal", "vertical", "diagonal"):
             a, b = analysis._direction_pairs(img, direction)
             got = chaotic_maps._compiled_moments(compiled_library, a, b)

@@ -15,8 +15,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import python_loops
-from xcross import chaotic_maps
+from conftest import SUM_BLOCKS, hashed_pixels, python_loops, sum_block
+from xcross import analysis, chaotic_maps
 from xcross.chaotic_maps import (
     TRANSIENT,
     CltParams,
@@ -27,6 +27,7 @@ from xcross.chaotic_maps import (
     lshm_step,
 )
 from xcross.errors import EmptyRequestError, ParameterError
+from xcross.ibt import _gather_bits
 from xcross.key_schedule import PARAM_RANGES, reference_key
 from xcross.pipeline import _build_context
 
@@ -40,6 +41,9 @@ def cpu_reports_avx2() -> bool:
         return False
     return platform.machine() == "x86_64" and "avx2" in flags.split()
 
+
+#: The line of _maps.c that compiles the AVX2 bodies on x86-64.
+AVX2_DEFINE = "#define XCROSS_AVX2 1\n"
 
 REF_LSHM = LshmParams(k1=3.9, k2=3.6, alpha=2.1, beta=2.0, x0=0.3, y0=0.5)
 REF_CLT = CltParams(lam=3.77, alpha_c=3.1, z0=0.37)
@@ -475,16 +479,48 @@ class TestCompiledLoops:
         source_copy.write_text(text.replace(old, new))
         self.assert_python_loops_in_use(monkeypatch, "differs from the NumPy key sort or bit gather")
 
-    @pytest.mark.parametrize("old, new", [
-        # correlation sums added left to right, not in NumPy's eight lanes
-        pytest.param("if (n < 8) {", "if (n < 8 || 1) {", id="sums"),
+    def test_scalar_bodies_match_numpy_without_avx2(self, compiled_library, source_copy,
+                                                     monkeypatch, rng):
+        # CI runners report AVX2, so only a build without the AVX2 bodies runs
+        # the scalar correlation leaf of 8 or more pairs and the scalar gather
+        # of whole 4-byte words there
+        text = source_copy.read_text()
+        assert AVX2_DEFINE in text
+        source_copy.write_text(text.replace(AVX2_DEFINE, ""))
+        monkeypatch.setattr(chaotic_maps, "_kernel_failure", None)
+        lib = chaotic_maps._kernel.__wrapped__()
+        assert lib is not None, chaotic_maps._kernel_failure
+        for name, block in SUM_BLOCKS.items():
+            img = sum_block(*block)
+            for direction in analysis._DIRECTIONS:
+                a, b = analysis._direction_pairs(img, direction)
+                got = chaotic_maps._compiled_moments(lib, a, b)
+                want = analysis._centred_sums(a, b)
+                assert np.array(got).tobytes() == np.array(want).tobytes(), (name, direction)
+        blk = hashed_pixels(8, 8)
+        key = rng.permutation(8 * blk.size).astype(np.int32)
+        assert chaotic_maps._compiled_ibt(lib, blk, key).tobytes() == _gather_bits(blk, key).tobytes()
+
+    @pytest.mark.parametrize("edits", [
+        # correlation sums added left to right, not in NumPy's eight lanes, in
+        # a build without the AVX2 leaf, which would take every leaf of 8 or
+        # more pairs
+        pytest.param([(AVX2_DEFINE, ""), ("if (n < 8) {", "if (n < 8 || 1) {")], id="sums"),
+        # an AVX2 leaf that combines lanes 1 and 2 of its accumulators swapped
+        pytest.param([("_mm256_hadd_pd(r[k][0], r[k][1])",
+                       "_mm256_hadd_pd(_mm256_permute4x64_pd(r[k][0], 0xd8), r[k][1])")],
+                     id="sums_simd", marks=pytest.mark.skipif(
+                         not cpu_reports_avx2(),
+                         reason="only CPUs that report AVX2 run the AVX2 correlation leaf")),
         # pair counts at right << 8 | left
-        pytest.param("counts[img[c] << 8 | img[c + 1]]", "counts[img[c + 1] << 8 | img[c]]",
+        pytest.param([("counts[img[c] << 8 | img[c + 1]]", "counts[img[c + 1] << 8 | img[c]]")],
                      id="pair_counts"),
     ])
     def test_statistics_mismatch_refuses_library(self, compiled_library, source_copy,
-                                                 monkeypatch, old, new):
+                                                 monkeypatch, edits):
         text = source_copy.read_text()
-        assert old in text
-        source_copy.write_text(text.replace(old, new))
+        for old, new in edits:
+            assert old in text
+            text = text.replace(old, new)
+        source_copy.write_text(text)
         self.assert_python_loops_in_use(monkeypatch, "differs from the NumPy image statistics")
