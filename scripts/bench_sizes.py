@@ -5,7 +5,10 @@ Writes ``BENCH_sizes.json``: for each size and each map-loop path (the
 compiled loops, and the Python loops they reproduce), the median seconds
 of each stage over ``REPS`` repetitions with the reference key, and the
 peak RSS of the process.  Every (size, path) runs in a fresh process, so
-one size's heap does not inflate the next one's peak.
+one size's heap does not inflate the next one's peak, and every process
+runs on one CPU, the highest this script may use: on a shared host the
+CPUs' speeds differ, and a child free to land on either moves the table
+from run to run.
 
     PYTHONPATH=src python3 scripts/bench_sizes.py [--out BENCH_sizes.json]
 
@@ -33,6 +36,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import platform
 import resource
 import statistics
@@ -116,6 +120,8 @@ def main(argv=None) -> int:
         print(json.dumps(measure(int(side), loops)))
         return 0
 
+    cpu = max(os.sched_getaffinity(0))
+    os.sched_setaffinity(0, {cpu})  # the children inherit it
     sizes = {}
     for side in SIZES:
         row = {}
@@ -129,7 +135,7 @@ def main(argv=None) -> int:
         sizes[f"{side}x{side}"] = row
     report = {
         "host": {"machine": platform.machine(), "python": platform.python_version(),
-                 "numpy": np.__version__},
+                 "numpy": np.__version__, "pinned_cpu": cpu},
         "reps": REPS,
         "unit": "seconds (median of reps); ru_maxrss_mb in MB",
         "sizes": sizes,

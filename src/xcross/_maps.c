@@ -1,16 +1,15 @@
-/* Compiled LSHM and CLT loops, bit for bit the loops in chaotic_maps.py,
- * the extraction-key sort and IBT gather of key_schedule.py and ibt.py,
- * and the image statistics of analysis.py: pixel and pair counts, and each
- * direction's correlation sums, added in NumPy's own pairwise order.
+/* The compiled routines behind chaotic_maps.py, each byte for byte its
+ * Python or NumPy definition there or in key_schedule.py, ibt.py and
+ * analysis.py; README, "Determinism and portability", is the full account.
  *
- * Every double operation below is the one the Python loop performs, in the
- * same order: built with -ffp-contract=off nothing is fused, and cos/pow/
- * fabs are the libm functions CPython's math module calls.  mod1() is
- * CPython's float % 1.0 followed by the ">= 1.0" fix of _lshm_loop and
- * _clt_loop, with v - trunc(v) in place of fmod(v, 1.0): both are exact, so
- * they agree, and a zero remainder comes out +0.0 as in CPython.  Each
- * function writes `count` states, transient included, into the caller's
- * buffers.
+ * Every double operation of the two map loops is the one the Python loop
+ * performs, in the same order: built with -ffp-contract=off nothing is
+ * fused, and cos/pow/fabs are the libm functions CPython's math module
+ * calls.  mod1() is CPython's float % 1.0 followed by the ">= 1.0" fix of
+ * _lshm_loop and _clt_loop, with v - trunc(v) in place of fmod(v, 1.0):
+ * both are exact, so they agree, and a zero remainder comes out +0.0 as in
+ * CPython.  Each loop writes `count` states, transient included, into the
+ * caller's buffers.
  *
  * Two functions have a second, AVX2 body, compiled for that target (never
  * "fma") by a function attribute, so the compile command stays the same.
@@ -22,11 +21,6 @@
  *    block is a whole number of such words.
  *  - The leaves of the correlation sums of 8 or more pairs, where one pass
  *    keeps all three sums' eight accumulators in vector lanes.
- *
- * The correlation sums are those of analysis.py's NumPy definition, term
- * for term: every product is rounded as there, and np.add.reduce's
- * pairwise summation is repeated, blocks, eight accumulators and all, so
- * the sums agree bit for bit with no pixel-sized float64 array.
  */
 #include <math.h>
 #include <stdint.h>

@@ -8,16 +8,12 @@ offset, full 256 gray levels, counts each pair in both orders (symmetric),
 and normalizes to probabilities; a pair is counted at the flat index
 ``left << 8 | right``.
 
-The NumPy code below is the definition of every statistic.  The compiled
-library of :mod:`~xcross.chaotic_maps` counts the histogram and the GLCM
-pairs, and takes each direction's correlation sums in one pass over the
-pixels, without pixel-sized float64 arrays: it adds the same products in
-NumPy's own pairwise order, so both paths give the same report bytes.  On
-x86-64 CPUs that report AVX2 it adds the three sums of each run of up to
-128 pairs at once, one vector lane per NumPy accumulator.  A zero
-covariance sum, whose sign NumPy's reduction decides, is taken by NumPy.
-The library is checked against these definitions when it loads; where it
-does not load or match, the NumPy code runs.
+The NumPy code below is the definition of every statistic.  Where the
+compiled library of :mod:`~xcross.chaotic_maps` runs, it takes the counts
+and each direction's correlation sums instead, without pixel-sized float64
+arrays; it adds the sums in NumPy's own pairwise order, so both paths give
+the same report bytes.  A zero covariance sum, whose sign NumPy's
+reduction decides, is taken by NumPy.
 """
 
 from __future__ import annotations
@@ -71,7 +67,7 @@ def _counts(lib, img: np.ndarray, pairs: bool) -> np.ndarray:
     """The 256-bin histogram of ``img``, or with ``pairs`` the counts of its
     horizontal pairs at ``left << 8 | right``: by the C loop when ``lib`` is
     the compiled library and it takes the image, else by np.bincount."""
-    counts = None if lib is None else chaotic_maps._compiled_counts(lib, img, pairs)
+    counts = chaotic_maps._compiled_counts(lib, img, pairs)
     if counts is not None:
         return counts
     if pairs:
@@ -124,8 +120,7 @@ def _correlation(img: np.ndarray, direction: str) -> tuple[float, bool]:
         raise DimensionError(
             f"image {img.shape} has too few {direction} pairs for a correlation"
         )
-    lib = chaotic_maps._kernel()
-    sums = None if lib is None else chaotic_maps._compiled_moments(lib, a, b)
+    sums = chaotic_maps._compiled_moments(chaotic_maps._kernel(), a, b)
     # NumPy's reduction decides the sign of a zero sum: take it from NumPy
     if sums is None or sums[2] == 0.0:
         sums = _centred_sums(a, b)

@@ -16,19 +16,14 @@ transcendentals, no re-association, no fused multiply-add.
 
 One Python loop per map, :func:`_lshm_loop` and :func:`_clt_loop`, is the
 definition of both streams; :func:`lshm_step` and :func:`clt_step` are one
-turn of that loop.  The same two loops also exist in C (``_maps.c``): they
-mirror the Python loops, make the same libm calls in the same order and
-are compiled without contraction; their ``% 1.0`` is ``v - trunc(v)``,
-exact as ``fmod`` is and without its cost.  The same library holds the
-extraction-key sort of :mod:`~xcross.key_schedule`, the bit gather of
-:mod:`~xcross.ibt`, and the pixel and pair counts and correlation sums of
-:mod:`~xcross.analysis`; the gather and the sums have a second body for
-x86-64 CPUs that report AVX2.  It is built on first use in a process and
-checked at load: the C loops bit for bit against the Python loops, the
-sort, the gather and the statistics byte for byte against their NumPy
-definitions.
-When it cannot be built, loaded or trusted, the Python loops and the NumPy
-definitions run.
+turn of that loop.  The compiled library of ``_maps.c`` holds the same two
+loops and C forms of the key sort, the bit gather and the image statistics
+(README, "Determinism and portability").  This module is its one seam:
+:func:`_kernel` gives the library, or None when it cannot be built, loaded
+or trusted, and only the functions here that take that result call it.
+Given None, the two loops run in Python; each ``_compiled_*`` function
+returns None, as it does for an input C cannot take, and its caller then
+runs the NumPy definition.
 Both paths emit the same bytes, with one exception:
 once a stream has overflowed to NaN (only for keys far outside the
 operating ranges, such as ``k1=-1e308``), which NaN an operation returns
@@ -239,52 +234,51 @@ def _checked_count(n: int) -> int:
 # the compiled loops
 
 
+#: The routines of ``_maps.c``: name -> (result type, argument types).
+_ROUTINES = {
+    "xcross_lshm": (None, [ctypes.c_void_p] * 2 + [ctypes.c_long] + [ctypes.c_double] * 7),
+    "xcross_clt": (None, [ctypes.c_void_p, ctypes.c_long] + [ctypes.c_double] * 3),
+    "xcross_sort_keys": (None, [ctypes.c_void_p, ctypes.c_long] + [ctypes.c_void_p] * 2),
+    "xcross_ibt": (ctypes.c_int, [ctypes.c_void_p] * 3 + [ctypes.c_long]),
+    "xcross_moments": (None, [ctypes.c_void_p] + [ctypes.c_long] * 4 + [ctypes.c_void_p]),
+    "xcross_counts": (None, [ctypes.c_void_p] + [ctypes.c_long] * 3
+                      + [ctypes.c_int, ctypes.c_void_p]),
+}
+
+
 @functools.cache
 def _kernel() -> ctypes.CDLL | None:
     """The compiled library of ``_maps.c``, or None when the Python loops
-    and the NumPy sort, gather and statistics must run.
+    and the NumPy definitions must run.
 
-    Called on the first iteration, key sort, gather by an int32 key or
-    image statistic in a process, never at import.  Before the library is
-    used its loops must reproduce the Python loops bit for bit on the
-    reference key, its sort and gather their NumPy definitions on that
-    key's extraction arrays, and its statistics theirs on fixed images.
-    No compiler, an unwritable cache, a failed compile or load, or a
+    Called on the first iteration, key sort, bit gather or image statistic
+    in a process, never at import.  Before the library is used its loops
+    must reproduce the Python loops bit for bit on the reference key, its
+    sort and gather their NumPy definitions on that key's extraction
+    arrays, and its statistics theirs on fixed images.  No compiler, an
+    unwritable cache, a failed compile or load, a missing routine, or a
     mismatch all give None, and the cause is kept in ``_kernel_failure``.
     """
     global _kernel_failure
     try:
         lib = ctypes.CDLL(os.fspath(_built_kernel()))
-        lshm, clt = lib.xcross_lshm, lib.xcross_clt
-        sort_keys, ibt = lib.xcross_sort_keys, lib.xcross_ibt
-        moments, counts = lib.xcross_moments, lib.xcross_counts
+        for name, (restype, argtypes) in _ROUTINES.items():
+            routine = getattr(lib, name)
+            routine.restype, routine.argtypes = restype, argtypes
     except (OSError, AttributeError) as exc:
         _kernel_failure = f"{type(exc).__name__}: {exc}"
         return None
-    lshm.argtypes = [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_long] + [ctypes.c_double] * 7
-    lshm.restype = None
-    clt.argtypes = [ctypes.c_void_p, ctypes.c_long] + [ctypes.c_double] * 3
-    clt.restype = None
-    sort_keys.argtypes = [ctypes.c_void_p, ctypes.c_long, ctypes.c_void_p, ctypes.c_void_p]
-    sort_keys.restype = None
-    ibt.argtypes = [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_long]
-    ibt.restype = ctypes.c_int
-    moments.argtypes = [ctypes.c_void_p] + [ctypes.c_long] * 4 + [ctypes.c_void_p]
-    moments.restype = None
-    counts.argtypes = [ctypes.c_void_p] + [ctypes.c_long] * 3 + [ctypes.c_int, ctypes.c_void_p]
-    counts.restype = None
-    if not _kernel_matches_steps(lib):
-        _kernel_failure = (f"{lib._name} differs from lshm_step/clt_step on the "
-                           f"reference key within {_SELF_CHECK_STEPS} steps")
-        return None
-    if not _kernel_matches_numpy(lib):
-        _kernel_failure = (f"{lib._name} differs from the NumPy key sort or bit gather "
-                           f"on the reference key's extraction arrays")
-        return None
-    if not _kernel_matches_statistics(lib):
-        _kernel_failure = (f"{lib._name} differs from the NumPy image statistics "
-                           f"on the self-check images")
-        return None
+    for matches, cause in (
+        (_kernel_matches_steps, "differs from lshm_step/clt_step on the reference key "
+                                f"within {_SELF_CHECK_STEPS} steps"),
+        (_kernel_matches_numpy, "differs from the NumPy key sort or bit gather "
+                                "on the reference key's extraction arrays"),
+        (_kernel_matches_statistics, "differs from the NumPy image statistics "
+                                     "on the self-check images"),
+    ):
+        if not matches(lib):
+            _kernel_failure = f"{lib._name} {cause}"
+            return None
     _kernel_failure = None
     return lib
 
@@ -346,37 +340,43 @@ def _compile_command(cc: str, out: str) -> list[str]:
             _KERNEL_SOURCE.name, "-lm"]
 
 
-def _compiled_sort_keys(lib: ctypes.CDLL, rea: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Stable argsort of a uint8 vector and its inverse, as int32, from the C
-    counting sort.  The caller keeps ``rea.size`` at most 2**31."""
-    rea = np.ascontiguousarray(rea, dtype=np.uint8)
+def _compiled_sort_keys(lib: ctypes.CDLL | None,
+                        rea: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """The stable argsort of a uint8 vector and its inverse, as int32, from
+    the C counting sort; or None unless ``lib`` is the compiled library and
+    ``rea`` a uint8 vector.  The caller keeps ``rea.size`` at most 2**31."""
+    if lib is None or rea.dtype != np.uint8 or rea.ndim != 1:
+        return None
+    rea = np.ascontiguousarray(rea)
     key, inv = np.empty(rea.size, np.int32), np.empty(rea.size, np.int32)
     lib.xcross_sort_keys(rea.ctypes.data, rea.size, key.ctypes.data, inv.ctypes.data)
     return key, inv
 
 
-def _compiled_ibt(lib: ctypes.CDLL, blk: np.ndarray, key: np.ndarray) -> np.ndarray | None:
-    """The bits of a uint8 block gathered by the C loop, or None unless
-    ``key`` is a C-contiguous int32 vector of ``8 * blk.size`` entries that
-    all lie in ``range(8 * blk.size)``."""
-    if key.dtype != np.int32 or not key.flags.c_contiguous or key.shape != (8 * blk.size,):
+def _compiled_ibt(lib: ctypes.CDLL | None, blk: np.ndarray, key: np.ndarray) -> np.ndarray | None:
+    """The bits of a uint8 block gathered by the C loop; or None unless
+    ``lib`` is the compiled library and ``key`` a C-contiguous int32 vector
+    of ``8 * blk.size`` entries that all lie in ``range(8 * blk.size)``."""
+    if (lib is None or blk.dtype != np.uint8 or key.dtype != np.int32
+            or not key.flags.c_contiguous or key.shape != (8 * blk.size,)):
         return None
-    blk = np.ascontiguousarray(blk, dtype=np.uint8)
+    blk = np.ascontiguousarray(blk)
     out = np.empty(blk.shape, np.uint8)
     if lib.xcross_ibt(blk.ctypes.data, out.ctypes.data, key.ctypes.data, blk.size):
         return None
     return out
 
 
-def _compiled_moments(lib: ctypes.CDLL, a: np.ndarray,
+def _compiled_moments(lib: ctypes.CDLL | None, a: np.ndarray,
                       b: np.ndarray) -> tuple[float, float, float] | None:
     """The sums of (a-mean(a))**2, (b-mean(b))**2 and their product over
     the pixels of two equally shaped, non-empty uint8 views of one image,
-    added by the C loop in NumPy's pairwise order; or None unless both
-    views step one byte per column and their rows lie equally far apart."""
-    if (a.dtype != np.uint8 or b.dtype != np.uint8 or a.ndim != 2 or a.base is None
-            or a.base is not b.base or a.shape != b.shape or a.strides != b.strides
-            or a.strides[1] != 1):
+    added by the C loop in NumPy's pairwise order; or None unless ``lib``
+    is the compiled library, both views step one byte per column and their
+    rows lie equally far apart."""
+    if (lib is None or a.dtype != np.uint8 or b.dtype != np.uint8 or a.ndim != 2
+            or a.base is None or a.base is not b.base or a.shape != b.shape
+            or a.strides != b.strides or a.strides[1] != 1):
         return None
     sums = (ctypes.c_double * 3)()
     lib.xcross_moments(a.ctypes.data, *a.shape, a.strides[0],
@@ -384,11 +384,13 @@ def _compiled_moments(lib: ctypes.CDLL, a: np.ndarray,
     return sums[0], sums[1], sums[2]
 
 
-def _compiled_counts(lib: ctypes.CDLL, img: np.ndarray, pairs: bool) -> np.ndarray | None:
+def _compiled_counts(lib: ctypes.CDLL | None, img: np.ndarray,
+                     pairs: bool) -> np.ndarray | None:
     """The histogram of a 2-D uint8 image by the C loop, or with ``pairs``
     its horizontal pair counts at ``left << 8 | right``, as np.bincount
-    counts them; or None unless the image steps one byte per column."""
-    if img.dtype != np.uint8 or img.ndim != 2 or img.strides[1] != 1:
+    counts them; or None unless ``lib`` is the compiled library and the
+    image steps one byte per column."""
+    if lib is None or img.dtype != np.uint8 or img.ndim != 2 or img.strides[1] != 1:
         return None
     counts = np.zeros(65536 if pairs else 256, np.int64)
     lib.xcross_counts(img.ctypes.data, *img.shape, img.strides[0], pairs, counts.ctypes.data)
@@ -429,7 +431,7 @@ def _kernel_matches_numpy(lib: ctypes.CDLL) -> bool:
     square, odd = reas[1][:64].reshape(8, 8), reas[1][:63].reshape(7, 9)
     for rea in reas:
         got, want = _compiled_sort_keys(lib, rea), _argsort_keys(rea)
-        if [k.tobytes() for k in got] != [k.tobytes() for k in want]:
+        if got is None or [k.tobytes() for k in got] != [k.tobytes() for k in want]:
             return False
         for blk, keys in ((square, want), (odd, _argsort_keys(rea[:8 * odd.size]))):
             for key in keys:

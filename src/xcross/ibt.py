@@ -10,14 +10,12 @@ permutation undoes it, so the inverse stage is the forward one with the
 key schedule's inverse keys.  Only the key's length is checked: a full
 check would cost one more pass over the key per quadrant and call.
 
-The NumPy unpack/gather/pack is the definition.  For the int32 keys of the
-key schedule the compiled library gathers the bits instead, one output
-byte at a time, without the unpacked copy.  On x86-64 CPUs that report
-AVX2 it fetches that byte's eight bits with one hardware gather when the
-block's byte count is a multiple of 4 (every cipher quadrant's is); other
-CPUs and blocks run its scalar loop.  Both check every index and hand any
-key with one outside ``range(8 * block.size)`` to the NumPy gather, so
-such keys wrap or raise exactly as there.
+The NumPy unpack/gather/pack is the definition.  Where the compiled
+library of :mod:`~xcross.chaotic_maps` takes the key (C-contiguous int32,
+as the key schedule derives it), it gathers the same bits without the
+unpacked copy.  It hands a key with an index outside
+``range(8 * block.size)`` back to the NumPy gather, so such keys wrap or
+raise exactly as there.
 """
 
 from __future__ import annotations
@@ -43,8 +41,7 @@ def ibt_apply(blk: np.ndarray, key: np.ndarray) -> np.ndarray:
         raise DimensionError(
             f"extraction key of length {key.size} does not fit a block of {blk.size} pixels"
         )
-    kernel = chaotic_maps._kernel() if key.dtype == np.int32 else None
-    out = None if kernel is None else chaotic_maps._compiled_ibt(kernel, blk, key)
+    out = chaotic_maps._compiled_ibt(chaotic_maps._kernel(), blk, key)
     return _gather_bits(blk, key) if out is None else out
 
 

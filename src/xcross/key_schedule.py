@@ -156,11 +156,9 @@ def build_extraction_keys(rea1: np.ndarray, rea2: np.ndarray) -> tuple[np.ndarra
 
 
 def _sorted_keys(rea: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_argsort_keys` of ``rea``, by the compiled sort for uint8."""
-    kernel = chaotic_maps._kernel() if rea.dtype == np.uint8 else None
-    if kernel is None:
-        return _argsort_keys(rea)
-    return chaotic_maps._compiled_sort_keys(kernel, rea)
+    """:func:`_argsort_keys` of ``rea``, by the compiled sort where it runs."""
+    keys = chaotic_maps._compiled_sort_keys(chaotic_maps._kernel(), rea)
+    return _argsort_keys(rea) if keys is None else keys
 
 
 def _argsort_keys(rea: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -385,6 +385,8 @@ class TestCompiledStatistics:
 
     def test_views_the_library_cannot_read_are_declined(self, compiled_library):
         img = hashed_pixels(8, 10)
+        assert chaotic_maps._compiled_counts(None, img, False) is None
+        assert chaotic_maps._compiled_moments(None, img[:-1], img[1:, :]) is None
         assert chaotic_maps._compiled_counts(compiled_library, img[:, ::2], True) is None
         assert chaotic_maps._compiled_moments(compiled_library, img[:, :-2:2], img[:, 1::2]) is None
         assert chaotic_maps._compiled_moments(compiled_library, img[:-1], img[1:, :]) is not None

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import SUM_BLOCKS, hashed_pixels, python_loops, sum_block
-from xcross import analysis, chaotic_maps
+from xcross import analysis, chaotic_maps, ibt, key_schedule, pipeline
 from xcross.chaotic_maps import (
     TRANSIENT,
     CltParams,
@@ -30,6 +30,7 @@ from xcross.errors import EmptyRequestError, ParameterError
 from xcross.ibt import _gather_bits
 from xcross.key_schedule import PARAM_RANGES, reference_key
 from xcross.pipeline import _build_context
+from xcross.sample_images import random_image
 
 
 def cpu_reports_avx2() -> bool:
@@ -454,6 +455,28 @@ class TestCompiledLoops:
         # built but not yet loaded: a loaded library must not be rewritten
         chaotic_maps._built_kernel().write_bytes(b"not a shared library")
         self.assert_python_loops_in_use(monkeypatch, "OSError")
+
+    def test_missing_routine_keeps_python_loops(self, compiled_library, source_copy,
+                                                monkeypatch):
+        text = source_copy.read_text()
+        assert text.count("xcross_counts(") == 1
+        source_copy.write_text(text.replace("xcross_counts(", "xcross_tallies("))
+        self.assert_python_loops_in_use(monkeypatch, "AttributeError")
+
+    def test_library_serves_every_layer(self, compiled_library, monkeypatch, rng):
+        # the NumPy gather, sort and sums are the silent fallback, so a
+        # round trip alone would also hold with none of them compiled
+        def numpy_in_use(*args):
+            raise AssertionError("a NumPy definition ran where the library should")
+
+        monkeypatch.setattr(ibt, "_gather_bits", numpy_in_use)
+        monkeypatch.setattr(key_schedule, "_argsort_keys", numpy_in_use)
+        monkeypatch.setattr(analysis, "_centred_sums", numpy_in_use)
+        ctx = _build_context(reference_key(), 64, 64)
+        plain = random_image(rng, (64, 64))
+        cipher = pipeline.encrypt_with_context(plain, ctx)
+        assert analysis.analyze(cipher).flags == ()
+        assert np.array_equal(pipeline.decrypt_with_context(cipher, ctx), plain)
 
     def test_self_check_mismatch_keeps_python_loops(self, compiled_library, source_copy,
                                                     monkeypatch):

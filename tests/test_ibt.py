@@ -143,6 +143,8 @@ def test_compiled_gather_matches_numpy(compiled_library, seed, rows, cols):
         strided = np.repeat(key, 2)[::2]
         assert chaotic_maps._compiled_ibt(compiled_library, blk, strided) is None
         assert np.array_equal(ibt_apply(blk, strided), want)
+        assert chaotic_maps._compiled_ibt(None, blk, key) is None
+        assert chaotic_maps._compiled_ibt(compiled_library, blk.astype(np.uint16), key) is None
 
 
 class TestOutOfRangeInt32Keys:

@@ -181,6 +181,15 @@ def test_compiled_sort_is_stable_argsort_and_inverse(compiled_library, rea):
     assert np.array_equal(key, want) and np.array_equal(inv, want_inv)
 
 
+def test_compiled_sort_declines_other_inputs(compiled_library):
+    # cast to uint8, 300 and 256 would sort as 44 and 0
+    wide = np.array([300, 1, 2, 256])
+    assert chaotic_maps._compiled_sort_keys(compiled_library, wide) is None
+    assert chaotic_maps._compiled_sort_keys(compiled_library, np.zeros((2, 4), np.uint8)) is None
+    assert chaotic_maps._compiled_sort_keys(None, wide.astype(np.uint8)) is None
+    assert build_extraction_keys(wide, wide)[0].tolist() == [1, 2, 3, 0]
+
+
 class TestOperationMatrix:
     def test_hand_quantization(self):
         # 0.002 scales to exactly 2.0 -> code 2
