@@ -81,7 +81,8 @@ def _histogram(img: np.ndarray) -> np.ndarray:
 
 def _entropy(counts: np.ndarray) -> float:
     p = counts[counts > 0] / counts.sum()
-    return float(-(p * np.log2(p)).sum())
+    # a single level sums to +0.0, and -(+0.0) would report -0.0
+    return float(0.0 - (p * np.log2(p)).sum())
 
 
 def _chi_square(counts: np.ndarray) -> float:

@@ -456,14 +456,9 @@ def _kernel_matches_statistics(lib: ctypes.CDLL) -> bool:
     """
     from .analysis import _DIRECTIONS, _centred_sums, _counts, _direction_pairs
 
-    h = np.arange(91 * 92, dtype=np.uint32) * np.uint32(2654435761)
-    h ^= h >> 15
-    h *= np.uint32(0x85EBCA77)
-    h ^= h >> 13
-    pixels = (h >> 24).astype(np.uint8)
-    large = pixels.reshape(91, 92)
+    large = _hashed_pixels(91, 92)
     view = large[::-3]
-    for img in (pixels[:12].reshape(3, 4), pixels[:156].reshape(12, 13), large, view):
+    for img in (_hashed_pixels(3, 4), _hashed_pixels(12, 13), large, view):
         for direction in _DIRECTIONS:
             a, b = _direction_pairs(img, direction)
             got = _compiled_moments(lib, a, b)
@@ -474,3 +469,14 @@ def _kernel_matches_statistics(lib: ctypes.CDLL) -> bool:
         if got is None or got.dtype != want.dtype or not np.array_equal(got, want):
             return False
     return True
+
+
+def _hashed_pixels(rows: int, cols: int) -> np.ndarray:
+    """A rows x cols uint8 image of well-spread bytes, no RNG involved: a
+    multiplicative hash of each pixel's index, mixed as murmur3 finalises
+    one, so that neighbouring pixels share no pattern."""
+    h = np.arange(rows * cols, dtype=np.uint32) * np.uint32(2654435761)
+    h ^= h >> 15
+    h *= np.uint32(0x85EBCA77)
+    h ^= h >> 13
+    return (h >> 24).astype(np.uint8).reshape(rows, cols)

@@ -88,8 +88,15 @@ def _atomic_write(path: str, data: bytes) -> None:
 
 
 def _load_key(path: str) -> KeyMaterial:
-    with open(path, "r", encoding="ascii") as fh:
-        return parse_key(fh.read())
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        text = raw.decode("ascii")
+    except UnicodeDecodeError as exc:
+        raise KeyFormatError(
+            f"{path}: byte {exc.start} is {raw[exc.start]:#04x}, not ASCII"
+        ) from None
+    return parse_key(text)
 
 
 def _load_image(path: str):
@@ -143,9 +150,9 @@ def cmd_encrypt(args) -> int:
 
 def cmd_decrypt(args) -> int:
     key = _load_key(args.key)
-    header, img = _load_image(getattr(args, "in"))
+    comments, img = _load_image(getattr(args, "in"))
     plain = decrypt(img, key)
-    note = original_size_note(header.comments)
+    note = original_size_note(comments)
     if note is not None:
         ow, oh = note
         if ow > plain.shape[1] or oh > plain.shape[0]:

@@ -52,12 +52,7 @@ def _gather_bits(blk: np.ndarray, key: np.ndarray) -> np.ndarray:
 
 def ibt_stage(q: QuadSplit, keys: tuple[np.ndarray, ...]) -> QuadSplit:
     """Apply one extraction key per quadrant: A<-key1, B<-key2, C<-key3, D<-key4."""
-    return QuadSplit(
-        a=ibt_apply(q.a, keys[0]),
-        b=ibt_apply(q.b, keys[1]),
-        c=ibt_apply(q.c, keys[2]),
-        d=ibt_apply(q.d, keys[3]),
-    )
+    return QuadSplit(*map(ibt_apply, q, keys))
 
 
 def ibt_unstage(q: QuadSplit, keys: tuple[np.ndarray, ...]) -> QuadSplit:
@@ -66,9 +61,4 @@ def ibt_unstage(q: QuadSplit, keys: tuple[np.ndarray, ...]) -> QuadSplit:
     Requires ``keys[2:]`` to be the inverse permutations of ``keys[:2]``,
     as :func:`~xcross.key_schedule.build_extraction_keys` derives them.
     """
-    return QuadSplit(
-        a=ibt_apply(q.a, keys[2]),
-        b=ibt_apply(q.b, keys[3]),
-        c=ibt_apply(q.c, keys[0]),
-        d=ibt_apply(q.d, keys[1]),
-    )
+    return QuadSplit(*map(ibt_apply, q, (*keys[2:], *keys[:2])))

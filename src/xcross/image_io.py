@@ -9,8 +9,6 @@ undo padding after decryption.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .errors import (
@@ -31,22 +29,14 @@ _HASH = 0x23
 ORIG_SIZE_PREFIX = "orig-size"
 
 
-@dataclass(frozen=True)
-class PgmHeader:
-    width: int
-    height: int
-    maxval: int = 255
-    comments: tuple[str, ...] = field(default_factory=tuple)
-    magic: str = "P5"
-
-
-def parse_pgm(raw: bytes) -> tuple[PgmHeader, np.ndarray]:
-    """Parse a binary P5 stream into (header, pixels).
+def parse_pgm(raw: bytes) -> tuple[tuple[str, ...], np.ndarray]:
+    """Parse a binary P5 stream into (header comments, pixels).
 
     The header tokenizer accepts any whitespace between tokens and comment
-    lines anywhere before the maxval token.  After maxval the format
-    requires exactly one whitespace byte, then ``width*height`` payload
-    bytes row-major; trailing bytes are ignored.
+    lines anywhere before the maxval token; width, height and maxval are
+    ASCII digits.  After maxval the format requires exactly one whitespace
+    byte, then ``width*height`` payload bytes row-major; trailing bytes are
+    ignored.
     """
     raw = bytes(raw)
     tokens: list[bytes] = []
@@ -73,10 +63,10 @@ def parse_pgm(raw: bytes) -> tuple[PgmHeader, np.ndarray]:
                 raise PgmMagicError(
                     f"not a binary PGM stream (magic {tokens[0]!r}, expected b'P5')"
                 )
-    try:
-        width, height, maxval = (int(t) for t in tokens[1:])
-    except ValueError:
-        raise PgmError(f"non-numeric header tokens {tokens[1:]!r}") from None
+    # int() would also take signs and underscores
+    if not all(t.isdigit() for t in tokens[1:]):
+        raise PgmError(f"non-numeric header tokens {tokens[1:]!r}")
+    width, height, maxval = (int(t) for t in tokens[1:])
     if width < 1 or height < 1:
         raise PgmError(f"degenerate dimensions {width}x{height}")
     if width * height > MAX_PIXELS:
@@ -101,8 +91,7 @@ def parse_pgm(raw: bytes) -> tuple[PgmHeader, np.ndarray]:
         .reshape(height, width)
         .copy()
     )
-    header = PgmHeader(width=width, height=height, comments=tuple(comments))
-    return header, pixels
+    return tuple(comments), pixels
 
 
 def write_pgm(img: np.ndarray, pad_note: tuple[int, int] | None = None) -> bytes:
@@ -124,7 +113,7 @@ def write_pgm(img: np.ndarray, pad_note: tuple[int, int] | None = None) -> bytes
             )
         parts.append(f"# {ORIG_SIZE_PREFIX} {ow} {oh}\n")
     parts.append(f"{width} {height}\n255\n")
-    return "".join(parts).encode("ascii") + np.ascontiguousarray(img).tobytes()
+    return "".join(parts).encode("ascii") + img.tobytes()
 
 
 def original_size_note(comments: tuple[str, ...]) -> tuple[int, int] | None:

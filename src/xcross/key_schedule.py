@@ -288,7 +288,9 @@ def random_key_material(rng) -> KeyMaterial:
     """Draw key material uniformly from the operating ranges.
 
     ``rng`` needs only ``uniform(lo, hi)``: a NumPy ``Generator`` or
-    ``random.SystemRandom()`` (OS entropy) both fit.
+    ``random.SystemRandom()`` (OS entropy) both fit.  The draw order is
+    fixed: the three seeds (redrawn until distinct), then the LSHM
+    fields, then ``clt.lambda``, ``clt.alpha`` and ``clt.z0``.
     """
 
     def draw(name: str) -> float:
@@ -296,17 +298,13 @@ def random_key_material(rng) -> KeyMaterial:
         return float(rng.uniform(lo, hi))
 
     while True:
-        seeds = (draw("sbox.seed1"), draw("sbox.seed2"), draw("sbox.seed3"))
-        if len(set(seeds)) == 3:
+        values = {name: draw(name) for name in ("sbox.seed1", "sbox.seed2", "sbox.seed3")}
+        if len(set(values.values())) == 3:
             break
-    return KeyMaterial(
-        lshm=LshmParams(
-            x0=draw("lshm.x0"), y0=draw("lshm.y0"), k1=draw("lshm.k1"),
-            k2=draw("lshm.k2"), alpha=draw("lshm.alpha"), beta=draw("lshm.beta"),
-        ),
-        clt=CltParams(lam=draw("clt.lambda"), alpha_c=draw("clt.alpha"), z0=draw("clt.z0")),
-        sbox_seeds=seeds,
-    )
+    for name in ("lshm.x0", "lshm.y0", "lshm.k1", "lshm.k2", "lshm.alpha", "lshm.beta",
+                 "clt.lambda", "clt.alpha", "clt.z0"):
+        values[name] = draw(name)
+    return key_from_values(values)
 
 
 def reference_key() -> KeyMaterial:

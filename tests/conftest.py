@@ -35,15 +35,9 @@ def python_loops():
         yield
 
 
-def hashed_pixels(rows, cols):
-    """Well-spread bytes from a multiplicative hash mixed as murmur3
-    finalises one, no RNG involved: neighbouring pixels share no pattern,
-    so a sum added in another order shows in its last bits."""
-    h = np.arange(rows * cols, dtype=np.uint32) * np.uint32(2654435761)
-    h ^= h >> 15
-    h *= np.uint32(0x85EBCA77)
-    h ^= h >> 13
-    return (h >> 24).astype(np.uint8).reshape(rows, cols)
+#: The library self-check's hashed images: neighbouring pixels share no
+#: pattern, so a sum added in another order shows in its last bits.
+hashed_pixels = chaotic_maps._hashed_pixels
 
 
 #: Hashed images for the correlation sums, as (rows, cols, row step) by id.

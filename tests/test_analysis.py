@@ -6,6 +6,8 @@ the end of the module, with the NumPy definitions.  The tests after those
 compare the two paths byte for byte.
 """
 
+import math
+
 import numpy as np
 import pytest
 from conftest import SUM_BLOCKS, hashed_pixels, python_loops, sum_block
@@ -38,7 +40,9 @@ def row_ramp(m=8, n=8):
 
 class TestEntropy:
     def test_constant_image_has_zero_entropy(self):
-        assert entropy(np.full((16, 16), 7, dtype=np.uint8)) == 0.0
+        h = entropy(np.full((16, 16), 7, dtype=np.uint8))
+        assert h == 0.0
+        assert math.copysign(1.0, h) == 1.0  # +0.0: reports print 0.000000, not -0.000000
 
     def test_perfectly_uniform_histogram_has_eight_bits(self):
         img = np.arange(256, dtype=np.uint8).reshape(16, 16)

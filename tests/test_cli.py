@@ -156,6 +156,16 @@ class TestEncryptDecrypt:
                      "--key", str(bad)]) == 3
         assert not out.exists()
 
+    def test_non_ascii_key_file(self, tmp_path, image_file, capsys):
+        plain_path, _ = image_file
+        bad = tmp_path / "bad.key"
+        bad.write_bytes(b"lshm.x0 = 0.3\xff\n")
+        out = tmp_path / "c.pgm"
+        assert main(["encrypt", "--in", plain_path, "--out", str(out),
+                     "--key", str(bad)]) == 3
+        assert "byte 13 is 0xff, not ASCII" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_corrupt_image(self, tmp_path, key_file):
         bad = tmp_path / "bad.pgm"
         bad.write_bytes(b"P6\n2 2\n255\n" + bytes(12))
@@ -178,9 +188,9 @@ class TestEncryptDecrypt:
         cipher_path = str(tmp_path / "c.pgm")
         assert main(["encrypt", "--in", str(plain), "--out", cipher_path,
                      "--key", key_file, "--pad"]) == 0
-        header, cipher = parse_pgm((tmp_path / "c.pgm").read_bytes())
+        comments, cipher = parse_pgm((tmp_path / "c.pgm").read_bytes())
         assert cipher.shape == (252, 252)
-        assert "orig-size 250 250" in header.comments
+        assert "orig-size 250 250" in comments
         back_path = str(tmp_path / "p.pgm")
         assert main(["decrypt", "--in", cipher_path, "--out", back_path,
                      "--key", key_file]) == 0

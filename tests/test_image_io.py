@@ -21,8 +21,8 @@ TINY = np.array([[1, 2], [3, 4]], dtype=np.uint8)
 
 class TestParsing:
     def test_minimal_single_space_file(self):
-        header, pixels = parse_pgm(b"P5 2 2 255 " + bytes([1, 2, 3, 4]))
-        assert (header.width, header.height, header.maxval) == (2, 2, 255)
+        comments, pixels = parse_pgm(b"P5 2 2 255 " + bytes([1, 2, 3, 4]))
+        assert comments == ()
         assert np.array_equal(pixels, TINY)
 
     def test_mixed_whitespace(self):
@@ -31,8 +31,8 @@ class TestParsing:
 
     def test_comments_between_tokens_are_preserved(self):
         raw = b"P5\n# first note\n2 2\n# second\n255\n" + bytes([1, 2, 3, 4])
-        header, pixels = parse_pgm(raw)
-        assert header.comments == ("first note", "second")
+        comments, pixels = parse_pgm(raw)
+        assert comments == ("first note", "second")
         assert np.array_equal(pixels, TINY)
 
     def test_payload_may_start_with_hash_byte(self):
@@ -91,8 +91,11 @@ class TestRejections:
             parse_pgm(b"P5\n0 2\n255\n")
 
     def test_non_numeric_token(self):
-        with pytest.raises(PgmError):
-            parse_pgm(b"P5\nwide 2\n255\n")
+        # int() alone would read 1_2 as 12, +4 as 4 and 2_5_5 as 255
+        for header in (b"P5\nwide 2\n255\n", b"P5\n1_2 4\n255\n", b"P5\n12 +4\n255\n",
+                       b"P5\n12 4\n2_5_5\n", b"P5\n12 -4\n255\n"):
+            with pytest.raises(PgmError, match="non-numeric"):
+                parse_pgm(header + bytes(48))
 
     def test_missing_separator(self):
         with pytest.raises(PgmError):
@@ -106,9 +109,9 @@ class TestWriting:
     def test_pad_note_comment(self):
         raw = write_pgm(np.zeros((4, 4), dtype=np.uint8), pad_note=(3, 2))
         assert raw.startswith(b"P5\n# orig-size 3 2\n4 4\n255\n")
-        header, _ = parse_pgm(raw)
-        assert header.comments == ("orig-size 3 2",)
-        assert original_size_note(header.comments) == (3, 2)
+        comments, _ = parse_pgm(raw)
+        assert comments == ("orig-size 3 2",)
+        assert original_size_note(comments) == (3, 2)
 
     def test_pad_note_must_fit(self):
         with pytest.raises(ParameterError):
