@@ -52,7 +52,7 @@ from xcross.analysis import analyze
 from xcross.key_schedule import reference_key
 from xcross.sample_images import random_image
 
-SIZES = (256, 1024, 2048)
+SIZES = (64, 256, 1024, 2048)
 REPS = 7
 LOOPS = ("compiled", "python")
 STAGES = ("lshm_s", "clt_s", "quantize_s", "argsort_invert_s", "sboxes_s", "derive_s",

@@ -21,9 +21,17 @@
  *    block is a whole number of such words.
  *  - The leaves of the correlation sums of 8 or more pairs, where one pass
  *    keeps all three sums' eight accumulators in vector lanes.
+ *
+ * The statistics repeat NumPy's float64 sums bit for bit: each term is the
+ * product or quotient NumPy forms, and pairwise_leaf and pairwise_tree add
+ * the terms in the order of NumPy's pairwise summation.  xcross_glcm takes
+ * the GLCM features from the pair counts in one scalar pass over the 65536
+ * cells and a second for the correlation, with no 256 x 256 float64 array
+ * beyond the counts it turns into probabilities in place.
  */
 #include <math.h>
 #include <stdint.h>
+#include <stdlib.h>
 #include <string.h>
 
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
@@ -156,26 +164,29 @@ struct pairs {
     int avx2; /* whether the leaves of at least 8 pairs take moments_avx2 */
 };
 
-/* NumPy's pairwise sum of u[i] * v[i], i < n <= 128: the leaf of
+/* NumPy's pairwise sum of t[0 .. n-1], n <= 128: the leaf of
  * DOUBLE_pairwise_sum (numpy's loops_utils.h.src), term for term */
-static double pairwise_leaf(const double *u, const double *v, long n)
+static double pairwise_leaf(const double *t, long n)
 {
     if (n < 8) {
         double res = 0.;
         for (long i = 0; i < n; i++)
-            res += u[i] * v[i];
+            res += t[i];
         return res;
     }
+    /* unrolled, so the eight accumulators stay in registers */
     double r[8];
+#pragma GCC unroll 8
     for (int j = 0; j < 8; j++)
-        r[j] = u[j] * v[j];
+        r[j] = t[j];
     long i;
     for (i = 8; i < n - (n % 8); i += 8)
+#pragma GCC unroll 8
         for (int j = 0; j < 8; j++)
-            r[j] += u[i + j] * v[i + j];
+            r[j] += t[i + j];
     double res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
     for (; i < n; i++)
-        res += u[i] * v[i];
+        res += t[i];
     return res;
 }
 
@@ -268,14 +279,15 @@ static void pairwise_moments(const struct pairs *p, long lo, long n, double *sum
         return;
     }
 #endif
-    double x[128], y[128];
+    double t[3][128];
     for (long i = 0; i < n; i++) {
-        x[i] = qa[i] - p->mx;
-        y[i] = qb[i] - p->my;
+        double x = qa[i] - p->mx, y = qb[i] - p->my;
+        t[0][i] = x * x;
+        t[1][i] = y * y;
+        t[2][i] = x * y;
     }
-    sums[0] = pairwise_leaf(x, x, n);
-    sums[1] = pairwise_leaf(y, y, n);
-    sums[2] = pairwise_leaf(x, y, n);
+    for (int k = 0; k < 3; k++)
+        sums[k] = pairwise_leaf(t[k], n);
 }
 
 /* The centred second moments of the h x w pairs (a, b) described above,
@@ -313,17 +325,98 @@ void xcross_moments(const uint8_t *a, long h, long w, long stride, long off, dou
 }
 
 /* np.bincount of the rows x cols pixels at img, rows `stride` bytes apart,
- * added into counts: of each pixel when `pairs` is 0 (256 bins), else of
- * each horizontal pair at left << 8 | right (65536 bins). */
-void xcross_counts(const uint8_t *img, long rows, long cols, long stride, int pairs,
-                   int64_t *counts)
+ * added into the 256 counts. */
+void xcross_counts(const uint8_t *img, long rows, long cols, long stride, int64_t *counts)
 {
-    for (long r = 0; r < rows; r++, img += stride) {
-        if (pairs)
-            for (long c = 0; c + 1 < cols; c++)
-                counts[img[c] << 8 | img[c + 1]]++;
-        else
-            for (long c = 0; c < cols; c++)
-                counts[img[c]]++;
+    for (long r = 0; r < rows; r++, img += stride)
+        for (long c = 0; c < cols; c++)
+            counts[img[c]]++;
+}
+
+/* NumPy's pairwise sum of the n runs of 128 terms whose leaf sums are
+ * leaves[0 .. n-1], n a power of two: each sum of more than 128 terms is
+ * halved, so the runs pair up level by level.  Overwrites leaves. */
+static double pairwise_tree(double *leaves, long n)
+{
+    for (; n > 1; n /= 2)
+        for (long k = 0; k < n / 2; k++)
+            leaves[k] = leaves[2 * k] + leaves[2 * k + 1];
+    return leaves[0];
+}
+
+/* The GLCM of analysis.glcm for the rows x cols image at img, rows
+ * `stride` bytes apart, rows >= 1 and cols >= 2.  With c the counts of the
+ * horizontal pairs (left, right) at c[left][right] and p = (c + c^T) / its
+ * sum, out[0 .. 5] = the sums of (i-j)^2 p, p^2 and p / (1 + |i-j|), mu,
+ * the variance, and the sum of ((i-mu)(j-mu)) p, each term formed as NumPy
+ * forms it.  A sum over p's 65536 cells is NumPy's pairwise sum: 512 runs
+ * of 128 cells, half a row each, paired up by pairwise_tree; a row of
+ * p.sum(axis=1) is its two runs' sum.  NumPy adds each sum to +0.0, which
+ * changes only the sign of a zero; only the last sum has negative terms.
+ * Returns 1 when the counts cannot be allocated, else 0. */
+int xcross_glcm(const uint8_t *img, long rows, long cols, long stride, double *out)
+{
+    /* the counts, then in place p: (double)0 / total is +0.0, so no cell
+     * needs a branch */
+    union cell { int64_t n; double p; } *m = calloc(65536, sizeof *m);
+    if (m == NULL)
+        return 1;
+    for (long r = 0; r < rows; r++, img += stride)
+        for (long x = 0; x + 1 < cols; x++)
+            m[img[x] << 8 | img[x + 1]].n++;
+    /* sym.sum() as NumPy divides by it.  Cells (i, j) and (j, i) are set
+     * together, in 8 x 8 tiles, so that a column's strided reads stay in
+     * cache */
+    double total = (double)(2 * rows * (cols - 1));
+    for (int ti = 0; ti < 256; ti += 8)
+        for (int tj = ti; tj < 256; tj += 8)
+            for (int i = ti; i < ti + 8; i++)
+                for (int j = tj == ti ? i : tj; j < tj + 8; j++)
+                    m[i << 8 | j].p = m[j << 8 | i].p =
+                        (double)(m[i << 8 | j].n + m[j << 8 | i].n) / total;
+    /* sq[255 + d] = d^2 and w[255 + d] = 1 + |d|: the weights of cell (i, j)
+     * at d = j - i, read forwards along a row so that the loop vectorises */
+    double sq[511], w[511], leaves[4][512], t[4][128], pi[256], u[256], lv[256];
+    for (int d = -255; d < 256; d++) {
+        sq[255 + d] = (double)(d * d);
+        w[255 + d] = (double)(1 + abs(d));
     }
+    for (long k = 0; k < 512; k++) {
+        const union cell *run = m + 128 * k;
+        long d0 = 255 - k / 2 + 128 * (k % 2);
+        for (int q = 0; q < 128; q++) {
+            double p = run[q].p;
+            t[0][q] = sq[d0 + q] * p;
+            t[1][q] = p * p;
+            t[2][q] = p / w[d0 + q];
+            t[3][q] = p;
+        }
+        for (int s = 0; s < 4; s++)
+            leaves[s][k] = pairwise_leaf(t[s], 128);
+    }
+    for (int s = 0; s < 3; s++)
+        out[s] = pairwise_tree(leaves[s], 512);
+    /* a row's sum, as a sum of 256 terms, is its two runs' sum */
+    for (int i = 0; i < 256; i++)
+        pi[i] = leaves[3][2 * i] + leaves[3][2 * i + 1];
+    for (int i = 0; i < 256; i++)
+        u[i] = (double)i * pi[i];
+    double mu = pairwise_leaf(u, 128) + pairwise_leaf(u + 128, 128);
+    for (int i = 0; i < 256; i++) {
+        lv[i] = (double)i - mu;
+        u[i] = lv[i] * lv[i] * pi[i];
+    }
+    double var = pairwise_leaf(u, 128) + pairwise_leaf(u + 128, 128);
+    for (long k = 0; k < 512; k++) {
+        const union cell *run = m + 128 * k;
+        const double *lj = lv + 128 * (k % 2);
+        for (int q = 0; q < 128; q++)
+            t[0][q] = lv[k / 2] * lj[q] * run[q].p;
+        leaves[0][k] = pairwise_leaf(t[0], 128);
+    }
+    free(m);
+    out[3] = mu;
+    out[4] = var;
+    out[5] = pairwise_tree(leaves[0], 512);
+    return 0;
 }

@@ -9,19 +9,20 @@ and normalizes to probabilities; a pair is counted at the flat index
 ``left << 8 | right``.
 
 The NumPy code below is the definition of every statistic.  Where the
-compiled library of :mod:`~xcross.chaotic_maps` runs, it takes the counts
-and each direction's correlation sums instead, without pixel-sized float64
-arrays; it adds the sums in NumPy's own pairwise order, so both paths give
-the same report bytes.  A zero covariance sum, whose sign NumPy's
-reduction decides, is taken by NumPy.
+compiled library of :mod:`~xcross.chaotic_maps` runs, it takes the
+histogram, each direction's correlation sums and the GLCM's sums instead,
+without pixel-sized float64 arrays or 256x256 ones; it forms each term as
+NumPy does and adds the sums in NumPy's own pairwise order, so both paths
+give the same report bytes.  A zero covariance or GLCM correlation sum,
+whose sign NumPy's reduction decides, is taken by NumPy.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import chaotic_maps
 from .errors import DimensionError, ParameterError, checked_image
@@ -31,6 +32,10 @@ _DIRECTIONS = ("horizontal", "vertical", "diagonal")
 #: The 256 gray levels, read-only.
 _LEVELS = np.arange(256, dtype=np.float64)
 _LEVELS.flags.writeable = False
+
+#: The offsets j - i of the GLCM's cells (i, j), -255 to 255.
+_OFFSETS = np.arange(-255, 256, dtype=np.float64)
+_OFFSETS.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -63,20 +68,17 @@ def _nonempty(img: np.ndarray) -> np.ndarray:
     return img if img.strides[1] == 1 else np.ascontiguousarray(img)
 
 
-def _counts(lib, img: np.ndarray, pairs: bool) -> np.ndarray:
-    """The 256-bin histogram of ``img``, or with ``pairs`` the counts of its
-    horizontal pairs at ``left << 8 | right``: by the C loop when ``lib`` is
-    the compiled library and it takes the image, else by np.bincount."""
-    counts = chaotic_maps._compiled_counts(lib, img, pairs)
+def _counts(lib, img: np.ndarray) -> np.ndarray:
+    """The 256-bin histogram of ``img``: by the C loop when ``lib`` is the
+    compiled library and it takes the image, else by np.bincount."""
+    counts = chaotic_maps._compiled_counts(lib, img)
     if counts is not None:
         return counts
-    if pairs:
-        img = (img[:, :-1].astype(np.uint16) << 8) | img[:, 1:]
-    return np.bincount(img.reshape(-1), minlength=65536 if pairs else 256)
+    return np.bincount(img.reshape(-1), minlength=256)
 
 
 def _histogram(img: np.ndarray) -> np.ndarray:
-    return _counts(chaotic_maps._kernel(), img, pairs=False)
+    return _counts(chaotic_maps._kernel(), img)
 
 
 def _entropy(counts: np.ndarray) -> float:
@@ -146,22 +148,35 @@ def _centred_sums(a: np.ndarray, b: np.ndarray) -> tuple[float, float, float]:
     return (x * x).sum(), (y * y).sum(), (x * y).sum()
 
 
-@functools.cache
-def _glcm_weights() -> tuple[np.ndarray, np.ndarray]:
-    """The GLCM contrast and homogeneity weights of cell (i, j), ``(i-j)**2``
-    and ``1 + |i-j|``: built once, on first use, so importing the module
-    allocates neither, and read-only."""
-    diff = _LEVELS[:, None] - _LEVELS[None, :]
-    weights = diff**2, 1.0 + np.abs(diff)
-    for table in weights:
-        table.flags.writeable = False
-    return weights
+def _by_offset(values: np.ndarray) -> np.ndarray:
+    """The 256x256 view whose cell (i, j) is ``values[255 + j - i]``: a GLCM
+    weight of cell (i, j), given by offset j - i from -255 to 255, without
+    building a table."""
+    return sliding_window_view(values, 256)[::-1]
 
 
 def _glcm_matrix(img: np.ndarray) -> np.ndarray:
-    counts = _counts(chaotic_maps._kernel(), img, pairs=True).reshape(256, 256)
+    pairs = (img[:, :-1].astype(np.uint16) << 8) | img[:, 1:]
+    counts = np.bincount(pairs.reshape(-1), minlength=65536).reshape(256, 256)
     sym = counts + counts.T
     return sym / sym.sum()
+
+
+def _glcm_sums(img: np.ndarray) -> tuple[float, float, float, float, float, float]:
+    """The GLCM contrast, energy, homogeneity, mean, variance and the sum
+    of the correlation's numerator, for an image with a horizontal pair:
+    by NumPy, the definition."""
+    p = _glcm_matrix(img)
+    pi = p.sum(axis=1)
+    mu = (_LEVELS * pi).sum()
+    return (
+        (_by_offset(_OFFSETS**2) * p).sum(),
+        (p**2).sum(),
+        (p / _by_offset(1.0 + np.abs(_OFFSETS))).sum(),
+        mu,
+        ((_LEVELS - mu) ** 2 * pi).sum(),
+        ((_LEVELS[:, None] - mu) * (_LEVELS[None, :] - mu) * p).sum(),
+    )
 
 
 def glcm(img: np.ndarray) -> tuple[float, float, float, float | None]:
@@ -169,20 +184,12 @@ def glcm(img: np.ndarray) -> tuple[float, float, float, float | None]:
     img = _nonempty(img)
     if img.shape[1] < 2:
         raise DimensionError("GLCM needs at least two columns")
-    p = _glcm_matrix(img)
-    diff_squared, one_plus_abs_diff = _glcm_weights()
-    contrast = float((diff_squared * p).sum())
-    energy = float((p**2).sum())
-    homogeneity = float((p / one_plus_abs_diff).sum())
-    pi = p.sum(axis=1)
-    mu = float((_LEVELS * pi).sum())
-    var = float(((_LEVELS - mu) ** 2 * pi).sum())
-    if var == 0.0:
-        correlation = None
-    else:
-        correlation = float(
-            ((_LEVELS[:, None] - mu) * (_LEVELS[None, :] - mu) * p).sum() / var
-        )
+    sums = chaotic_maps._compiled_glcm(chaotic_maps._kernel(), img)
+    # NumPy's reduction decides the sign of a zero sum: take it from NumPy
+    if sums is None or sums[5] == 0.0:
+        sums = _glcm_sums(img)
+    contrast, energy, homogeneity, _, var, corr_sum = (float(s) for s in sums)
+    correlation = None if var == 0.0 else corr_sum / var
     return contrast, energy, homogeneity, correlation
 
 

@@ -241,8 +241,8 @@ _ROUTINES = {
     "xcross_sort_keys": (None, [ctypes.c_void_p, ctypes.c_long] + [ctypes.c_void_p] * 2),
     "xcross_ibt": (ctypes.c_int, [ctypes.c_void_p] * 3 + [ctypes.c_long]),
     "xcross_moments": (None, [ctypes.c_void_p] + [ctypes.c_long] * 4 + [ctypes.c_void_p]),
-    "xcross_counts": (None, [ctypes.c_void_p] + [ctypes.c_long] * 3
-                      + [ctypes.c_int, ctypes.c_void_p]),
+    "xcross_counts": (None, [ctypes.c_void_p] + [ctypes.c_long] * 3 + [ctypes.c_void_p]),
+    "xcross_glcm": (ctypes.c_int, [ctypes.c_void_p] + [ctypes.c_long] * 3 + [ctypes.c_void_p]),
 }
 
 
@@ -384,17 +384,30 @@ def _compiled_moments(lib: ctypes.CDLL | None, a: np.ndarray,
     return sums[0], sums[1], sums[2]
 
 
-def _compiled_counts(lib: ctypes.CDLL | None, img: np.ndarray,
-                     pairs: bool) -> np.ndarray | None:
-    """The histogram of a 2-D uint8 image by the C loop, or with ``pairs``
-    its horizontal pair counts at ``left << 8 | right``, as np.bincount
-    counts them; or None unless ``lib`` is the compiled library and the
-    image steps one byte per column."""
+def _compiled_counts(lib: ctypes.CDLL | None, img: np.ndarray) -> np.ndarray | None:
+    """The histogram of a 2-D uint8 image by the C loop, as np.bincount
+    counts it; or None unless ``lib`` is the compiled library and the image
+    steps one byte per column."""
     if lib is None or img.dtype != np.uint8 or img.ndim != 2 or img.strides[1] != 1:
         return None
-    counts = np.zeros(65536 if pairs else 256, np.int64)
-    lib.xcross_counts(img.ctypes.data, *img.shape, img.strides[0], pairs, counts.ctypes.data)
+    counts = np.zeros(256, np.int64)
+    lib.xcross_counts(img.ctypes.data, *img.shape, img.strides[0], counts.ctypes.data)
     return counts
+
+
+def _compiled_glcm(lib: ctypes.CDLL | None, img: np.ndarray) -> tuple[float, ...] | None:
+    """The GLCM contrast, energy, homogeneity, mean, variance and correlation
+    sum of a 2-D uint8 image by the C loop, each formed and added as NumPy
+    forms and adds it in :mod:`~xcross.analysis`; or None unless ``lib`` is
+    the compiled library, the image has a horizontal pair and steps one
+    byte per column, and the C loop could allocate its counts."""
+    if (lib is None or img.dtype != np.uint8 or img.ndim != 2 or img.strides[1] != 1
+            or img.shape[0] < 1 or img.shape[1] < 2):
+        return None
+    sums = (ctypes.c_double * 6)()
+    if lib.xcross_glcm(img.ctypes.data, *img.shape, img.strides[0], sums):
+        return None
+    return tuple(sums)
 
 
 def _kernel_matches_steps(lib: ctypes.CDLL) -> bool:
@@ -442,19 +455,19 @@ def _kernel_matches_numpy(lib: ctypes.CDLL) -> bool:
 
 
 def _kernel_matches_statistics(lib: ctypes.CDLL) -> bool:
-    """Whether the C moments and counts reproduce their NumPy definitions
-    in :mod:`~xcross.analysis`, as bytes.
+    """Whether the C moments, counts and GLCM reproduce their NumPy
+    definitions in :mod:`~xcross.analysis`, as bytes.
 
     The sums are checked on 3x4, 12x13 and 91x92 blocks of hashed bytes,
     whose pair counts in the three directions cross 8 and 128 (where
     NumPy's pairwise sum changes form) and 8192 (its buffer size), and on
     a view of the largest that takes every third row from the bottom up;
-    the counts on that view.  The hash is mixed as murmur3 finalises one,
-    so that neighbouring products share no pattern: on the bytes of a bare
-    multiplicative hash, a sum whose accumulators were combined in another
-    order still matched.
+    the counts on that view, and the GLCM on the largest and the view.
+    The hash is mixed as murmur3 finalises one, so that neighbouring
+    products share no pattern: on the bytes of a bare multiplicative hash,
+    a sum whose accumulators were combined in another order still matched.
     """
-    from .analysis import _DIRECTIONS, _centred_sums, _counts, _direction_pairs
+    from .analysis import _DIRECTIONS, _centred_sums, _counts, _direction_pairs, _glcm_sums
 
     large = _hashed_pixels(91, 92)
     view = large[::-3]
@@ -464,9 +477,12 @@ def _kernel_matches_statistics(lib: ctypes.CDLL) -> bool:
             got = _compiled_moments(lib, a, b)
             if got is None or np.array(got).tobytes() != np.array(_centred_sums(a, b)).tobytes():
                 return False
-    for pairs in (False, True):
-        got, want = _compiled_counts(lib, view, pairs), _counts(None, view, pairs)
-        if got is None or got.dtype != want.dtype or not np.array_equal(got, want):
+    got, want = _compiled_counts(lib, view), _counts(None, view)
+    if got is None or got.dtype != want.dtype or not np.array_equal(got, want):
+        return False
+    for img in (large, view):
+        got = _compiled_glcm(lib, img)
+        if got is None or np.array(got).tobytes() != np.array(_glcm_sums(img)).tobytes():
             return False
     return True
 

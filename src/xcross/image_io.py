@@ -120,11 +120,11 @@ def original_size_note(comments: tuple[str, ...]) -> tuple[int, int] | None:
     """Extract (width, height) from an ``orig-size`` header comment, if any."""
     for line in comments:
         fields = line.split()
-        if len(fields) == 3 and fields[0] == ORIG_SIZE_PREFIX:
-            try:
-                ow, oh = int(fields[1]), int(fields[2])
-            except ValueError:
-                continue
+        # ASCII digits only, as in the header: int() would also take signs,
+        # underscores and other scripts' digits
+        if (len(fields) == 3 and fields[0] == ORIG_SIZE_PREFIX
+                and all(f.isascii() and f.isdigit() for f in fields[1:])):
+            ow, oh = int(fields[1]), int(fields[2])
             if ow > 0 and oh > 0:
                 return ow, oh
     return None

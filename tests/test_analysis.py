@@ -382,16 +382,37 @@ class TestCompiledStatistics:
 
     def test_counts_match_bincount(self, compiled_library):
         img = hashed_pixels(17, 23)
-        for pairs in (False, True):
-            got = chaotic_maps._compiled_counts(compiled_library, img, pairs)
-            want = analysis._counts(None, img, pairs)
-            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        got = chaotic_maps._compiled_counts(compiled_library, img)
+        want = analysis._counts(None, img)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("img", [
+        # variance 0: no correlation, on both paths
+        pytest.param(np.full((8, 8), 9, dtype=np.uint8), id="constant"),
+        pytest.param(np.array([[1, 2]], dtype=np.uint8), id="1x2"),
+        pytest.param(hashed_pixels(37, 2), id="two_columns"),
+        pytest.param(checkerboard(), id="checkerboard"),
+        pytest.param(hashed_pixels(91, 92)[::-3], id="row_view"),
+        # 4 levels: at most 16 of the 65536 cells are nonzero
+        pytest.param(hashed_pixels(64, 64) % 4 + 100, id="narrow_range_64"),
+    ])
+    def test_glcm_matches_numpy(self, compiled_library, img):
+        got = chaotic_maps._compiled_glcm(compiled_library, img)
+        want = analysis._glcm_sums(img)
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+        assert report_or_error(img) == numpy_report(img)
+        with python_loops():
+            numpy_glcm = glcm(img)
+        assert repr(glcm(img)) == repr(numpy_glcm)
 
     def test_views_the_library_cannot_read_are_declined(self, compiled_library):
         img = hashed_pixels(8, 10)
-        assert chaotic_maps._compiled_counts(None, img, False) is None
+        assert chaotic_maps._compiled_counts(None, img) is None
+        assert chaotic_maps._compiled_glcm(None, img) is None
         assert chaotic_maps._compiled_moments(None, img[:-1], img[1:, :]) is None
-        assert chaotic_maps._compiled_counts(compiled_library, img[:, ::2], True) is None
+        assert chaotic_maps._compiled_counts(compiled_library, img[:, ::2]) is None
+        assert chaotic_maps._compiled_glcm(compiled_library, img[:, ::2]) is None
+        assert chaotic_maps._compiled_glcm(compiled_library, img[:, :1]) is None
         assert chaotic_maps._compiled_moments(compiled_library, img[:, :-2:2], img[:, 1::2]) is None
         assert chaotic_maps._compiled_moments(compiled_library, img[:-1], img[1:, :]) is not None
 

@@ -472,6 +472,7 @@ class TestCompiledLoops:
         monkeypatch.setattr(ibt, "_gather_bits", numpy_in_use)
         monkeypatch.setattr(key_schedule, "_argsort_keys", numpy_in_use)
         monkeypatch.setattr(analysis, "_centred_sums", numpy_in_use)
+        monkeypatch.setattr(analysis, "_glcm_matrix", numpy_in_use)
         ctx = _build_context(reference_key(), 64, 64)
         plain = random_image(rng, (64, 64))
         cipher = pipeline.encrypt_with_context(plain, ctx)
@@ -535,9 +536,10 @@ class TestCompiledLoops:
                      id="sums_simd", marks=pytest.mark.skipif(
                          not cpu_reports_avx2(),
                          reason="only CPUs that report AVX2 run the AVX2 correlation leaf")),
-        # pair counts at right << 8 | left
-        pytest.param([("counts[img[c] << 8 | img[c + 1]]", "counts[img[c + 1] << 8 | img[c]]")],
-                     id="pair_counts"),
+        # leaves that combine accumulators 1 and 2 swapped: where the CPU
+        # reports AVX2, only the GLCM sums add through this scalar leaf
+        pytest.param([("((r[0] + r[1]) + (r[2] + r[3]))", "((r[0] + r[2]) + (r[1] + r[3]))")],
+                     id="glcm"),
     ])
     def test_statistics_mismatch_refuses_library(self, compiled_library, source_copy,
                                                  monkeypatch, edits):

@@ -163,6 +163,14 @@ class TestOrigSizeNote:
         assert original_size_note(("orig-size two three",)) is None
         assert original_size_note(("orig-size 0 5",)) is None
 
+    @pytest.mark.parametrize("field", ["+4", "0_4", "-4", "\u0664"])
+    def test_values_are_ascii_digits(self, field):
+        # int() reads each as a number; a note that is not plain ASCII
+        # digits is ignored, as such PGM header numbers are refused
+        assert original_size_note((f"orig-size {field} 4",)) is None
+        assert original_size_note((f"orig-size 4 {field}",)) is None
+        assert original_size_note((f"orig-size {field} 4", "orig-size 3 2")) == (3, 2)
+
     def test_first_valid_wins(self):
         assert original_size_note(("x", "orig-size 7 9", "orig-size 1 1")) == (7, 9)
 
