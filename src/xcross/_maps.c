@@ -24,7 +24,11 @@
  *
  * The statistics repeat NumPy's float64 sums bit for bit: each term is the
  * product or quotient NumPy forms, and pairwise_leaf and pairwise_tree add
- * the terms in the order of NumPy's pairwise summation.  xcross_glcm takes
+ * the terms in the order of NumPy's pairwise summation.  np.add.reduce
+ * adds that sum to its identity +0.0, which changes only the sign of a
+ * zero, so each sum that has terms of both signs is written 0.0 + s (a
+ * form the compiler keeps without -fno-signed-zeros; it may fold s - 0.0
+ * to s).  The other sums have no negative term.  xcross_glcm takes
  * the GLCM features from the pair counts in one scalar pass over the 65536
  * cells and a second for the correlation, with no 256 x 256 float64 array
  * beyond the counts it turns into probabilities in place.
@@ -290,15 +294,25 @@ static void pairwise_moments(const struct pairs *p, long lo, long n, double *sum
         sums[k] = pairwise_leaf(t[k], n);
 }
 
-/* The centred second moments of the h x w pairs (a, b) described above,
- * h * w >= 1: the means are exact integer sums over the count, as
- * x.mean() of the float64 pixels gives them, and the three sums are those
- * np.add.reduce adds over the flattened centred products. */
-void xcross_moments(const uint8_t *a, long h, long w, long stride, long off, double *sums)
+/* The centred second moments of the pairs (a, b) of the rows x cols image
+ * at img, rows `stride` bytes apart, that lie dr >= 0 rows and dc >= 0
+ * columns apart: a = img[:rows-dr, :cols-dc] and b = img[dr:, dc:], each
+ * h x w, and b starts off = dr * stride + dc bytes after a (a negative
+ * stride, a view taken bottom up, included).  The means are exact integer
+ * sums over the count, as x.mean() of the float64 pixels gives them, and
+ * the three sums are those np.add.reduce adds over the flattened centred
+ * products; with no pairs they are the empty sums, +0.0. */
+void xcross_moments(const uint8_t *img, long rows, long cols, long stride, long dr, long dc,
+                    double *sums)
 {
+    long h = rows - dr, w = cols - dc, off = dr * stride + dc;
+    if (h < 1 || w < 1) {
+        sums[0] = sums[1] = sums[2] = 0.0;
+        return;
+    }
     uint64_t sa = 0, sb = 0;
     for (long r = 0; r < h; r++) {
-        const uint8_t *ra = a + r * stride, *rb = ra + off;
+        const uint8_t *ra = img + r * stride, *rb = ra + off;
         long c = 0;
         /* 16 bytes at a time into 32-bit partial sums, a loop that -O2
          * vectorises; one byte at a time into 64 bits it does not */
@@ -317,11 +331,12 @@ void xcross_moments(const uint8_t *a, long h, long w, long stride, long off, dou
         }
     }
     double n = (double)(h * w);
-    struct pairs p = {a, w, stride, off, (double)sa / n, (double)sb / n, 0};
+    struct pairs p = {img, w, stride, off, (double)sa / n, (double)sb / n, 0};
 #ifdef XCROSS_AVX2
     p.avx2 = __builtin_cpu_supports("avx2");
 #endif
     pairwise_moments(&p, 0, h * w, sums);
+    sums[2] = 0.0 + sums[2];
 }
 
 /* np.bincount of the rows x cols pixels at img, rows `stride` bytes apart,
@@ -351,9 +366,8 @@ static double pairwise_tree(double *leaves, long n)
  * the variance, and the sum of ((i-mu)(j-mu)) p, each term formed as NumPy
  * forms it.  A sum over p's 65536 cells is NumPy's pairwise sum: 512 runs
  * of 128 cells, half a row each, paired up by pairwise_tree; a row of
- * p.sum(axis=1) is its two runs' sum.  NumPy adds each sum to +0.0, which
- * changes only the sign of a zero; only the last sum has negative terms.
- * Returns 1 when the counts cannot be allocated, else 0. */
+ * p.sum(axis=1) is its two runs' sum.  Only the last sum has negative
+ * terms, so only it is added to +0.0.  Returns 1 when the counts cannot be allocated, else 0. */
 int xcross_glcm(const uint8_t *img, long rows, long cols, long stride, double *out)
 {
     /* the counts, then in place p: (double)0 / total is +0.0, so no cell
@@ -417,6 +431,6 @@ int xcross_glcm(const uint8_t *img, long rows, long cols, long stride, double *o
     free(m);
     out[3] = mu;
     out[4] = var;
-    out[5] = pairwise_tree(leaves[0], 512);
+    out[5] = 0.0 + pairwise_tree(leaves[0], 512);
     return 0;
 }

@@ -12,9 +12,9 @@ The NumPy code below is the definition of every statistic.  Where the
 compiled library of :mod:`~xcross.chaotic_maps` runs, it takes the
 histogram, each direction's correlation sums and the GLCM's sums instead,
 without pixel-sized float64 arrays or 256x256 ones; it forms each term as
-NumPy does and adds the sums in NumPy's own pairwise order, so both paths
-give the same report bytes.  A zero covariance or GLCM correlation sum,
-whose sign NumPy's reduction decides, is taken by NumPy.
+NumPy does, adds the sums in NumPy's own pairwise order, and adds a sum
+with terms of both signs to +0.0, the identity NumPy's reduction starts
+from, so both paths give the same report bytes.
 """
 
 from __future__ import annotations
@@ -27,7 +27,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 from . import chaotic_maps
 from .errors import DimensionError, ParameterError, checked_image
 
-_DIRECTIONS = ("horizontal", "vertical", "diagonal")
+#: Direction -> the (rows, columns) from each pixel to its pair.
+_DIRECTIONS = {"horizontal": (0, 1), "vertical": (1, 0), "diagonal": (1, 1)}
 
 #: The 256 gray levels, read-only.
 _LEVELS = np.arange(256, dtype=np.float64)
@@ -98,13 +99,11 @@ def entropy(img: np.ndarray) -> float:
 
 
 def _direction_pairs(img: np.ndarray, direction: str) -> tuple[np.ndarray, np.ndarray]:
-    if direction == "horizontal":
-        return img[:, :-1], img[:, 1:]
-    if direction == "vertical":
-        return img[:-1, :], img[1:, :]
-    if direction == "diagonal":
-        return img[:-1, :-1], img[1:, 1:]
-    raise ParameterError(f"direction must be one of {_DIRECTIONS}, got {direction!r}")
+    if direction not in _DIRECTIONS:
+        raise ParameterError(f"direction must be one of {tuple(_DIRECTIONS)}, got {direction!r}")
+    dr, dc = _DIRECTIONS[direction]
+    rows, cols = img.shape
+    return img[:rows - dr, :cols - dc], img[dr:, dc:]
 
 
 def adjacent_correlation(img: np.ndarray, direction: str) -> float:
@@ -123,9 +122,8 @@ def _correlation(img: np.ndarray, direction: str) -> tuple[float, bool]:
         raise DimensionError(
             f"image {img.shape} has too few {direction} pairs for a correlation"
         )
-    sums = chaotic_maps._compiled_moments(chaotic_maps._kernel(), a, b)
-    # NumPy's reduction decides the sign of a zero sum: take it from NumPy
-    if sums is None or sums[2] == 0.0:
+    sums = chaotic_maps._compiled_moments(chaotic_maps._kernel(), img, *_DIRECTIONS[direction])
+    if sums is None:
         sums = _centred_sums(a, b)
     # as ndarray.mean divides np.add.reduce's sum by the count
     sxx, syy, sxy = sums
@@ -185,8 +183,7 @@ def glcm(img: np.ndarray) -> tuple[float, float, float, float | None]:
     if img.shape[1] < 2:
         raise DimensionError("GLCM needs at least two columns")
     sums = chaotic_maps._compiled_glcm(chaotic_maps._kernel(), img)
-    # NumPy's reduction decides the sign of a zero sum: take it from NumPy
-    if sums is None or sums[5] == 0.0:
+    if sums is None:
         sums = _glcm_sums(img)
     contrast, energy, homogeneity, _, var, corr_sum = (float(s) for s in sums)
     correlation = None if var == 0.0 else corr_sum / var

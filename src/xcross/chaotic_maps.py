@@ -240,7 +240,7 @@ _ROUTINES = {
     "xcross_clt": (None, [ctypes.c_void_p, ctypes.c_long] + [ctypes.c_double] * 3),
     "xcross_sort_keys": (None, [ctypes.c_void_p, ctypes.c_long] + [ctypes.c_void_p] * 2),
     "xcross_ibt": (ctypes.c_int, [ctypes.c_void_p] * 3 + [ctypes.c_long]),
-    "xcross_moments": (None, [ctypes.c_void_p] + [ctypes.c_long] * 4 + [ctypes.c_void_p]),
+    "xcross_moments": (None, [ctypes.c_void_p] + [ctypes.c_long] * 5 + [ctypes.c_void_p]),
     "xcross_counts": (None, [ctypes.c_void_p] + [ctypes.c_long] * 3 + [ctypes.c_void_p]),
     "xcross_glcm": (ctypes.c_int, [ctypes.c_void_p] + [ctypes.c_long] * 3 + [ctypes.c_void_p]),
 }
@@ -367,20 +367,16 @@ def _compiled_ibt(lib: ctypes.CDLL | None, blk: np.ndarray, key: np.ndarray) -> 
     return out
 
 
-def _compiled_moments(lib: ctypes.CDLL | None, a: np.ndarray,
-                      b: np.ndarray) -> tuple[float, float, float] | None:
-    """The sums of (a-mean(a))**2, (b-mean(b))**2 and their product over
-    the pixels of two equally shaped, non-empty uint8 views of one image,
-    added by the C loop in NumPy's pairwise order; or None unless ``lib``
-    is the compiled library, both views step one byte per column and their
-    rows lie equally far apart."""
-    if (lib is None or a.dtype != np.uint8 or b.dtype != np.uint8 or a.ndim != 2
-            or a.base is None or a.base is not b.base or a.shape != b.shape
-            or a.strides != b.strides or a.strides[1] != 1):
+def _compiled_moments(lib: ctypes.CDLL | None, img: np.ndarray, dr: int,
+                      dc: int) -> tuple[float, float, float] | None:
+    """The sums of (a-mean(a))**2, (b-mean(b))**2 and their product for the
+    pixels a of ``img[:rows-dr, :cols-dc]`` and b of ``img[dr:, dc:]``, added
+    by the C loop in NumPy's pairwise order; or None unless ``lib`` is the
+    compiled library and ``img`` is 2-D uint8 stepping one byte per column."""
+    if lib is None or img.dtype != np.uint8 or img.ndim != 2 or img.strides[1] != 1:
         return None
     sums = (ctypes.c_double * 3)()
-    lib.xcross_moments(a.ctypes.data, *a.shape, a.strides[0],
-                       b.ctypes.data - a.ctypes.data, sums)
+    lib.xcross_moments(img.ctypes.data, *img.shape, img.strides[0], dr, dc, sums)
     return sums[0], sums[1], sums[2]
 
 
@@ -472,10 +468,10 @@ def _kernel_matches_statistics(lib: ctypes.CDLL) -> bool:
     large = _hashed_pixels(91, 92)
     view = large[::-3]
     for img in (_hashed_pixels(3, 4), _hashed_pixels(12, 13), large, view):
-        for direction in _DIRECTIONS:
-            a, b = _direction_pairs(img, direction)
-            got = _compiled_moments(lib, a, b)
-            if got is None or np.array(got).tobytes() != np.array(_centred_sums(a, b)).tobytes():
+        for direction, steps in _DIRECTIONS.items():
+            got = _compiled_moments(lib, img, *steps)
+            want = _centred_sums(*_direction_pairs(img, direction))
+            if got is None or np.array(got).tobytes() != np.array(want).tobytes():
                 return False
     got, want = _compiled_counts(lib, view), _counts(None, view)
     if got is None or got.dtype != want.dtype or not np.array_equal(got, want):

@@ -9,6 +9,7 @@ permutations and the S-boxes bijections by construction.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -276,10 +277,12 @@ def parse_key(text: str) -> KeyMaterial:
         raise KeyFormatError(f"unsupported key version {seen['version']!r}")
 
     def num(name: str) -> float:
-        try:
-            return float(seen[name])
-        except ValueError:
-            raise KeyFormatError(f"field {name}: {seen[name]!r} is not a decimal literal") from None
+        value = seen[name]
+        # float() alone would also take underscores and other scripts' digits
+        if value.isascii() and "_" not in value:
+            with contextlib.suppress(ValueError):
+                return float(value)
+        raise KeyFormatError(f"field {name}: {value!r} is not a decimal literal")
 
     return key_from_values({name: num(name) for name in KEY_FIELDS[:-1]})
 

@@ -36,7 +36,8 @@ class SubstitutionSuite:
         for box in self.sboxes:
             if np.asarray(box).shape != (256,):
                 raise DimensionError("S-box tables must have 256 entries")
-            if not np.all(np.bincount(np.asarray(box, dtype=np.uint8), minlength=256) == 1):
+            # before the cast to uint8, which would read 256 as 0
+            if not np.array_equal(np.sort(box), np.arange(256)):
                 raise OpCodeError("S-box table is not a bijection on 0..255")
         s0, s1, s2 = (np.asarray(b, dtype=np.uint8) for b in self.sboxes)
         fwd = np.stack([s0, ~s1, (s2 << 1) | (s2 >> 7)])
@@ -51,6 +52,8 @@ def _lookup(table: np.ndarray, img: np.ndarray, ops: np.ndarray) -> np.ndarray:
     """``table[ops, img]`` for a (3, 256) table, as one flat gather."""
     img = checked_image(img)
     ops = np.asarray(ops)
+    if not np.issubdtype(ops.dtype, np.integer):
+        raise OpCodeError(f"operation codes must be integers, got dtype {ops.dtype}")
     if ops.shape != img.shape:
         raise DimensionError(
             f"operation matrix shape {ops.shape} does not match image shape {img.shape}"

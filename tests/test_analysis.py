@@ -353,32 +353,44 @@ class TestCompiledStatistics:
     @pytest.mark.parametrize("block", list(SUM_BLOCKS.values()), ids=list(SUM_BLOCKS))
     def test_sums_and_reports_match_numpy_across_block_sizes(self, compiled_library, block):
         img = sum_block(*block)
-        for direction in ("horizontal", "vertical", "diagonal"):
-            a, b = analysis._direction_pairs(img, direction)
-            got = chaotic_maps._compiled_moments(compiled_library, a, b)
-            want = analysis._centred_sums(a, b)
+        for direction, steps in analysis._DIRECTIONS.items():
+            got = chaotic_maps._compiled_moments(compiled_library, img, *steps)
+            want = analysis._centred_sums(*analysis._direction_pairs(img, direction))
             assert np.array(got).tobytes() == np.array(want).tobytes(), direction
         assert report_csv(analyze(img)) == numpy_report(img)
 
-    def test_zero_covariance_sum_is_taken_by_numpy(self, compiled_library, monkeypatch):
-        # its 8 diagonal pairs have nonzero variances and covariance
-        # exactly 0: NumPy's reduction, not the library, signs that zero
-        img = np.array([[2, 0, 1, 2, 1], [0, 1, 2, 2, 2], [0, 1, 1, 1, 2]], dtype=np.uint8)
-        sums = chaotic_maps._compiled_moments(compiled_library,
-                                              *analysis._direction_pairs(img, "diagonal"))
-        assert sums[0] > 0.0 and sums[1] > 0.0 and sums[2] == 0.0
-        calls = []
+    @pytest.mark.parametrize("img", [
+        # its 8 diagonal pairs have nonzero variances and covariance exactly 0
+        pytest.param(np.array([[2, 0, 1, 2, 1], [0, 1, 2, 2, 2], [0, 1, 1, 1, 2]],
+                              dtype=np.uint8), id="zero_covariance"),
+        pytest.param(np.full((8, 8), 9, dtype=np.uint8), id="constant"),
+        pytest.param(row_ramp(), id="row_ramp"),
+    ])
+    def test_zero_sums_stay_on_the_compiled_path(self, compiled_library, monkeypatch, img):
+        # signed sums are added to +0.0 as NumPy's reduction adds them, so a
+        # zero sum needs no NumPy re-run
+        want = numpy_report(img)
 
-        def centred_sums(a, b):
-            calls.append(a.shape)
-            return numpy_sums(a, b)
+        def numpy_in_use(*args):
+            raise AssertionError("a NumPy statistic ran where the library should")
 
-        numpy_sums = analysis._centred_sums
-        monkeypatch.setattr(analysis, "_centred_sums", centred_sums)
+        monkeypatch.setattr(analysis, "_centred_sums", numpy_in_use)
+        monkeypatch.setattr(analysis, "_glcm_matrix", numpy_in_use)
         report = analyze(img)
-        assert calls == [(2, 4)]
-        assert report.corr_d == 0.0 and report.flags == ()
-        assert report_csv(report) == numpy_report(img)
+        assert report_csv(report) == want
+        sums = [*chaotic_maps._compiled_glcm(compiled_library, img)]
+        for steps in analysis._DIRECTIONS.values():
+            sums += chaotic_maps._compiled_moments(compiled_library, img, *steps)
+        assert all(math.copysign(1.0, s) == 1.0 for s in sums if s == 0.0)
+        if img.shape == (3, 5):
+            assert report.corr_d == 0.0 and report.flags == ()
+
+    def test_no_pairs_give_the_empty_sums(self, compiled_library):
+        # +0.0 each, as NumPy sums no terms, and no byte outside the image read
+        img = hashed_pixels(1, 5)
+        for view, steps in ((img, (1, 0)), (img, (1, 1)), (img[:, :1], (0, 1))):
+            got = chaotic_maps._compiled_moments(compiled_library, view, *steps)
+            assert np.array(got).tobytes() == np.zeros(3).tobytes(), steps
 
     def test_counts_match_bincount(self, compiled_library):
         img = hashed_pixels(17, 23)
@@ -409,12 +421,12 @@ class TestCompiledStatistics:
         img = hashed_pixels(8, 10)
         assert chaotic_maps._compiled_counts(None, img) is None
         assert chaotic_maps._compiled_glcm(None, img) is None
-        assert chaotic_maps._compiled_moments(None, img[:-1], img[1:, :]) is None
+        assert chaotic_maps._compiled_moments(None, img, 1, 0) is None
         assert chaotic_maps._compiled_counts(compiled_library, img[:, ::2]) is None
         assert chaotic_maps._compiled_glcm(compiled_library, img[:, ::2]) is None
         assert chaotic_maps._compiled_glcm(compiled_library, img[:, :1]) is None
-        assert chaotic_maps._compiled_moments(compiled_library, img[:, :-2:2], img[:, 1::2]) is None
-        assert chaotic_maps._compiled_moments(compiled_library, img[:-1], img[1:, :]) is not None
+        assert chaotic_maps._compiled_moments(compiled_library, img[:, ::2], 0, 1) is None
+        assert chaotic_maps._compiled_moments(compiled_library, img, 1, 0) is not None
 
 
 @settings(max_examples=60, deadline=None)

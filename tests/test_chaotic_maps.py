@@ -516,10 +516,9 @@ class TestCompiledLoops:
         assert lib is not None, chaotic_maps._kernel_failure
         for name, block in SUM_BLOCKS.items():
             img = sum_block(*block)
-            for direction in analysis._DIRECTIONS:
-                a, b = analysis._direction_pairs(img, direction)
-                got = chaotic_maps._compiled_moments(lib, a, b)
-                want = analysis._centred_sums(a, b)
+            for direction, steps in analysis._DIRECTIONS.items():
+                got = chaotic_maps._compiled_moments(lib, img, *steps)
+                want = analysis._centred_sums(*analysis._direction_pairs(img, direction))
                 assert np.array(got).tobytes() == np.array(want).tobytes(), (name, direction)
         blk = hashed_pixels(8, 8)
         key = rng.permutation(8 * blk.size).astype(np.int32)

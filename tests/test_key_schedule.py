@@ -370,6 +370,20 @@ class TestKeyFile:
         with pytest.raises(KeyFormatError):
             parse_key(mutate(serialize_key(ref_key)))
 
+    @pytest.mark.parametrize("field, value", [
+        ("lshm.x0", "0.3_0"),             # float() reads 0.3
+        ("lshm.k1", "3_9"),               # float() reads 39.0, out of the domain
+        ("sbox.seed1", "1e-1_0"),         # float() reads 1e-10
+        ("lshm.x0", "\u0660.\u0663"),     # Arabic-Indic digits: float() reads 0.3
+        ("clt.z0", "0.\uff13\uff17"),     # fullwidth digits: float() reads 0.37
+    ])
+    def test_underscored_or_non_ascii_values_rejected(self, ref_key, field, value):
+        line = f"{field} = {key_values(ref_key)[field]!r}"
+        text = serialize_key(ref_key).replace(line, f"{field} = {value}")
+        assert f"{field} = {value}" in text
+        with pytest.raises(KeyFormatError, match="not a decimal literal"):
+            parse_key(text)
+
     def test_out_of_domain_value_is_parameter_error(self, ref_key):
         text = serialize_key(ref_key).replace("lshm.x0 = 0.3", "lshm.x0 = 1.5")
         with pytest.raises(ParameterError):

@@ -32,6 +32,18 @@ class TestSuite:
         with pytest.raises(OpCodeError):
             SubstitutionSuite(sboxes=(broken, IDENT.copy(), IDENT.copy()))
 
+    @pytest.mark.parametrize("wrapped", [256, -256, 0.5])
+    def test_rejects_values_that_wrap_to_a_bijection(self, wrapped):
+        # as uint8, 256 and -256 read 0 and 0.5 reads 0: still a bijection
+        box = IDENT.astype(np.float64 if isinstance(wrapped, float) else np.int64)
+        box[0] = wrapped
+        with pytest.raises(OpCodeError, match="bijection"):
+            SubstitutionSuite(sboxes=(box, IDENT.copy(), IDENT.copy()))
+
+    def test_accepts_a_wider_integer_bijection(self):
+        suite = SubstitutionSuite(sboxes=(IDENT.astype(np.int64), IDENT.copy(), IDENT.copy()))
+        assert np.array_equal(suite.forward[0], IDENT)
+
     def test_rejects_wrong_count(self):
         with pytest.raises(OpCodeError):
             SubstitutionSuite(sboxes=(IDENT.copy(), IDENT.copy()))
@@ -109,6 +121,15 @@ class TestStage:
             for stage in (substitution_stage, unsubstitute_stage):
                 with pytest.raises(OpCodeError):
                     stage(img, ops, ref_suite)
+
+    @pytest.mark.parametrize("ops", [np.full((4, 4), 1.7), np.full((4, 4), 1.0),
+                                     np.ones((4, 4), dtype=bool)], ids=["1.7", "1.0", "bool"])
+    def test_non_integer_codes_rejected(self, ref_suite, ops):
+        # a float 1.7 would act as code 1
+        img = np.zeros((4, 4), dtype=np.uint8)
+        for stage in (substitution_stage, unsubstitute_stage):
+            with pytest.raises(OpCodeError, match="integers"):
+                stage(img, ops, ref_suite)
 
 
 @settings(max_examples=50, deadline=None)
