@@ -28,10 +28,11 @@
  * adds that sum to its identity +0.0, which changes only the sign of a
  * zero, so each sum that has terms of both signs is written 0.0 + s (a
  * form the compiler keeps without -fno-signed-zeros; it may fold s - 0.0
- * to s).  The other sums have no negative term.  xcross_glcm takes
- * the GLCM features from the pair counts in one scalar pass over the 65536
- * cells and a second for the correlation, with no 256 x 256 float64 array
- * beyond the counts it turns into probabilities in place.
+ * to s).  The other sums have no negative term.  xcross_glcm counts the
+ * horizontal pairs and, in the same pass over the image, the histogram;
+ * it takes the GLCM features from the pair counts in one scalar pass over
+ * the 65536 cells and a second for the correlation, with no 256 x 256
+ * float64 array beyond the counts it turns into probabilities in place.
  */
 #include <math.h>
 #include <stdint.h>
@@ -339,15 +340,6 @@ void xcross_moments(const uint8_t *img, long rows, long cols, long stride, long 
     sums[2] = 0.0 + sums[2];
 }
 
-/* np.bincount of the rows x cols pixels at img, rows `stride` bytes apart,
- * added into the 256 counts. */
-void xcross_counts(const uint8_t *img, long rows, long cols, long stride, int64_t *counts)
-{
-    for (long r = 0; r < rows; r++, img += stride)
-        for (long c = 0; c < cols; c++)
-            counts[img[c]]++;
-}
-
 /* NumPy's pairwise sum of the n runs of 128 terms whose leaf sums are
  * leaves[0 .. n-1], n a power of two: each sum of more than 128 terms is
  * halved, so the runs pair up level by level.  Overwrites leaves. */
@@ -367,17 +359,25 @@ static double pairwise_tree(double *leaves, long n)
  * forms it.  A sum over p's 65536 cells is NumPy's pairwise sum: 512 runs
  * of 128 cells, half a row each, paired up by pairwise_tree; a row of
  * p.sum(axis=1) is its two runs' sum.  Only the last sum has negative
- * terms, so only it is added to +0.0.  Returns 1 when the counts cannot be allocated, else 0. */
-int xcross_glcm(const uint8_t *img, long rows, long cols, long stride, double *out)
+ * terms, so only it is added to +0.0.  The pair pass also adds np.bincount
+ * of the pixels into the 256 counts at hist.  Returns 1, with hist as it
+ * was, when the pair counts cannot be allocated, else 0. */
+int xcross_glcm(const uint8_t *img, long rows, long cols, long stride, double *out,
+                int64_t *hist)
 {
     /* the counts, then in place p: (double)0 / total is +0.0, so no cell
      * needs a branch */
     union cell { int64_t n; double p; } *m = calloc(65536, sizeof *m);
     if (m == NULL)
         return 1;
-    for (long r = 0; r < rows; r++, img += stride)
-        for (long x = 0; x + 1 < cols; x++)
+    /* each pixel but the last of a row is the left of one pair */
+    for (long r = 0; r < rows; r++, img += stride) {
+        for (long x = 0; x + 1 < cols; x++) {
+            hist[img[x]]++;
             m[img[x] << 8 | img[x + 1]].n++;
+        }
+        hist[img[cols - 1]]++;
+    }
     /* sym.sum() as NumPy divides by it.  Cells (i, j) and (j, i) are set
      * together, in 8 x 8 tiles, so that a column's strided reads stay in
      * cache */

@@ -9,9 +9,10 @@ and normalizes to probabilities; a pair is counted at the flat index
 ``left << 8 | right``.
 
 The NumPy code below is the definition of every statistic.  Where the
-compiled library of :mod:`~xcross.chaotic_maps` runs, it takes the
-histogram, each direction's correlation sums and the GLCM's sums instead,
-without pixel-sized float64 arrays or 256x256 ones; it forms each term as
+compiled library of :mod:`~xcross.chaotic_maps` runs, it takes each
+direction's correlation sums and the GLCM's sums instead, and counts
+`analyze`'s histogram in the GLCM's pass over the pairs, without
+pixel-sized float64 arrays or 256x256 ones; it forms each term as
 NumPy does, adds the sums in NumPy's own pairwise order, and adds a sum
 with terms of both signs to +0.0, the identity NumPy's reduction starts
 from, so both paths give the same report bytes.
@@ -69,17 +70,9 @@ def _nonempty(img: np.ndarray) -> np.ndarray:
     return img if img.strides[1] == 1 else np.ascontiguousarray(img)
 
 
-def _counts(lib, img: np.ndarray) -> np.ndarray:
-    """The 256-bin histogram of ``img``: by the C loop when ``lib`` is the
-    compiled library and it takes the image, else by np.bincount."""
-    counts = chaotic_maps._compiled_counts(lib, img)
-    if counts is not None:
-        return counts
-    return np.bincount(img.reshape(-1), minlength=256)
-
-
 def _histogram(img: np.ndarray) -> np.ndarray:
-    return _counts(chaotic_maps._kernel(), img)
+    """The 256-bin histogram of ``img``: by NumPy, the definition."""
+    return np.bincount(img.reshape(-1), minlength=256)
 
 
 def _entropy(counts: np.ndarray) -> float:
@@ -179,15 +172,20 @@ def _glcm_sums(img: np.ndarray) -> tuple[float, float, float, float, float, floa
 
 def glcm(img: np.ndarray) -> tuple[float, float, float, float | None]:
     """GLCM texture features: (contrast, energy, homogeneity, correlation)."""
-    img = _nonempty(img)
+    return _glcm(_nonempty(img))[0]
+
+
+def _glcm(img: np.ndarray) -> tuple[tuple[float, float, float, float | None], np.ndarray]:
+    """(the GLCM features of `glcm`, the 256-bin histogram): from the
+    compiled pass over the pairs where the library takes the image, else
+    from their NumPy definitions."""
     if img.shape[1] < 2:
         raise DimensionError("GLCM needs at least two columns")
-    sums = chaotic_maps._compiled_glcm(chaotic_maps._kernel(), img)
-    if sums is None:
-        sums = _glcm_sums(img)
+    compiled = chaotic_maps._compiled_glcm(chaotic_maps._kernel(), img)
+    sums, counts = compiled or (_glcm_sums(img), _histogram(img))
     contrast, energy, homogeneity, _, var, corr_sum = (float(s) for s in sums)
     correlation = None if var == 0.0 else corr_sum / var
-    return contrast, energy, homogeneity, correlation
+    return (contrast, energy, homogeneity, correlation), counts
 
 
 def histogram_chi_square(img: np.ndarray) -> float:
@@ -204,10 +202,9 @@ def analyze(img: np.ndarray) -> AnalysisReport:
         corrs[d], zero_variance = _correlation(img, d)
         if zero_variance:
             flags.append(f"corr_{d[0]}_zero_variance")
-    contrast, energy_, homogeneity, correlation = glcm(img)
+    (contrast, energy_, homogeneity, correlation), counts = _glcm(img)
     if correlation is None:
         flags.append("glcm_correlation_undefined")
-    counts = _histogram(img)
     return AnalysisReport(
         entropy=_entropy(counts),
         corr_h=corrs["horizontal"],

@@ -241,8 +241,7 @@ _ROUTINES = {
     "xcross_sort_keys": (None, [ctypes.c_void_p, ctypes.c_long] + [ctypes.c_void_p] * 2),
     "xcross_ibt": (ctypes.c_int, [ctypes.c_void_p] * 3 + [ctypes.c_long]),
     "xcross_moments": (None, [ctypes.c_void_p] + [ctypes.c_long] * 5 + [ctypes.c_void_p]),
-    "xcross_counts": (None, [ctypes.c_void_p] + [ctypes.c_long] * 3 + [ctypes.c_void_p]),
-    "xcross_glcm": (ctypes.c_int, [ctypes.c_void_p] + [ctypes.c_long] * 3 + [ctypes.c_void_p]),
+    "xcross_glcm": (ctypes.c_int, [ctypes.c_void_p] + [ctypes.c_long] * 3 + [ctypes.c_void_p] * 2),
 }
 
 
@@ -380,30 +379,21 @@ def _compiled_moments(lib: ctypes.CDLL | None, img: np.ndarray, dr: int,
     return sums[0], sums[1], sums[2]
 
 
-def _compiled_counts(lib: ctypes.CDLL | None, img: np.ndarray) -> np.ndarray | None:
-    """The histogram of a 2-D uint8 image by the C loop, as np.bincount
-    counts it; or None unless ``lib`` is the compiled library and the image
-    steps one byte per column."""
-    if lib is None or img.dtype != np.uint8 or img.ndim != 2 or img.strides[1] != 1:
-        return None
-    counts = np.zeros(256, np.int64)
-    lib.xcross_counts(img.ctypes.data, *img.shape, img.strides[0], counts.ctypes.data)
-    return counts
-
-
-def _compiled_glcm(lib: ctypes.CDLL | None, img: np.ndarray) -> tuple[float, ...] | None:
+def _compiled_glcm(lib: ctypes.CDLL | None,
+                   img: np.ndarray) -> tuple[tuple[float, ...], np.ndarray] | None:
     """The GLCM contrast, energy, homogeneity, mean, variance and correlation
     sum of a 2-D uint8 image by the C loop, each formed and added as NumPy
-    forms and adds it in :mod:`~xcross.analysis`; or None unless ``lib`` is
-    the compiled library, the image has a horizontal pair and steps one
-    byte per column, and the C loop could allocate its counts."""
+    forms and adds it in :mod:`~xcross.analysis`, and the image's int64
+    histogram counted in the same pass over the pairs; or None unless
+    ``lib`` is the compiled library, the image has a horizontal pair and
+    steps one byte per column, and the C loop could allocate its counts."""
     if (lib is None or img.dtype != np.uint8 or img.ndim != 2 or img.strides[1] != 1
             or img.shape[0] < 1 or img.shape[1] < 2):
         return None
-    sums = (ctypes.c_double * 6)()
-    if lib.xcross_glcm(img.ctypes.data, *img.shape, img.strides[0], sums):
+    sums, hist = (ctypes.c_double * 6)(), np.zeros(256, np.int64)
+    if lib.xcross_glcm(img.ctypes.data, *img.shape, img.strides[0], sums, hist.ctypes.data):
         return None
-    return tuple(sums)
+    return tuple(sums), hist
 
 
 def _kernel_matches_steps(lib: ctypes.CDLL) -> bool:
@@ -451,19 +441,19 @@ def _kernel_matches_numpy(lib: ctypes.CDLL) -> bool:
 
 
 def _kernel_matches_statistics(lib: ctypes.CDLL) -> bool:
-    """Whether the C moments, counts and GLCM reproduce their NumPy
-    definitions in :mod:`~xcross.analysis`, as bytes.
+    """Whether the C moments and GLCM reproduce their NumPy definitions in
+    :mod:`~xcross.analysis`, as bytes.
 
     The sums are checked on 3x4, 12x13 and 91x92 blocks of hashed bytes,
     whose pair counts in the three directions cross 8 and 128 (where
     NumPy's pairwise sum changes form) and 8192 (its buffer size), and on
     a view of the largest that takes every third row from the bottom up;
-    the counts on that view, and the GLCM on the largest and the view.
+    the GLCM's sums and histogram on the largest and the view.
     The hash is mixed as murmur3 finalises one, so that neighbouring
     products share no pattern: on the bytes of a bare multiplicative hash,
     a sum whose accumulators were combined in another order still matched.
     """
-    from .analysis import _DIRECTIONS, _centred_sums, _counts, _direction_pairs, _glcm_sums
+    from .analysis import _DIRECTIONS, _centred_sums, _direction_pairs, _glcm_sums, _histogram
 
     large = _hashed_pixels(91, 92)
     view = large[::-3]
@@ -473,12 +463,10 @@ def _kernel_matches_statistics(lib: ctypes.CDLL) -> bool:
             want = _centred_sums(*_direction_pairs(img, direction))
             if got is None or np.array(got).tobytes() != np.array(want).tobytes():
                 return False
-    got, want = _compiled_counts(lib, view), _counts(None, view)
-    if got is None or got.dtype != want.dtype or not np.array_equal(got, want):
-        return False
     for img in (large, view):
-        got = _compiled_glcm(lib, img)
-        if got is None or np.array(got).tobytes() != np.array(_glcm_sums(img)).tobytes():
+        got, want = _compiled_glcm(lib, img), _histogram(img)
+        if (got is None or np.array(got[0]).tobytes() != np.array(_glcm_sums(img)).tobytes()
+                or got[1].dtype != want.dtype or not np.array_equal(got[1], want)):
             return False
     return True
 

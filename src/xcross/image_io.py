@@ -66,15 +66,22 @@ def parse_pgm(raw: bytes) -> tuple[tuple[str, ...], np.ndarray]:
     # int() would also take signs and underscores
     if not all(t.isdigit() for t in tokens[1:]):
         raise PgmError(f"non-numeric header tokens {tokens[1:]!r}")
-    width, height, maxval = (int(t) for t in tokens[1:])
+    # int() refuses more than 4300 digits: leading zeros aside, a side
+    # longer than the pixel limit exceeds it whatever its value
+    width, height, maxval = (t.lstrip(b"0") or b"0" for t in tokens[1:])
+    if max(len(width), len(height)) > len(str(MAX_PIXELS)):
+        raise PgmOversizeError(f"a {max(len(width), len(height))}-digit side exceeds the "
+                               f"{MAX_PIXELS}-pixel limit")
+    width, height = int(width), int(height)
     if width < 1 or height < 1:
         raise PgmError(f"degenerate dimensions {width}x{height}")
     if width * height > MAX_PIXELS:
         raise PgmOversizeError(
             f"{width}x{height} exceeds the {MAX_PIXELS}-pixel limit"
         )
-    if maxval != 255:
-        raise PgmDepthError(f"only maxval 255 is supported, got {maxval}")
+    if maxval != b"255":
+        shown = maxval.decode() if len(maxval) < 10 else f"a {len(maxval)}-digit number"
+        raise PgmDepthError(f"only maxval 255 is supported, got {shown}")
     # exactly one whitespace byte separates the header from the payload;
     # anything else (including a comment here) would make payload bytes
     # that look like '#' ambiguous
@@ -124,7 +131,10 @@ def original_size_note(comments: tuple[str, ...]) -> tuple[int, int] | None:
         # underscores and other scripts' digits
         if (len(fields) == 3 and fields[0] == ORIG_SIZE_PREFIX
                 and all(f.isascii() and f.isdigit() for f in fields[1:])):
-            ow, oh = int(fields[1]), int(fields[2])
+            # int() refuses more than 4300 digits: a side longer than the
+            # pixel limit, leading zeros aside, reads as one past it
+            ow, oh = (int(d) if len(d) <= len(str(MAX_PIXELS)) else MAX_PIXELS + 1
+                      for d in (f.lstrip("0") or "0" for f in fields[1:]))
             if ow > 0 and oh > 0:
                 return ow, oh
     return None

@@ -9,7 +9,7 @@ permutations and the S-boxes bijections by construction.
 
 from __future__ import annotations
 
-import contextlib
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,6 +48,10 @@ PARAM_RANGES: dict[str, tuple[float, float]] = {
 KEY_FIELDS = (*PARAM_RANGES, "version")
 
 KEY_VERSION = "1"
+
+#: A key file's number: an ASCII decimal literal, as `serialize_key`'s repr
+#: writes one, with no underscores, nan or inf.
+_DECIMAL = re.compile(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?")
 
 
 @dataclass(frozen=True)
@@ -278,11 +282,11 @@ def parse_key(text: str) -> KeyMaterial:
 
     def num(name: str) -> float:
         value = seen[name]
-        # float() alone would also take underscores and other scripts' digits
-        if value.isascii() and "_" not in value:
-            with contextlib.suppress(ValueError):
-                return float(value)
-        raise KeyFormatError(f"field {name}: {value!r} is not a decimal literal")
+        # float() alone would also take underscores, other scripts' digits,
+        # nan and inf
+        if _DECIMAL.fullmatch(value) is None:
+            raise KeyFormatError(f"field {name}: {value!r} is not a decimal literal")
+        return float(value)
 
     return key_from_values({name: num(name) for name in KEY_FIELDS[:-1]})
 

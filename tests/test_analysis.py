@@ -376,9 +376,10 @@ class TestCompiledStatistics:
 
         monkeypatch.setattr(analysis, "_centred_sums", numpy_in_use)
         monkeypatch.setattr(analysis, "_glcm_matrix", numpy_in_use)
+        monkeypatch.setattr(analysis, "_histogram", numpy_in_use)
         report = analyze(img)
         assert report_csv(report) == want
-        sums = [*chaotic_maps._compiled_glcm(compiled_library, img)]
+        sums = [*chaotic_maps._compiled_glcm(compiled_library, img)[0]]
         for steps in analysis._DIRECTIONS.values():
             sums += chaotic_maps._compiled_moments(compiled_library, img, *steps)
         assert all(math.copysign(1.0, s) == 1.0 for s in sums if s == 0.0)
@@ -394,9 +395,24 @@ class TestCompiledStatistics:
 
     def test_counts_match_bincount(self, compiled_library):
         img = hashed_pixels(17, 23)
-        got = chaotic_maps._compiled_counts(compiled_library, img)
-        want = analysis._counts(None, img)
+        got = chaotic_maps._compiled_glcm(compiled_library, img)[1]
+        want = analysis._histogram(img)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("img", [
+        pytest.param(np.array([[1, 2]], dtype=np.uint8), id="1x2"),
+        pytest.param(np.array([[7, 7], [0, 255]], dtype=np.uint8), id="2x2"),
+        pytest.param(hashed_pixels(5, 2), id="5x2"),
+        pytest.param(hashed_pixels(91, 92)[::-3], id="row_view"),
+        pytest.param(np.full((1024, 1024), 200, dtype=np.uint8), id="constant_1024"),
+        pytest.param(hashed_pixels(1024, 1024), id="random_1024"),
+    ])
+    def test_histogram_comes_from_the_pair_pass(self, compiled_library, img):
+        # each row's last pixel is no pair's left pixel, and is counted apart
+        hist = chaotic_maps._compiled_glcm(compiled_library, img)[1]
+        want = np.bincount(img.reshape(-1), minlength=256)
+        assert hist.dtype == np.int64 == want.dtype
+        assert np.array_equal(hist, want)
 
     @pytest.mark.parametrize("img", [
         # variance 0: no correlation, on both paths
@@ -409,7 +425,7 @@ class TestCompiledStatistics:
         pytest.param(hashed_pixels(64, 64) % 4 + 100, id="narrow_range_64"),
     ])
     def test_glcm_matches_numpy(self, compiled_library, img):
-        got = chaotic_maps._compiled_glcm(compiled_library, img)
+        got = chaotic_maps._compiled_glcm(compiled_library, img)[0]
         want = analysis._glcm_sums(img)
         assert np.array(got).tobytes() == np.array(want).tobytes()
         assert report_or_error(img) == numpy_report(img)
@@ -419,10 +435,8 @@ class TestCompiledStatistics:
 
     def test_views_the_library_cannot_read_are_declined(self, compiled_library):
         img = hashed_pixels(8, 10)
-        assert chaotic_maps._compiled_counts(None, img) is None
         assert chaotic_maps._compiled_glcm(None, img) is None
         assert chaotic_maps._compiled_moments(None, img, 1, 0) is None
-        assert chaotic_maps._compiled_counts(compiled_library, img[:, ::2]) is None
         assert chaotic_maps._compiled_glcm(compiled_library, img[:, ::2]) is None
         assert chaotic_maps._compiled_glcm(compiled_library, img[:, :1]) is None
         assert chaotic_maps._compiled_moments(compiled_library, img[:, ::2], 0, 1) is None

@@ -459,8 +459,8 @@ class TestCompiledLoops:
     def test_missing_routine_keeps_python_loops(self, compiled_library, source_copy,
                                                 monkeypatch):
         text = source_copy.read_text()
-        assert text.count("xcross_counts(") == 1
-        source_copy.write_text(text.replace("xcross_counts(", "xcross_tallies("))
+        assert text.count("xcross_moments(") == 1
+        source_copy.write_text(text.replace("xcross_moments(", "xcross_sums("))
         self.assert_python_loops_in_use(monkeypatch, "AttributeError")
 
     def test_library_serves_every_layer(self, compiled_library, monkeypatch, rng):
@@ -473,6 +473,7 @@ class TestCompiledLoops:
         monkeypatch.setattr(key_schedule, "_argsort_keys", numpy_in_use)
         monkeypatch.setattr(analysis, "_centred_sums", numpy_in_use)
         monkeypatch.setattr(analysis, "_glcm_matrix", numpy_in_use)
+        monkeypatch.setattr(analysis, "_histogram", numpy_in_use)
         ctx = _build_context(reference_key(), 64, 64)
         plain = random_image(rng, (64, 64))
         cipher = pipeline.encrypt_with_context(plain, ctx)
@@ -539,6 +540,8 @@ class TestCompiledLoops:
         # reports AVX2, only the GLCM sums add through this scalar leaf
         pytest.param([("((r[0] + r[1]) + (r[2] + r[3]))", "((r[0] + r[2]) + (r[1] + r[3]))")],
                      id="glcm"),
+        # a histogram that misses each row's last pixel, no pair's left one
+        pytest.param([("hist[img[cols - 1]]++;", "")], id="histogram"),
     ])
     def test_statistics_mismatch_refuses_library(self, compiled_library, source_copy,
                                                  monkeypatch, edits):

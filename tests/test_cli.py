@@ -166,6 +166,30 @@ class TestEncryptDecrypt:
         assert "byte 13 is 0xff, not ASCII" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_huge_orig_size_note_is_a_dimension_error(self, tmp_path, key_file, image_file,
+                                                      capsys):
+        # int() refuses the note's 4400 digits; the side fits no image
+        plain_path, _ = image_file
+        cipher = tmp_path / "c.pgm"
+        assert main(["encrypt", "--in", plain_path, "--out", str(cipher), "--key", key_file]) == 0
+        raw = cipher.read_bytes()
+        cipher.write_bytes(raw[:3] + b"# orig-size %s 4\n" % (b"7" * 4400) + raw[3:])
+        out = tmp_path / "p.pgm"
+        code = main(["decrypt", "--in", str(cipher), "--out", str(out), "--key", key_file])
+        assert code == 4
+        assert "larger than the image itself" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity"])
+    def test_nan_or_inf_key_value_is_a_format_error(self, tmp_path, image_file, value):
+        plain_path, _ = image_file
+        bad = tmp_path / "bad.key"
+        bad.write_text(serialize_key(reference_key()).replace("lshm.y0 = 0.5", f"lshm.y0 = {value}"),
+                       encoding="ascii")
+        assert f"lshm.y0 = {value}" in bad.read_text()
+        assert main(["encrypt", "--in", plain_path, "--out", str(tmp_path / "c.pgm"),
+                     "--key", str(bad)]) == 3
+
     def test_corrupt_image(self, tmp_path, key_file):
         bad = tmp_path / "bad.pgm"
         bad.write_bytes(b"P6\n2 2\n255\n" + bytes(12))
@@ -231,6 +255,18 @@ class TestAnalyze:
             assert main(["analyze", "--in", plain_path, "--format", "csv",
                          "--out", str(target)]) == 0
         assert r1.read_bytes() == r2.read_bytes()
+
+    @pytest.mark.parametrize("header", [
+        pytest.param(b"P5\n%s 4\n255\n" % (b"9" * 5000), id="width"),
+        pytest.param(b"P5\n4 4\n%s\n" % (b"9" * 5000), id="maxval"),
+    ])
+    def test_huge_header_number_is_a_format_error(self, tmp_path, capsys, header):
+        # int() refuses more than 4300 digits: no traceback, exit 3
+        bad = tmp_path / "huge.pgm"
+        bad.write_bytes(header + bytes(16))
+        assert main(["analyze", "--in", str(bad)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("xcross: error:") and err.count("\n") == 1
 
     def test_bad_format_value(self, tmp_path, image_file):
         plain_path, _ = image_file

@@ -15,6 +15,7 @@ from xcross.errors import (
     PgmTruncatedError,
 )
 from xcross.image_io import original_size_note, parse_pgm, write_pgm
+from xcross.key_schedule import MAX_PIXELS
 
 TINY = np.array([[1, 2], [3, 4]], dtype=np.uint8)
 
@@ -101,6 +102,27 @@ class TestRejections:
         with pytest.raises(PgmError):
             parse_pgm(b"P5\n2 2\n255")
 
+    @pytest.mark.parametrize("header, error", [
+        # int() refuses more than 4300 digits
+        pytest.param(b"P5\n%s 2\n255\n" % (b"9" * 5000), PgmOversizeError, id="width"),
+        pytest.param(b"P5\n2 %s\n255\n" % (b"1" * 5000), PgmOversizeError, id="height"),
+        pytest.param(b"P5\n2 2\n%s\n" % (b"2" * 5000), PgmDepthError, id="maxval"),
+        # a side one digit longer than the pixel limit, and one digit within
+        pytest.param(b"P5\n%d 1\n255\n" % 10**8, PgmOversizeError, id="nine_digits"),
+        pytest.param(b"P5\n%d 2\n255\n" % (10**8 - 1), PgmOversizeError, id="eight_digits"),
+    ])
+    def test_huge_header_numbers_refused_by_class(self, header, error):
+        with pytest.raises(error) as exc:
+            parse_pgm(header + bytes(4))
+        assert len(str(exc.value)) < 80  # a long number is shown by its length
+
+    def test_zero_padded_header_numbers_keep_their_value(self):
+        pad = b"0" * 5000
+        comments, img = parse_pgm(b"P5\n%s3 %s2\n%s255\n" % (pad, pad, pad) + bytes(range(6)))
+        assert img.shape == (2, 3) and img.tobytes() == bytes(range(6))
+        with pytest.raises(PgmError, match="degenerate dimensions 0x2"):
+            parse_pgm(b"P5\n%s 2\n255\n" % pad)
+
 
 class TestWriting:
     def test_canonical_bytes(self):
@@ -173,6 +195,13 @@ class TestOrigSizeNote:
 
     def test_first_valid_wins(self):
         assert original_size_note(("x", "orig-size 7 9", "orig-size 1 1")) == (7, 9)
+
+    def test_huge_values_read_past_the_pixel_limit(self):
+        # int() refuses more than 4300 digits; such a side fits no image
+        huge = "7" * 4400
+        assert original_size_note((f"orig-size {huge} 4",)) == (MAX_PIXELS + 1, 4)
+        assert original_size_note((f"orig-size 4 {huge}",)) == (4, MAX_PIXELS + 1)
+        assert original_size_note((f"orig-size {'0' * 5000}8 3",)) == (8, 3)
 
 
 @settings(max_examples=40, deadline=None)

@@ -384,6 +384,30 @@ class TestKeyFile:
         with pytest.raises(KeyFormatError, match="not a decimal literal"):
             parse_key(text)
 
+    @pytest.mark.parametrize("value", ["nan", "NaN", "-nan", "inf", "+inf", "-Infinity",
+                                       "1e", ".", "1.2.3", "0x1p-2", "1e+-5"])
+    def test_non_decimal_values_rejected(self, ref_key, value):
+        # float() reads the first six: they are not numbers a key file writes
+        text = serialize_key(ref_key).replace("lshm.y0 = 0.5", f"lshm.y0 = {value}")
+        assert f"lshm.y0 = {value}" in text
+        with pytest.raises(KeyFormatError, match="not a decimal literal"):
+            parse_key(text)
+
+    @pytest.mark.parametrize("value, read", [
+        ("1e-05", 1e-05), ("1e+16", 1e16), ("3.9999999999999996", 3.9999999999999996),
+        (".5", 0.5), ("5.", 5.0), ("+0.5E0", 0.5), ("00.5", 0.5),
+    ])
+    def test_decimal_literals_read(self, ref_key, value, read):
+        # every repr serialize_key writes, and the other decimal forms
+        text = serialize_key(ref_key).replace("lshm.y0 = 0.5", f"lshm.y0 = {value}")
+        assert parse_key(text).lshm.y0 == read
+
+    def test_overflowing_literal_is_parameter_error(self, ref_key):
+        # a decimal literal that float() reads as inf is outside the domain
+        text = serialize_key(ref_key).replace("lshm.y0 = 0.5", "lshm.y0 = 1e400")
+        with pytest.raises(ParameterError, match="finite"):
+            parse_key(text)
+
     def test_out_of_domain_value_is_parameter_error(self, ref_key):
         text = serialize_key(ref_key).replace("lshm.x0 = 0.3", "lshm.x0 = 1.5")
         with pytest.raises(ParameterError):
