@@ -8,15 +8,18 @@ with it, and fails unless the round trip is exact and both budgets hold:
 
 * ``WALL_BUDGET_S`` = 30 s for derive + encrypt + decrypt.  Measured with
   the compiled library on a 2-core x86-64 host (Python 3.11, NumPy 2.4):
-  derive 5.2-5.5 s, encrypt 0.43-0.45 s, decrypt 0.32-0.33 s, 6.0-6.3 s
+  derive 4.5-5.0 s, encrypt 0.18-0.24 s, decrypt 0.20-0.24 s, 4.9-5.4 s
   in all.  The budget is about five times that, room for a slower CI
-  runner.  The Python loops with the NumPy sort and gather took 35 s on
-  that host.
-* ``RSS_BUDGET_MB`` = 960 MB of peak RSS (``ru_maxrss``).  Measured:
-  800 MB with the compiled library, 898 MB without.  The budget leaves
-  20% for allocator and NumPy-version differences; at this size one
-  int32 extraction key is 134 MB and one float64 LSHM stream 268 MB, so
-  keys widened to int64 or a stream kept alive too long break it.
+  runner.  The Python loops with the NumPy definitions took 23 s on that
+  host.
+* ``RSS_BUDGET_MB`` = 780 MB of peak RSS (``ru_maxrss``).  Measured:
+  646 MB with the compiled library and 898 MB with the Python loops and
+  NumPy definitions, both reached by the end of derivation (two
+  extraction arrays and four keys).  The budget leaves 20% for allocator
+  and NumPy-version differences; at this size one int32 extraction key
+  is 134 MB and one float64 LSHM stream 268 MB, so keys widened to int64,
+  a stream kept alive too long, or a pixel-sized intp index on the
+  compiled path break it.
 
 Both budgets are set from the compiled path, so the script exits with the
 cause when the compiled library did not load rather than time the Python
@@ -39,7 +42,7 @@ from xcross.key_schedule import MAX_PIXELS, reference_key
 from xcross.sample_images import random_image
 
 WALL_BUDGET_S = 30.0
-RSS_BUDGET_MB = 960.0
+RSS_BUDGET_MB = 780.0
 
 
 def main() -> int:

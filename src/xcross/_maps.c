@@ -33,6 +33,11 @@
  * it takes the GLCM features from the pair counts in one scalar pass over
  * the 65536 cells and a second for the correlation, with no 256 x 256
  * float64 array beyond the counts it turns into probabilities in place.
+ *
+ * The two pixel layers move bytes only: xcross_substitute is the flat
+ * table lookup of substitution.py and xcross_xcross the X-Cross schedule
+ * of permutation.py, each one pass over the pixels without NumPy's intp
+ * index.
  */
 #include <math.h>
 #include <stdint.h>
@@ -433,4 +438,75 @@ int xcross_glcm(const uint8_t *img, long rows, long cols, long stride, double *o
     out[4] = var;
     out[5] = 0.0 + pairwise_tree(leaves[0], 512);
     return 0;
+}
+
+/* out[i] = table[ops[i] << 8 | img[i]] for the n pixels at img and their
+ * operation codes at ops; table holds one 256-entry row per code.  Returns
+ * 1 at the first code above 2, leaving out partly written, else 0. */
+int xcross_substitute(const uint8_t *img, const uint8_t *ops, const uint8_t *table,
+                      uint8_t *out, long n)
+{
+    for (long i = 0; i < n; i++) {
+        if (ops[i] > 2)
+            return 1;
+        out[i] = table[ops[i] << 8 | img[i]];
+    }
+    return 0;
+}
+
+/* The X-Cross permutation of the rows x cols block at in, rows `stride`
+ * bytes apart (a negative stride included), both sides even, written
+ * row-major to out; its inverse when `inverse` is set.  Row pair t is rows
+ * t (top) and rows-1-t (bottom).  Its column pairs (l, r = cols-1-l) are
+ * visited outermost and innermost remaining in turn, l = 0, pairs-1, 1,
+ * pairs-2, ..., two per turn, and each emits (top,r), (bottom,l), (top,l),
+ * (bottom,r); the 2 * cols emissions of row pair t fill rows 2t and 2t+1
+ * of the permuted block. */
+void xcross_xcross(const uint8_t *in, long rows, long cols, long stride, uint8_t *out,
+                   int inverse)
+{
+    long last = cols / 2 - 1;
+    for (long t = 0; t < rows / 2; t++) {
+        if (!inverse) {
+            const uint8_t *top = in + t * stride, *bottom = in + (rows - 1 - t) * stride;
+            uint8_t *e = out + 2 * t * cols;
+            for (long l = 0, m = last; l <= m; l++, m--, e += 8) {
+                e[0] = top[cols - 1 - l];
+                e[1] = bottom[l];
+                e[2] = top[l];
+                e[3] = bottom[cols - 1 - l];
+                if (m == l)
+                    break;
+                e[4] = top[cols - 1 - m];
+                e[5] = bottom[m];
+                e[6] = top[m];
+                e[7] = bottom[cols - 1 - m];
+            }
+            continue;
+        }
+        /* the inverse reads what the forward loop writes; it is a loop of
+         * its own because the forward one, written row-major, needs no row
+         * test and runs about 1.6x faster without it.  Emission i lies at
+         * e[i] in row 2t and at e[jump + i] in row 2t+1, two by two: with an
+         * odd number of column pairs, one pair's four straddle the rows */
+        uint8_t *top = out + t * cols, *bottom = out + (rows - 1 - t) * cols;
+        const uint8_t *e = in + 2 * t * stride, *p, *q;
+        long jump = stride - cols;
+        for (long l = 0, m = last, i = 0; l <= m; l++, m--, i += 8) {
+            p = e + i + (i < cols ? 0 : jump);
+            q = e + i + 2 + (i + 2 < cols ? 0 : jump);
+            top[cols - 1 - l] = p[0];
+            bottom[l] = p[1];
+            top[l] = q[0];
+            bottom[cols - 1 - l] = q[1];
+            if (m == l)
+                break;
+            p = e + i + 4 + (i + 4 < cols ? 0 : jump);
+            q = e + i + 6 + (i + 6 < cols ? 0 : jump);
+            top[cols - 1 - m] = p[0];
+            bottom[m] = p[1];
+            top[m] = q[0];
+            bottom[cols - 1 - m] = q[1];
+        }
+    }
 }

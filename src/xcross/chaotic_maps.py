@@ -17,8 +17,9 @@ transcendentals, no re-association, no fused multiply-add.
 One Python loop per map, :func:`_lshm_loop` and :func:`_clt_loop`, is the
 definition of both streams; :func:`lshm_step` and :func:`clt_step` are one
 turn of that loop.  The compiled library of ``_maps.c`` holds the same two
-loops and C forms of the key sort, the bit gather and the image statistics
-(README, "Determinism and portability").  This module is its one seam:
+loops and C forms of the key sort, the bit gather, the X-Cross permutation,
+the substitution lookup and the image statistics (README, "Determinism and
+portability").  This module is its one seam:
 :func:`_kernel` gives the library, or None when it cannot be built, loaded
 or trusted, and only the functions here that take that result call it.
 Given None, the two loops run in Python; each ``_compiled_*`` function
@@ -57,7 +58,7 @@ from .errors import EmptyRequestError, ParameterError
 #: Iterations discarded before any value is emitted.
 TRANSIENT = 1000
 
-#: C source of the compiled loops, key sort, bit gather and image statistics.
+#: C source of the compiled loops, key sort, bit gather, pixel layers and statistics.
 _KERNEL_SOURCE = Path(__file__).with_name("_maps.c")
 
 #: Steps of the reference key the compiled loops must reproduce at load.
@@ -182,7 +183,7 @@ def _lshm_loop(lib: ctypes.CDLL | None, xs, ys, x: float, y: float, p: LshmParam
     buffers are then C-contiguous float64 arrays of one length), else by
     the Python loop."""
     if lib is not None:
-        lib.xcross_lshm(xs.ctypes.data, ys.ctypes.data, len(xs),
+        lib.xcross_lshm(_address(xs), _address(ys), len(xs),
                         x, y, p.k1, p.k2, p.alpha, p.beta, math.pi)
         return
     cos, pow_, abs_, pi = math.cos, math.pow, abs, math.pi
@@ -208,7 +209,7 @@ def _clt_loop(lib: ctypes.CDLL | None, zs, z: float, p: CltParams) -> None:
     the C loop when ``lib`` is the compiled library (``zs`` is then a
     C-contiguous float64 array), else by the Python loop."""
     if lib is not None:
-        lib.xcross_clt(zs.ctypes.data, len(zs), z, p.lam, p.alpha_c)
+        lib.xcross_clt(_address(zs), len(zs), z, p.lam, p.alpha_c)
         return
     lam, alpha_c = p.lam, p.alpha_c
     for i in range(len(zs)):
@@ -242,6 +243,8 @@ _ROUTINES = {
     "xcross_ibt": (ctypes.c_int, [ctypes.c_void_p] * 3 + [ctypes.c_long]),
     "xcross_moments": (None, [ctypes.c_void_p] + [ctypes.c_long] * 5 + [ctypes.c_void_p]),
     "xcross_glcm": (ctypes.c_int, [ctypes.c_void_p] + [ctypes.c_long] * 3 + [ctypes.c_void_p] * 2),
+    "xcross_substitute": (ctypes.c_int, [ctypes.c_void_p] * 4 + [ctypes.c_long]),
+    "xcross_xcross": (None, [ctypes.c_void_p] + [ctypes.c_long] * 3 + [ctypes.c_void_p, ctypes.c_int]),
 }
 
 
@@ -250,13 +253,14 @@ def _kernel() -> ctypes.CDLL | None:
     """The compiled library of ``_maps.c``, or None when the Python loops
     and the NumPy definitions must run.
 
-    Called on the first iteration, key sort, bit gather or image statistic
-    in a process, never at import.  Before the library is used its loops
-    must reproduce the Python loops bit for bit on the reference key, its
-    sort and gather their NumPy definitions on that key's extraction
-    arrays, and its statistics theirs on fixed images.  No compiler, an
-    unwritable cache, a failed compile or load, a missing routine, or a
-    mismatch all give None, and the cause is kept in ``_kernel_failure``.
+    Called on the first iteration, key sort, bit gather, X-Cross,
+    substitution or image statistic in a process, never at import.  Before
+    the library is used its loops must reproduce the Python loops bit for
+    bit on the reference key, its sort, gather, X-Cross and substitution
+    their NumPy definitions on that key's extraction arrays, and its
+    statistics theirs on fixed images.  No compiler, an unwritable cache, a
+    failed compile or load, a missing routine, or a mismatch all give None,
+    and the cause is kept in ``_kernel_failure``.
     """
     global _kernel_failure
     try:
@@ -270,8 +274,8 @@ def _kernel() -> ctypes.CDLL | None:
     for matches, cause in (
         (_kernel_matches_steps, "differs from lshm_step/clt_step on the reference key "
                                 f"within {_SELF_CHECK_STEPS} steps"),
-        (_kernel_matches_numpy, "differs from the NumPy key sort or bit gather "
-                                "on the reference key's extraction arrays"),
+        (_kernel_matches_numpy, "differs from the NumPy key sort, bit gather, X-Cross "
+                                "or substitution on the reference key's extraction arrays"),
         (_kernel_matches_statistics, "differs from the NumPy image statistics "
                                      "on the self-check images"),
     ):
@@ -339,6 +343,17 @@ def _compile_command(cc: str, out: str) -> list[str]:
             _KERNEL_SOURCE.name, "-lm"]
 
 
+def _address(a: np.ndarray) -> int:
+    """The address of an array's first element, for the C routines.  Taken
+    through the buffer of a writable, C-contiguous, nonempty array, where
+    ``a.ctypes.data`` costs about three times as much (1.2 µs, as long as
+    the C loop of a 32x32 block takes); other arrays go through ``a.ctypes``."""
+    flags = a.flags
+    if flags.writeable and flags.c_contiguous and a.size:
+        return ctypes.addressof(ctypes.c_char.from_buffer(a))
+    return a.ctypes.data
+
+
 def _compiled_sort_keys(lib: ctypes.CDLL | None,
                         rea: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     """The stable argsort of a uint8 vector and its inverse, as int32, from
@@ -348,7 +363,7 @@ def _compiled_sort_keys(lib: ctypes.CDLL | None,
         return None
     rea = np.ascontiguousarray(rea)
     key, inv = np.empty(rea.size, np.int32), np.empty(rea.size, np.int32)
-    lib.xcross_sort_keys(rea.ctypes.data, rea.size, key.ctypes.data, inv.ctypes.data)
+    lib.xcross_sort_keys(_address(rea), rea.size, _address(key), _address(inv))
     return key, inv
 
 
@@ -361,7 +376,7 @@ def _compiled_ibt(lib: ctypes.CDLL | None, blk: np.ndarray, key: np.ndarray) -> 
         return None
     blk = np.ascontiguousarray(blk)
     out = np.empty(blk.shape, np.uint8)
-    if lib.xcross_ibt(blk.ctypes.data, out.ctypes.data, key.ctypes.data, blk.size):
+    if lib.xcross_ibt(_address(blk), _address(out), _address(key), blk.size):
         return None
     return out
 
@@ -375,7 +390,7 @@ def _compiled_moments(lib: ctypes.CDLL | None, img: np.ndarray, dr: int,
     if lib is None or img.dtype != np.uint8 or img.ndim != 2 or img.strides[1] != 1:
         return None
     sums = (ctypes.c_double * 3)()
-    lib.xcross_moments(img.ctypes.data, *img.shape, img.strides[0], dr, dc, sums)
+    lib.xcross_moments(_address(img), *img.shape, img.strides[0], dr, dc, sums)
     return sums[0], sums[1], sums[2]
 
 
@@ -391,9 +406,37 @@ def _compiled_glcm(lib: ctypes.CDLL | None,
             or img.shape[0] < 1 or img.shape[1] < 2):
         return None
     sums, hist = (ctypes.c_double * 6)(), np.zeros(256, np.int64)
-    if lib.xcross_glcm(img.ctypes.data, *img.shape, img.strides[0], sums, hist.ctypes.data):
+    if lib.xcross_glcm(_address(img), *img.shape, img.strides[0], sums, _address(hist)):
         return None
     return tuple(sums), hist
+
+
+def _compiled_substitute(lib: ctypes.CDLL | None, table: np.ndarray, img: np.ndarray,
+                         ops: np.ndarray) -> np.ndarray | None:
+    """``table[ops, img]`` by the C loop; or None unless ``lib`` is the
+    compiled library, ``table`` a C-contiguous (3, 256) uint8 array, and
+    ``ops`` uint8 with every code at most 2.  The caller gives ``img`` and
+    ``ops`` one shape."""
+    if (lib is None or ops.dtype != np.uint8 or table.dtype != np.uint8
+            or table.shape != (3, 256) or not table.flags.c_contiguous):
+        return None
+    img, ops = np.ascontiguousarray(img), np.ascontiguousarray(ops)
+    out = np.empty(img.shape, np.uint8)
+    if lib.xcross_substitute(_address(img), _address(ops), _address(table),
+                             _address(out), img.size):
+        return None
+    return out
+
+
+def _compiled_xcross(lib: ctypes.CDLL | None, blk: np.ndarray, inverse: bool) -> np.ndarray | None:
+    """The X-Cross permutation of a 2-D uint8 block, or its inverse, by the C
+    loop; or None unless ``lib`` is the compiled library and ``blk`` steps
+    one byte per column.  The caller keeps both sides even."""
+    if lib is None or blk.dtype != np.uint8 or blk.ndim != 2 or blk.strides[1] != 1:
+        return None
+    out = np.empty(blk.shape, np.uint8)
+    lib.xcross_xcross(_address(blk), *blk.shape, blk.strides[0], _address(out), inverse)
+    return out
 
 
 def _kernel_matches_steps(lib: ctypes.CDLL) -> bool:
@@ -413,15 +456,25 @@ def _kernel_matches_steps(lib: ctypes.CDLL) -> bool:
 
 
 def _kernel_matches_numpy(lib: ctypes.CDLL) -> bool:
-    """Whether the C sort and gather reproduce their NumPy definitions on the
-    extraction arrays of the reference key for 8x8 quadrants, as bytes.
+    """Whether the C sort, gather, X-Cross and substitution reproduce their
+    NumPy definitions on the extraction arrays of the reference key, as
+    bytes.
 
-    The gather is also checked on a 7x9 block with keys sorted from the
-    arrays' first 504 bytes: 63 bytes, not a multiple of 4, take the scalar
-    loop where the 8x8 block may take the AVX2 one.
+    The sort and gather run for 8x8 quadrants, and the gather also on a 7x9
+    block with keys sorted from the arrays' first 504 bytes: 63 bytes, not
+    a multiple of 4, take the scalar loop where the 8x8 block may take the
+    AVX2 one.  X-Cross runs both ways on a 6x10 view that takes every
+    second row of 12 from the bottom up: a negative row stride, and 5
+    column pairs, so that one pair's four emissions straddle two rows.  The
+    substitution looks up all 768 (code, pixel) pairs, in a scrambled
+    order, in a table of the arrays' first 768 bytes; both directions run
+    the one routine, and the key's S-box tables would cost more to build
+    than the rest of this check.
     """
     from .ibt import _gather_bits
     from .key_schedule import _argsort_keys, _quantized, reference_key
+    from .permutation import _permute_by_schedule, _unpermute_by_schedule
+    from .substitution import _gather
 
     p = reference_key().lshm
     xs, ys = np.empty((2, TRANSIENT + 8 * 8 * 8))
@@ -437,7 +490,16 @@ def _kernel_matches_numpy(lib: ctypes.CDLL) -> bool:
                 out = _compiled_ibt(lib, blk, key)
                 if out is None or out.tobytes() != _gather_bits(blk, key).tobytes():
                     return False
-    return True
+    blk = reas[1][:120].reshape(12, 10)[::-2]
+    for inverse, numpy in ((False, _permute_by_schedule), (True, _unpermute_by_schedule)):
+        if _compiled_xcross(lib, blk, inverse).tobytes() != numpy(blk).tobytes():
+            return False
+    # 5 and 768 are coprime, so each code << 8 | pixel comes once
+    pairs = np.arange(0, 5 * 768, 5, dtype=np.uint16) % 768
+    ops, img = (pairs >> 8).astype(np.uint8), pairs.astype(np.uint8)
+    table = np.concatenate(reas)[:768].reshape(3, 256)
+    out = _compiled_substitute(lib, table, img, ops)
+    return out is not None and out.tobytes() == _gather(table, img, ops).tobytes()
 
 
 def _kernel_matches_statistics(lib: ctypes.CDLL) -> bool:

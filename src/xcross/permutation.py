@@ -9,6 +9,11 @@ emitted pixel sequence refills the block row-major.  Every row pair emits
 in the same column order, so one schedule of 2·cols read positions over
 the pair's two rows serves the whole block.
 
+The NumPy take through that schedule is the definition.  Where the
+compiled library of :mod:`~xcross.chaotic_maps` takes the block (one byte
+per column, any row stride), one C pass moves the same bytes without the
+schedule's intp index or a copy of the block.
+
 At image level the four quadrants are chained: each quadrant is XORed with
 the previous quadrant's *output* before being X-Cross permuted, so a
 change anywhere propagates into every later quadrant while the whole
@@ -22,6 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import chaotic_maps
 from .errors import DimensionError, checked_image
 
 
@@ -71,6 +77,19 @@ def _pair_schedule(cols: int) -> tuple[np.ndarray, np.ndarray]:
 def xcross_permute(blk: np.ndarray) -> np.ndarray:
     """Apply the X-Cross position permutation to one block."""
     blk = _check_block(blk)
+    out = chaotic_maps._compiled_xcross(chaotic_maps._kernel(), blk, False)
+    return _permute_by_schedule(blk) if out is None else out
+
+
+def xcross_unpermute(blk: np.ndarray) -> np.ndarray:
+    """Exact inverse of :func:`xcross_permute`."""
+    blk = _check_block(blk)
+    out = chaotic_maps._compiled_xcross(chaotic_maps._kernel(), blk, True)
+    return _unpermute_by_schedule(blk) if out is None else out
+
+
+def _permute_by_schedule(blk: np.ndarray) -> np.ndarray:
+    """X-Cross by NumPy through the pair schedule: the definition."""
     rows, cols = blk.shape
     read, _ = _pair_schedule(cols)
     # row t beside row rows-1-t, outermost pair first
@@ -78,9 +97,8 @@ def xcross_permute(blk: np.ndarray) -> np.ndarray:
     return pairs.take(read, axis=1).reshape(rows, cols)
 
 
-def xcross_unpermute(blk: np.ndarray) -> np.ndarray:
-    """Exact inverse of :func:`xcross_permute`."""
-    blk = _check_block(blk)
+def _unpermute_by_schedule(blk: np.ndarray) -> np.ndarray:
+    """Inverse X-Cross by NumPy through the pair schedule: the definition."""
     rows, cols = blk.shape
     _, back = _pair_schedule(cols)
     pairs = blk.reshape(rows // 2, 2 * cols).take(back, axis=1)

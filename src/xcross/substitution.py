@@ -7,6 +7,12 @@ bijection, so the stage inverts exactly.  The three fused forward maps
 are plain uint8 operations on the boxes, each inverse map is the argsort
 of its forward row, and both directions are one gather from a flat
 (3 * 256)-entry table at index ``code << 8 | pixel``.
+
+NumPy's checked ``np.take`` is the definition.  Where the compiled library
+of :mod:`~xcross.chaotic_maps` takes the codes (uint8, as the key schedule
+derives them), one C pass looks the same bytes up and checks the codes as
+it goes, without the uint16 and intp index arrays.  It hands codes above 2
+back to the NumPy gather, which raises exactly as there.
 """
 
 from __future__ import annotations
@@ -15,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import chaotic_maps
 from .errors import DimensionError, OpCodeError, checked_image
 
 
@@ -58,6 +65,12 @@ def _lookup(table: np.ndarray, img: np.ndarray, ops: np.ndarray) -> np.ndarray:
         raise DimensionError(
             f"operation matrix shape {ops.shape} does not match image shape {img.shape}"
         )
+    out = chaotic_maps._compiled_substitute(chaotic_maps._kernel(), table, img, ops)
+    return _gather(table, img, ops) if out is None else out
+
+
+def _gather(table: np.ndarray, img: np.ndarray, ops: np.ndarray) -> np.ndarray:
+    """The checked flat gather by NumPy: the definition of the lookup."""
     if ops.size and (ops.min() < 0 or ops.max() > 2):
         raise OpCodeError("operation matrix contains codes outside {0, 1, 2}")
     return np.take(table.reshape(-1), (ops.astype(np.uint16) << 8) | img)

@@ -16,7 +16,15 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import SUM_BLOCKS, hashed_pixels, python_loops, sum_block
-from xcross import analysis, chaotic_maps, ibt, key_schedule, pipeline
+from xcross import (
+    analysis,
+    chaotic_maps,
+    ibt,
+    key_schedule,
+    permutation,
+    pipeline,
+    substitution,
+)
 from xcross.chaotic_maps import (
     TRANSIENT,
     CltParams,
@@ -45,6 +53,10 @@ def cpu_reports_avx2() -> bool:
 
 #: The line of _maps.c that compiles the AVX2 bodies on x86-64.
 AVX2_DEFINE = "#define XCROSS_AVX2 1\n"
+
+#: Why the library is refused when its sort, gather, X-Cross or substitution
+#: differs from NumPy.
+NUMPY_CHECK_CAUSE = "differs from the NumPy key sort, bit gather, X-Cross or substitution"
 
 REF_LSHM = LshmParams(k1=3.9, k2=3.6, alpha=2.1, beta=2.0, x0=0.3, y0=0.5)
 REF_CLT = CltParams(lam=3.77, alpha_c=3.1, z0=0.37)
@@ -464,8 +476,8 @@ class TestCompiledLoops:
         self.assert_python_loops_in_use(monkeypatch, "AttributeError")
 
     def test_library_serves_every_layer(self, compiled_library, monkeypatch, rng):
-        # the NumPy gather, sort and sums are the silent fallback, so a
-        # round trip alone would also hold with none of them compiled
+        # the NumPy gathers, sort, sums and X-Cross are the silent fallback,
+        # so a round trip alone would also hold with none of them compiled
         def numpy_in_use(*args):
             raise AssertionError("a NumPy definition ran where the library should")
 
@@ -474,6 +486,9 @@ class TestCompiledLoops:
         monkeypatch.setattr(analysis, "_centred_sums", numpy_in_use)
         monkeypatch.setattr(analysis, "_glcm_matrix", numpy_in_use)
         monkeypatch.setattr(analysis, "_histogram", numpy_in_use)
+        monkeypatch.setattr(permutation, "_permute_by_schedule", numpy_in_use)
+        monkeypatch.setattr(permutation, "_unpermute_by_schedule", numpy_in_use)
+        monkeypatch.setattr(substitution, "_gather", numpy_in_use)
         ctx = _build_context(reference_key(), 64, 64)
         plain = random_image(rng, (64, 64))
         cipher = pipeline.encrypt_with_context(plain, ctx)
@@ -502,7 +517,28 @@ class TestCompiledLoops:
         text = source_copy.read_text()
         assert old in text
         source_copy.write_text(text.replace(old, new))
-        self.assert_python_loops_in_use(monkeypatch, "differs from the NumPy key sort or bit gather")
+        self.assert_python_loops_in_use(monkeypatch, NUMPY_CHECK_CAUSE)
+
+    @pytest.mark.parametrize("old, new", [
+        # an X-Cross that emits a column pair's top corners swapped
+        pytest.param("e[0] = top[cols - 1 - l];\n                e[1] = bottom[l];\n"
+                     "                e[2] = top[l];",
+                     "e[0] = top[l];\n                e[1] = bottom[l];\n"
+                     "                e[2] = top[cols - 1 - l];", id="xcross"),
+        # an inverse X-Cross that reads the second of a pair's two emission
+        # halves from the first row where the pair straddles two rows
+        pytest.param("(i + 2 < cols ? 0 : jump)", "(i + 2 <= cols ? 0 : jump)",
+                     id="xcross_inverse"),
+        # a substitution whose table rows are one entry short
+        pytest.param("table[ops[i] << 8 | img[i]];", "table[ops[i] * 255 + img[i]];",
+                     id="substitute"),
+    ])
+    def test_pixel_layer_mismatch_refuses_library(self, compiled_library, source_copy,
+                                                  monkeypatch, old, new):
+        text = source_copy.read_text()
+        assert text.count(old) == 1
+        source_copy.write_text(text.replace(old, new))
+        self.assert_python_loops_in_use(monkeypatch, NUMPY_CHECK_CAUSE)
 
     def test_scalar_bodies_match_numpy_without_avx2(self, compiled_library, source_copy,
                                                      monkeypatch, rng):

@@ -4,9 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from conftest import hashed_pixels
+from xcross import chaotic_maps
 from xcross.errors import DimensionError, ParameterError
 from xcross.permutation import (
     QuadSplit,
+    _permute_by_schedule,
+    _unpermute_by_schedule,
     merge_quadrants,
     permute_image,
     split_quadrants,
@@ -106,6 +110,29 @@ class TestAgainstBruteForceTable:
         for dst, src in enumerate(table):
             want[src] = flat[dst]
         assert np.array_equal(xcross_unpermute(blk).reshape(-1), want)
+
+
+class TestCompiledXCross:
+    """The compiled X-Cross against the NumPy definition, as bytes, on the
+    block layouts the cipher hands it: whole blocks, quadrant views whose
+    rows lie apart, and views taken bottom up."""
+
+    # odd and even numbers of column pairs, single row and column pairs
+    @pytest.mark.parametrize("rows, cols", [(6, 10), (10, 6), (2, 2), (2, 12), (12, 2),
+                                            (8, 8), (14, 18), (64, 64)])
+    def test_matches_numpy(self, compiled_library, rows, cols):
+        blocks = [hashed_pixels(rows, cols), *split_quadrants(hashed_pixels(2 * rows, 2 * cols))]
+        for blk in [*blocks, *(b[::-1] for b in blocks)]:
+            for inverse, numpy in ((False, _permute_by_schedule), (True, _unpermute_by_schedule)):
+                got = chaotic_maps._compiled_xcross(compiled_library, blk, inverse)
+                assert got.flags.c_contiguous and got.tobytes() == numpy(blk).tobytes()
+            assert xcross_permute(blk).tobytes() == _permute_by_schedule(blk).tobytes()
+            assert xcross_unpermute(blk).tobytes() == _unpermute_by_schedule(blk).tobytes()
+
+    def test_columns_stepped_backwards_take_numpy(self, compiled_library):
+        blk = hashed_pixels(6, 10)[:, ::-1]
+        assert chaotic_maps._compiled_xcross(compiled_library, blk, False) is None
+        assert xcross_permute(blk).tobytes() == _permute_by_schedule(blk).tobytes()
 
 
 class TestQuadrants:

@@ -3,9 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from xcross import chaotic_maps
 from xcross.errors import DimensionError, OpCodeError
 from xcross.key_schedule import build_sboxes
-from xcross.substitution import SubstitutionSuite, substitution_stage, unsubstitute_stage
+from xcross.substitution import (
+    SubstitutionSuite,
+    _gather,
+    substitution_stage,
+    unsubstitute_stage,
+)
 
 IDENT = np.arange(256, dtype=np.uint8)
 
@@ -121,6 +127,33 @@ class TestStage:
             for stage in (substitution_stage, unsubstitute_stage):
                 with pytest.raises(OpCodeError):
                     stage(img, ops, ref_suite)
+
+    @pytest.mark.parametrize("bad", [3, 255])
+    def test_bad_uint8_codes_raise_on_the_compiled_path(self, compiled_library, ref_suite, bad):
+        # the C lookup hands the codes back to the NumPy gather, which raises
+        img = np.zeros((4, 4), dtype=np.uint8)
+        ops = np.zeros((4, 4), dtype=np.uint8)
+        ops[3, 2] = bad
+        for table in (ref_suite.forward, ref_suite.backward):
+            assert chaotic_maps._compiled_substitute(compiled_library, table, img, ops) is None
+        for stage in (substitution_stage, unsubstitute_stage):
+            with pytest.raises(OpCodeError, match="outside"):
+                stage(img, ops, ref_suite)
+
+    def test_compiled_lookup_matches_numpy(self, compiled_library, ref_suite, rng):
+        img = rng.integers(0, 256, size=(64, 48), dtype=np.uint8)
+        ops = rng.integers(0, 3, size=(64, 48), dtype=np.uint8)
+        for table in (ref_suite.forward, ref_suite.backward):
+            for pixels in (img, img[::-1]):
+                got = chaotic_maps._compiled_substitute(compiled_library, table, pixels, ops)
+                assert got.tobytes() == _gather(table, pixels, ops).tobytes()
+
+    def test_int64_codes_give_the_uint8_bytes(self, ref_suite, rng):
+        img = rng.integers(0, 256, size=(16, 12), dtype=np.uint8)
+        ops = rng.integers(0, 3, size=(16, 12), dtype=np.uint8)
+        for stage in (substitution_stage, unsubstitute_stage):
+            want = stage(img, ops, ref_suite)
+            assert stage(img, ops.astype(np.int64), ref_suite).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("ops", [np.full((4, 4), 1.7), np.full((4, 4), 1.0),
                                      np.ones((4, 4), dtype=bool)], ids=["1.7", "1.0", "bool"])
