@@ -26,10 +26,10 @@ Stages, in the order the library runs them for one context:
   ``decrypt_with_context`` and ``analyze`` on a seeded noise image.
 
 ``ru_maxrss_mb`` is the process's peak RSS after all repetitions.  The
-Python-loop runs switch the compiled loops off the way the tests do, by
-replacing ``chaotic_maps._kernel``; a compiled run that finds no compiled
-loops exits with the cause rather than report Python timings under their
-name.
+Python-loop runs switch the compiled library off the way the tests do, by
+replacing ``_native.trusted``; a compiled run in which a routine group
+runs its definitions exits with the cause rather than report those
+timings under the compiled name.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from pathlib import Path
 
 import numpy as np
 
-from xcross import chaotic_maps, key_schedule, pipeline
+from xcross import _native, chaotic_maps, key_schedule, pipeline
 from xcross.analysis import analyze
 from xcross.key_schedule import reference_key
 from xcross.sample_images import random_image
@@ -68,9 +68,9 @@ def _timed(fn, *args):
 def measure(side: int, loops: str) -> dict:
     """Median stage times at side x side and the peak RSS, in this process."""
     if loops == "python":
-        chaotic_maps._kernel = lambda: None
-    elif chaotic_maps._kernel() is None:
-        raise SystemExit(f"the compiled map loops did not load: {chaotic_maps._kernel_failure}")
+        _native.trusted = lambda group: None
+    elif not all(map(_native.trusted, _native._CHECKS)):
+        raise SystemExit(f"a routine group runs its definitions: {_native.failures}")
     key = reference_key()
     m = n = side
     plain = random_image(np.random.default_rng(0), (m, n))

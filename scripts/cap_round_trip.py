@@ -22,8 +22,8 @@ with it, and fails unless the round trip is exact and both budgets hold:
   compiled path break it.
 
 Both budgets are set from the compiled path, so the script exits with the
-cause when the compiled library did not load rather than time the Python
-loops against them.
+cause when the derivation or transform routines of the compiled library
+are not in use, rather than time the Python loops against them.
 
     PYTHONPATH=src python3 scripts/cap_round_trip.py
 """
@@ -37,7 +37,7 @@ import time
 
 import numpy as np
 
-from xcross import chaotic_maps, pipeline
+from xcross import _native, pipeline
 from xcross.key_schedule import MAX_PIXELS, reference_key
 from xcross.sample_images import random_image
 
@@ -47,8 +47,8 @@ RSS_BUDGET_MB = 780.0
 
 def main() -> int:
     side = math.isqrt(MAX_PIXELS)
-    if chaotic_maps._kernel() is None:
-        raise SystemExit(f"the compiled library did not load: {chaotic_maps._kernel_failure}")
+    if not (_native.trusted("derivation") and _native.trusted("transform")):
+        raise SystemExit(f"the compiled library is not in use: {_native.failures}")
     plain = random_image(np.random.default_rng(0), (side, side))
     start = time.perf_counter()
     ctx = pipeline.derive_context(reference_key(), side, side)

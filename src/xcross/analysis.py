@@ -9,7 +9,7 @@ and normalizes to probabilities; a pair is counted at the flat index
 ``left << 8 | right``.
 
 The NumPy code below is the definition of every statistic.  Where the
-compiled library of :mod:`~xcross.chaotic_maps` runs, it takes each
+compiled library of :mod:`~xcross._native` runs, it takes each
 direction's correlation sums and the GLCM's sums instead, and counts
 `analyze`'s histogram in the GLCM's pass over the pairs, without
 pixel-sized float64 arrays or 256x256 ones; it forms each term as
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from . import chaotic_maps
+from . import _native
 from .errors import DimensionError, ParameterError, checked_image
 
 #: Direction -> the (rows, columns) from each pixel to its pair.
@@ -115,7 +115,7 @@ def _correlation(img: np.ndarray, direction: str) -> tuple[float, bool]:
         raise DimensionError(
             f"image {img.shape} has too few {direction} pairs for a correlation"
         )
-    sums = chaotic_maps._compiled_moments(chaotic_maps._kernel(), img, *_DIRECTIONS[direction])
+    sums = _native._compiled_moments(_native.trusted("statistics"), img, *_DIRECTIONS[direction])
     if sums is None:
         sums = _centred_sums(a, b)
     # as ndarray.mean divides np.add.reduce's sum by the count
@@ -181,7 +181,7 @@ def _glcm(img: np.ndarray) -> tuple[tuple[float, float, float, float | None], np
     from their NumPy definitions."""
     if img.shape[1] < 2:
         raise DimensionError("GLCM needs at least two columns")
-    compiled = chaotic_maps._compiled_glcm(chaotic_maps._kernel(), img)
+    compiled = _native._compiled_glcm(_native.trusted("statistics"), img)
     sums, counts = compiled or (_glcm_sums(img), _histogram(img))
     contrast, energy, homogeneity, _, var, corr_sum = (float(s) for s in sums)
     correlation = None if var == 0.0 else corr_sum / var

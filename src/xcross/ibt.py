@@ -11,7 +11,7 @@ key schedule's inverse keys.  Only the key's length is checked: a full
 check would cost one more pass over the key per quadrant and call.
 
 The NumPy unpack/gather/pack is the definition.  Where the compiled
-library of :mod:`~xcross.chaotic_maps` takes the key (C-contiguous int32,
+library of :mod:`~xcross._native` takes the key (C-contiguous int32,
 as the key schedule derives it), it gathers the same bits without the
 unpacked copy.  It hands a key with an index outside
 ``range(8 * block.size)`` back to the NumPy gather, so such keys wrap or
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import chaotic_maps
+from . import _native
 from .errors import DimensionError, checked_image
 from .permutation import QuadSplit
 
@@ -41,7 +41,7 @@ def ibt_apply(blk: np.ndarray, key: np.ndarray) -> np.ndarray:
         raise DimensionError(
             f"extraction key of length {key.size} does not fit a block of {blk.size} pixels"
         )
-    out = chaotic_maps._compiled_ibt(chaotic_maps._kernel(), blk, key)
+    out = _native._compiled_ibt(_native.trusted("transform"), blk, key)
     return _gather_bits(blk, key) if out is None else out
 
 

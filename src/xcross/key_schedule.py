@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import chaotic_maps
+from . import _native
 from .chaotic_maps import CltParams, LshmParams, iterate_clt, iterate_lshm
 from .errors import DimensionError, KeyFormatError, ParameterError
 from .permutation import _check_quarterable
@@ -78,6 +78,8 @@ class KeyMaterial:
 
 
 def _check_dims(m: int, n: int) -> None:
+    if any(not isinstance(d, int) or isinstance(d, bool) for d in (m, n)):
+        raise ParameterError(f"image dimensions must be Python ints, got {m!r}x{n!r}")
     _check_quarterable(m, n)
     if m * n > MAX_PIXELS:
         raise DimensionError(f"image of {m}x{n} exceeds the {MAX_PIXELS}-pixel cap")
@@ -162,7 +164,7 @@ def build_extraction_keys(rea1: np.ndarray, rea2: np.ndarray) -> tuple[np.ndarra
 
 def _sorted_keys(rea: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """:func:`_argsort_keys` of ``rea``, by the compiled sort where it runs."""
-    keys = chaotic_maps._compiled_sort_keys(chaotic_maps._kernel(), rea)
+    keys = _native._compiled_sort_keys(_native.trusted("derivation"), rea)
     return _argsort_keys(rea) if keys is None else keys
 
 

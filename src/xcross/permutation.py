@@ -10,7 +10,7 @@ in the same column order, so one schedule of 2·cols read positions over
 the pair's two rows serves the whole block.
 
 The NumPy take through that schedule is the definition.  Where the
-compiled library of :mod:`~xcross.chaotic_maps` takes the block (one byte
+compiled library of :mod:`~xcross._native` takes the block (one byte
 per column, any row stride), one C pass moves the same bytes without the
 schedule's intp index or a copy of the block.
 
@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import chaotic_maps
+from . import _native
 from .errors import DimensionError, checked_image
 
 
@@ -77,14 +77,14 @@ def _pair_schedule(cols: int) -> tuple[np.ndarray, np.ndarray]:
 def xcross_permute(blk: np.ndarray) -> np.ndarray:
     """Apply the X-Cross position permutation to one block."""
     blk = _check_block(blk)
-    out = chaotic_maps._compiled_xcross(chaotic_maps._kernel(), blk, False)
+    out = _native._compiled_xcross(_native.trusted("transform"), blk, False)
     return _permute_by_schedule(blk) if out is None else out
 
 
 def xcross_unpermute(blk: np.ndarray) -> np.ndarray:
     """Exact inverse of :func:`xcross_permute`."""
     blk = _check_block(blk)
-    out = chaotic_maps._compiled_xcross(chaotic_maps._kernel(), blk, True)
+    out = _native._compiled_xcross(_native.trusted("transform"), blk, True)
     return _unpermute_by_schedule(blk) if out is None else out
 
 

@@ -19,6 +19,7 @@ from .errors import DimensionError, ParameterError, checked_image
 from .ibt import ibt_stage, ibt_unstage
 from .key_schedule import (
     KeyMaterial,
+    _check_dims,
     build_extraction_arrays,
     build_extraction_keys,
     build_operation_matrix,
@@ -61,6 +62,7 @@ def derive_context(key: KeyMaterial, m: int, n: int) -> CipherContext:
     """
     if not isinstance(key, KeyMaterial):
         raise ParameterError("key must be KeyMaterial")
+    _check_dims(m, n)
     if m * n <= _MEMO_MAX_PIXELS:
         return _recent_context(key, m, n)
     return _build_context(key, m, n)

@@ -9,7 +9,7 @@ of its forward row, and both directions are one gather from a flat
 (3 * 256)-entry table at index ``code << 8 | pixel``.
 
 NumPy's checked ``np.take`` is the definition.  Where the compiled library
-of :mod:`~xcross.chaotic_maps` takes the codes (uint8, as the key schedule
+of :mod:`~xcross._native` takes the codes (uint8, as the key schedule
 derives them), one C pass looks the same bytes up and checks the codes as
 it goes, without the uint16 and intp index arrays.  It hands codes above 2
 back to the NumPy gather, which raises exactly as there.
@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import chaotic_maps
+from . import _native
 from .errors import DimensionError, OpCodeError, checked_image
 
 
@@ -65,7 +65,7 @@ def _lookup(table: np.ndarray, img: np.ndarray, ops: np.ndarray) -> np.ndarray:
         raise DimensionError(
             f"operation matrix shape {ops.shape} does not match image shape {img.shape}"
         )
-    out = chaotic_maps._compiled_substitute(chaotic_maps._kernel(), table, img, ops)
+    out = _native._compiled_substitute(_native.trusted("transform"), table, img, ops)
     return _gather(table, img, ops) if out is None else out
 
 

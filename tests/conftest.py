@@ -3,8 +3,16 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from xcross import chaotic_maps
+from xcross import _native
 from xcross.key_schedule import reference_key
+
+
+def pytest_report_header(config):
+    """Each routine group's verdict, so that a run whose compiled tests skip
+    says which group runs its definitions and why."""
+    verdicts = ", ".join(f"{group} {'compiled' if _native.trusted(group) else 'definitions'}"
+                         for group in _native._CHECKS)
+    return f"xcross compiled library: {verdicts}; failures: {_native.failures}"
 
 
 @pytest.fixture(scope="session")
@@ -19,25 +27,25 @@ def rng():
 
 @pytest.fixture(scope="module")
 def compiled_library():
-    """The compiled library of ``_maps.c``; skips where it did not load."""
-    lib = chaotic_maps._kernel()
-    if lib is None:
-        pytest.skip(f"the compiled library did not load: {chaotic_maps._kernel_failure}")
-    return lib
+    """The compiled library of ``_maps.c``; skips unless every routine
+    group passed its check."""
+    if not all(map(_native.trusted, _native._CHECKS)):
+        pytest.skip(f"a routine group runs its definitions: {_native.failures}")
+    return _native.trusted("derivation")
 
 
 @contextmanager
 def python_loops():
-    """Derive with the Python loops and the NumPy sort and gather, and take
-    image statistics by NumPy, inside the ``with`` block."""
+    """Run every layer by its Python or NumPy definition inside the
+    ``with`` block."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(chaotic_maps, "_kernel", lambda: None)
+        mp.setattr(_native, "trusted", lambda group: None)
         yield
 
 
-#: The library self-check's hashed images: neighbouring pixels share no
+#: The routine-group checks' hashed images: neighbouring pixels share no
 #: pattern, so a sum added in another order shows in its last bits.
-hashed_pixels = chaotic_maps._hashed_pixels
+hashed_pixels = _native._hashed_pixels
 
 
 #: Hashed images for the correlation sums, as (rows, cols, row step) by id.

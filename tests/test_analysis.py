@@ -14,7 +14,7 @@ from conftest import SUM_BLOCKS, hashed_pixels, python_loops, sum_block
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xcross import analysis, chaotic_maps
+from xcross import _native, analysis
 from xcross.analysis import (
     AnalysisReport,
     adjacent_correlation,
@@ -354,7 +354,7 @@ class TestCompiledStatistics:
     def test_sums_and_reports_match_numpy_across_block_sizes(self, compiled_library, block):
         img = sum_block(*block)
         for direction, steps in analysis._DIRECTIONS.items():
-            got = chaotic_maps._compiled_moments(compiled_library, img, *steps)
+            got = _native._compiled_moments(compiled_library, img, *steps)
             want = analysis._centred_sums(*analysis._direction_pairs(img, direction))
             assert np.array(got).tobytes() == np.array(want).tobytes(), direction
         assert report_csv(analyze(img)) == numpy_report(img)
@@ -379,9 +379,9 @@ class TestCompiledStatistics:
         monkeypatch.setattr(analysis, "_histogram", numpy_in_use)
         report = analyze(img)
         assert report_csv(report) == want
-        sums = [*chaotic_maps._compiled_glcm(compiled_library, img)[0]]
+        sums = [*_native._compiled_glcm(compiled_library, img)[0]]
         for steps in analysis._DIRECTIONS.values():
-            sums += chaotic_maps._compiled_moments(compiled_library, img, *steps)
+            sums += _native._compiled_moments(compiled_library, img, *steps)
         assert all(math.copysign(1.0, s) == 1.0 for s in sums if s == 0.0)
         if img.shape == (3, 5):
             assert report.corr_d == 0.0 and report.flags == ()
@@ -390,12 +390,12 @@ class TestCompiledStatistics:
         # +0.0 each, as NumPy sums no terms, and no byte outside the image read
         img = hashed_pixels(1, 5)
         for view, steps in ((img, (1, 0)), (img, (1, 1)), (img[:, :1], (0, 1))):
-            got = chaotic_maps._compiled_moments(compiled_library, view, *steps)
+            got = _native._compiled_moments(compiled_library, view, *steps)
             assert np.array(got).tobytes() == np.zeros(3).tobytes(), steps
 
     def test_counts_match_bincount(self, compiled_library):
         img = hashed_pixels(17, 23)
-        got = chaotic_maps._compiled_glcm(compiled_library, img)[1]
+        got = _native._compiled_glcm(compiled_library, img)[1]
         want = analysis._histogram(img)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
@@ -409,7 +409,7 @@ class TestCompiledStatistics:
     ])
     def test_histogram_comes_from_the_pair_pass(self, compiled_library, img):
         # each row's last pixel is no pair's left pixel, and is counted apart
-        hist = chaotic_maps._compiled_glcm(compiled_library, img)[1]
+        hist = _native._compiled_glcm(compiled_library, img)[1]
         want = np.bincount(img.reshape(-1), minlength=256)
         assert hist.dtype == np.int64 == want.dtype
         assert np.array_equal(hist, want)
@@ -425,7 +425,7 @@ class TestCompiledStatistics:
         pytest.param(hashed_pixels(64, 64) % 4 + 100, id="narrow_range_64"),
     ])
     def test_glcm_matches_numpy(self, compiled_library, img):
-        got = chaotic_maps._compiled_glcm(compiled_library, img)[0]
+        got = _native._compiled_glcm(compiled_library, img)[0]
         want = analysis._glcm_sums(img)
         assert np.array(got).tobytes() == np.array(want).tobytes()
         assert report_or_error(img) == numpy_report(img)
@@ -435,12 +435,12 @@ class TestCompiledStatistics:
 
     def test_views_the_library_cannot_read_are_declined(self, compiled_library):
         img = hashed_pixels(8, 10)
-        assert chaotic_maps._compiled_glcm(None, img) is None
-        assert chaotic_maps._compiled_moments(None, img, 1, 0) is None
-        assert chaotic_maps._compiled_glcm(compiled_library, img[:, ::2]) is None
-        assert chaotic_maps._compiled_glcm(compiled_library, img[:, :1]) is None
-        assert chaotic_maps._compiled_moments(compiled_library, img[:, ::2], 0, 1) is None
-        assert chaotic_maps._compiled_moments(compiled_library, img, 1, 0) is not None
+        assert _native._compiled_glcm(None, img) is None
+        assert _native._compiled_moments(None, img, 1, 0) is None
+        assert _native._compiled_glcm(compiled_library, img[:, ::2]) is None
+        assert _native._compiled_glcm(compiled_library, img[:, :1]) is None
+        assert _native._compiled_moments(compiled_library, img[:, ::2], 0, 1) is None
+        assert _native._compiled_moments(compiled_library, img, 1, 0) is not None
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,4 +1,6 @@
+import ctypes
 import dataclasses
+import functools
 import math
 import os
 import platform
@@ -17,9 +19,10 @@ from hypothesis import strategies as st
 import oracles
 from conftest import SUM_BLOCKS, hashed_pixels, python_loops, sum_block
 from xcross import (
+    _native,
     analysis,
-    chaotic_maps,
     ibt,
+    image_io,
     key_schedule,
     permutation,
     pipeline,
@@ -54,9 +57,12 @@ def cpu_reports_avx2() -> bool:
 #: The line of _maps.c that compiles the AVX2 bodies on x86-64.
 AVX2_DEFINE = "#define XCROSS_AVX2 1\n"
 
-#: Why the library is refused when its sort, gather, X-Cross or substitution
-#: differs from NumPy.
-NUMPY_CHECK_CAUSE = "differs from the NumPy key sort, bit gather, X-Cross or substitution"
+#: Why each routine group is refused when its check finds a differing byte.
+MISMATCH_CAUSES = {
+    "derivation": "differs from lshm_step/clt_step on the reference key",
+    "transform": "differs from the NumPy bit gather, X-Cross or substitution",
+    "statistics": "differs from the NumPy image statistics",
+}
 
 REF_LSHM = LshmParams(k1=3.9, k2=3.6, alpha=2.1, beta=2.0, x0=0.3, y0=0.5)
 REF_CLT = CltParams(lam=3.77, alpha_c=3.1, z0=0.37)
@@ -114,6 +120,8 @@ class TestParamValidation:
     def test_negative_iterations(self):
         with pytest.raises(ParameterError):
             iterate_lshm(REF_LSHM, -3)
+        with pytest.raises(ParameterError):
+            iterate_clt(REF_CLT, True)
 
 
 class TestKnownValues:
@@ -371,28 +379,61 @@ def context_arrays(ctx):
     return [*ctx.keys, ctx.opmatrix, *ctx.suite.sboxes]
 
 
+def layer_bytes(group):
+    """What the callers of one routine group make of fixed inputs, as bytes:
+    the reference key's 20x20 context, a round trip of hashed pixels at that
+    size (its quadrants' 5 column pairs make X-Cross straddle rows), or a
+    report of hashed pixels."""
+    if group == "statistics":
+        return analysis.report_csv(analysis.analyze(hashed_pixels(91, 92)))
+    ctx = _build_context(reference_key(), 20, 20)
+    if group == "derivation":
+        return [a.tobytes() for a in context_arrays(ctx)]
+    cipher = pipeline.encrypt_with_context(hashed_pixels(20, 20), ctx)
+    return [cipher.tobytes(), pipeline.decrypt_with_context(cipher, ctx).tobytes()]
+
+
 class TestCompiledLoops:
-    """Loading the compiled loops, and falling back to the Python loops."""
+    """Loading the compiled library, checking each routine group, and
+    falling back to the definitions."""
 
     @pytest.fixture()
     def source_copy(self, tmp_path, monkeypatch):
         """Build from a copy of the C source, so the cache is under tmp_path."""
         copy = tmp_path / "_maps.c"
-        shutil.copyfile(chaotic_maps._KERNEL_SOURCE, copy)
-        monkeypatch.setattr(chaotic_maps, "_KERNEL_SOURCE", copy)
+        shutil.copyfile(_native._KERNEL_SOURCE, copy)
+        monkeypatch.setattr(_native, "_KERNEL_SOURCE", copy)
         return copy
 
     @staticmethod
-    def assert_python_loops_in_use(monkeypatch, cause):
-        # the uncached loader, so the patched conditions decide each call
-        monkeypatch.setattr(chaotic_maps, "_kernel", chaotic_maps._kernel.__wrapped__)
-        monkeypatch.setattr(chaotic_maps, "_kernel_failure", None)
-        assert chaotic_maps._kernel() is None
-        assert cause in chaotic_maps._kernel_failure
+    def fresh_checks(monkeypatch):
+        # an uncached loader and checks, so the patched conditions decide
+        monkeypatch.setattr(_native, "_library", functools.cache(_native._library.__wrapped__))
+        monkeypatch.setattr(_native, "trusted", functools.cache(_native.trusted.__wrapped__))
+        monkeypatch.setattr(_native, "failures", {})
+
+    def assert_python_loops_in_use(self, monkeypatch, cause):
+        """Every group is refused for ``cause``, and the loops run in Python."""
+        self.fresh_checks(monkeypatch)
+        for group in _native._CHECKS:
+            assert _native.trusted(group) is None
+            assert cause in _native.failures[group]
         states = lshm_states(REF_LSHM, 64)[TRANSIENT + 1:]
         xs, ys = iterate_lshm(REF_LSHM, 64)
         assert same_bits(xs, [x for x, _ in states]) and same_bits(ys, [y for _, y in states])
         assert same_bits(iterate_clt(REF_CLT, 64), clt_states(REF_CLT, 64)[TRANSIENT + 1:])
+
+    def assert_only_group_refused(self, monkeypatch, group):
+        """``group`` is refused for a mismatch, the other groups stay
+        compiled, and the callers of ``group`` give their definitions' bytes."""
+        with python_loops():
+            want = layer_bytes(group)
+        self.fresh_checks(monkeypatch)
+        assert _native.trusted(group) is None
+        assert MISMATCH_CAUSES[group] in _native.failures[group]
+        for other in _native._CHECKS.keys() - {group}:
+            assert _native.trusted(other) is not None, _native.failures
+        assert layer_bytes(group) == want
 
     @pytest.mark.parametrize("key, side", [
         pytest.param(reference_key(), 256, id="reference"),
@@ -429,20 +470,20 @@ class TestCompiledLoops:
         other = cache / "_maps.other-tag-00000000.so"
         for path in stale, killed, running, other:
             path.write_bytes(b"")
-        old = time.time() - 2 * chaotic_maps._COMPILE_TIMEOUT_S
+        old = time.time() - 2 * _native._COMPILE_TIMEOUT_S
         os.utime(killed, (old, old))
-        assert chaotic_maps._kernel.__wrapped__() is not None
+        assert isinstance(_native._library.__wrapped__(), ctypes.CDLL)
         (built,) = set(cache.iterdir()) - {running, other}
         assert built.name.startswith(prefix) and built.suffix == ".so"
         # a second load finds the cached library and needs no compiler
-        monkeypatch.setattr(chaotic_maps.shutil, "which", lambda name: None)
-        assert chaotic_maps._kernel.__wrapped__() is not None
+        monkeypatch.setattr(_native.shutil, "which", lambda name: None)
+        assert isinstance(_native._library.__wrapped__(), ctypes.CDLL)
 
     def test_concurrent_first_uses_share_one_library(self, compiled_library, source_copy):
         # processes race to compile the same library (four: more than a
         # small CI runner's cores, few enough for a large machine's memory)
-        code = ("import sys; from pathlib import Path; from xcross import chaotic_maps as c; "
-                "c._KERNEL_SOURCE = Path(sys.argv[1]); print(c._kernel() is not None)")
+        code = ("import sys; from pathlib import Path; from xcross import _native as c; "
+                "c._KERNEL_SOURCE = Path(sys.argv[1]); print(all(map(c.trusted, c._CHECKS)))")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
         procs = [subprocess.Popen([sys.executable, "-c", code, str(source_copy)], env=env,
                                   stdout=subprocess.PIPE, text=True)
@@ -452,7 +493,7 @@ class TestCompiledLoops:
         assert [p.suffix for p in (source_copy.parent / "__pycache__").iterdir()] == [".so"]
 
     def test_missing_compiler_keeps_python_loops(self, source_copy, monkeypatch):
-        monkeypatch.setattr(chaotic_maps.shutil, "which", lambda name: None)
+        monkeypatch.setattr(_native.shutil, "which", lambda name: None)
         self.assert_python_loops_in_use(monkeypatch, "no C compiler")
         assert not (source_copy.parent / "__pycache__").exists()
 
@@ -465,7 +506,7 @@ class TestCompiledLoops:
     def test_unloadable_library_keeps_python_loops(self, compiled_library, source_copy,
                                                    monkeypatch):
         # built but not yet loaded: a loaded library must not be rewritten
-        chaotic_maps._built_kernel().write_bytes(b"not a shared library")
+        _native._built_kernel().write_bytes(b"not a shared library")
         self.assert_python_loops_in_use(monkeypatch, "OSError")
 
     def test_missing_routine_keeps_python_loops(self, compiled_library, source_copy,
@@ -495,29 +536,56 @@ class TestCompiledLoops:
         assert analysis.analyze(cipher).flags == ()
         assert np.array_equal(pipeline.decrypt_with_context(cipher, ctx), plain)
 
+    @pytest.mark.parametrize("command, groups", [
+        ("encrypt", ["derivation", "transform"]),
+        ("decrypt", ["derivation", "transform"]),
+        ("analyze", ["statistics"]),
+    ])
+    def test_each_command_checks_only_its_groups(self, tmp_path, command, groups):
+        # a group checked during the command is a cache hit afterwards
+        code = ("import sys; from xcross import _native, cli\n"
+                "code = cli.main(sys.argv[1:])\n"
+                "for group in _native._CHECKS:\n"
+                "    hits = _native.trusted.cache_info().hits\n"
+                "    _native.trusted(group)\n"
+                "    if _native.trusted.cache_info().hits > hits: print('checked', group)\n"
+                "sys.exit(code)")
+        image, key = tmp_path / "image.pgm", tmp_path / "ref.key"
+        image.write_bytes(image_io.write_pgm(hashed_pixels(16, 16)))
+        key.write_text(key_schedule.serialize_key(reference_key()), encoding="ascii")
+        args = {"analyze": ["--in", image]}.get(
+            command, ["--in", image, "--out", tmp_path / "out.pgm", "--key", key])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run([sys.executable, "-c", code, command, *map(str, args)], env=env,
+                             capture_output=True, text=True, timeout=120, check=True).stdout
+        assert [line.split()[1] for line in out.splitlines()
+                if line.startswith("checked ")] == groups
+
     def test_self_check_mismatch_keeps_python_loops(self, compiled_library, source_copy,
                                                     monkeypatch):
         # a kernel whose CLT step halves very slightly wrong
         text = source_copy.read_text()
         source_copy.write_text(text.replace("alpha_c * z / 2.0", "alpha_c * z * 0.4999999999"))
         assert source_copy.read_text() != text
-        self.assert_python_loops_in_use(monkeypatch, "differs from lshm_step/clt_step")
+        self.assert_only_group_refused(monkeypatch, "derivation")
 
-    @pytest.mark.parametrize("old, new", [
+    @pytest.mark.parametrize("group, old, new", [
         # a sort that numbers each bin from the end: not the stable order
-        pytest.param("key[j] = (int32_t)s;", "key[j] = (int32_t)(n - 1 - s);", id="sort"),
+        pytest.param("derivation", "key[j] = (int32_t)s;", "key[j] = (int32_t)(n - 1 - s);",
+                     id="sort"),
         # a scalar gather that numbers the bits of a byte LSB first
-        pytest.param("(7 - (k & 7))", "(k & 7)", id="gather"),
+        pytest.param("transform", "(7 - (k & 7))", "(k & 7)", id="gather"),
         # an AVX2 gather that shifts by the bit's position in a nibble, not a byte
-        pytest.param("(k, seven)", "(k, three)", id="gather_simd", marks=pytest.mark.skipif(
-            not cpu_reports_avx2(), reason="only CPUs that report AVX2 run the AVX2 gather")),
+        pytest.param("transform", "(k, seven)", "(k, three)", id="gather_simd",
+                     marks=pytest.mark.skipif(not cpu_reports_avx2(), reason="only CPUs that "
+                                              "report AVX2 run the AVX2 gather")),
     ])
-    def test_key_sort_or_gather_mismatch_refuses_library(self, compiled_library,
-                                                         source_copy, monkeypatch, old, new):
+    def test_key_sort_or_gather_mismatch_refuses_library(self, compiled_library, source_copy,
+                                                         monkeypatch, group, old, new):
         text = source_copy.read_text()
         assert old in text
         source_copy.write_text(text.replace(old, new))
-        self.assert_python_loops_in_use(monkeypatch, NUMPY_CHECK_CAUSE)
+        self.assert_only_group_refused(monkeypatch, group)
 
     @pytest.mark.parametrize("old, new", [
         # an X-Cross that emits a column pair's top corners swapped
@@ -538,7 +606,7 @@ class TestCompiledLoops:
         text = source_copy.read_text()
         assert text.count(old) == 1
         source_copy.write_text(text.replace(old, new))
-        self.assert_python_loops_in_use(monkeypatch, NUMPY_CHECK_CAUSE)
+        self.assert_only_group_refused(monkeypatch, "transform")
 
     def test_scalar_bodies_match_numpy_without_avx2(self, compiled_library, source_copy,
                                                      monkeypatch, rng):
@@ -548,18 +616,19 @@ class TestCompiledLoops:
         text = source_copy.read_text()
         assert AVX2_DEFINE in text
         source_copy.write_text(text.replace(AVX2_DEFINE, ""))
-        monkeypatch.setattr(chaotic_maps, "_kernel_failure", None)
-        lib = chaotic_maps._kernel.__wrapped__()
-        assert lib is not None, chaotic_maps._kernel_failure
+        lib = _native._library.__wrapped__()
+        assert isinstance(lib, ctypes.CDLL), lib
+        for group, (matches, _) in _native._CHECKS.items():
+            assert matches(lib), group
         for name, block in SUM_BLOCKS.items():
             img = sum_block(*block)
             for direction, steps in analysis._DIRECTIONS.items():
-                got = chaotic_maps._compiled_moments(lib, img, *steps)
+                got = _native._compiled_moments(lib, img, *steps)
                 want = analysis._centred_sums(*analysis._direction_pairs(img, direction))
                 assert np.array(got).tobytes() == np.array(want).tobytes(), (name, direction)
         blk = hashed_pixels(8, 8)
         key = rng.permutation(8 * blk.size).astype(np.int32)
-        assert chaotic_maps._compiled_ibt(lib, blk, key).tobytes() == _gather_bits(blk, key).tobytes()
+        assert _native._compiled_ibt(lib, blk, key).tobytes() == _gather_bits(blk, key).tobytes()
 
     @pytest.mark.parametrize("edits", [
         # correlation sums added left to right, not in NumPy's eight lanes, in
@@ -586,4 +655,4 @@ class TestCompiledLoops:
             assert old in text
             text = text.replace(old, new)
         source_copy.write_text(text)
-        self.assert_python_loops_in_use(monkeypatch, "differs from the NumPy image statistics")
+        self.assert_only_group_refused(monkeypatch, "statistics")

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xcross import chaotic_maps
+from xcross import _native
 from xcross.errors import DimensionError
 from xcross.ibt import ibt_apply, ibt_stage, ibt_unstage
 from xcross.key_schedule import (
@@ -137,14 +137,14 @@ def test_compiled_gather_matches_numpy(compiled_library, seed, rows, cols):
     for blk in (img[:rows, :cols], img[:rows, cols:], img[rows:, cols:], img[rows:].copy()):
         key = r.permutation(8 * blk.size).astype(np.int32)
         want = numpy_gather(blk, key)
-        assert np.array_equal(chaotic_maps._compiled_ibt(compiled_library, blk, key), want)
+        assert np.array_equal(_native._compiled_ibt(compiled_library, blk, key), want)
         assert np.array_equal(ibt_apply(blk, key), want)
         # a non-contiguous int32 key takes the NumPy path, same bits
         strided = np.repeat(key, 2)[::2]
-        assert chaotic_maps._compiled_ibt(compiled_library, blk, strided) is None
+        assert _native._compiled_ibt(compiled_library, blk, strided) is None
         assert np.array_equal(ibt_apply(blk, strided), want)
-        assert chaotic_maps._compiled_ibt(None, blk, key) is None
-        assert chaotic_maps._compiled_ibt(compiled_library, blk.astype(np.uint16), key) is None
+        assert _native._compiled_ibt(None, blk, key) is None
+        assert _native._compiled_ibt(compiled_library, blk.astype(np.uint16), key) is None
 
 
 class TestOutOfRangeInt32Keys:
@@ -159,14 +159,14 @@ class TestOutOfRangeInt32Keys:
     def test_negative_index_wraps(self, compiled_library, blk_key, bad):
         blk, key = blk_key
         key[37] = bad
-        assert chaotic_maps._compiled_ibt(compiled_library, blk, key) is None
+        assert _native._compiled_ibt(compiled_library, blk, key) is None
         assert np.array_equal(ibt_apply(blk, key), numpy_gather(blk, key))
 
     @pytest.mark.parametrize("bad", [128, -129, np.iinfo(np.int32).max, np.iinfo(np.int32).min])
     def test_out_of_range_index_raises(self, compiled_library, blk_key, bad):
         blk, key = blk_key
         key[127] = bad
-        assert chaotic_maps._compiled_ibt(compiled_library, blk, key) is None
+        assert _native._compiled_ibt(compiled_library, blk, key) is None
         with pytest.raises(IndexError):
             ibt_apply(blk, key)
 
@@ -181,7 +181,7 @@ class TestOutOfRangeInt32Keys:
         blk = rng.integers(0, 256, size=shape, dtype=np.uint8)
         key = rng.permutation(8 * blk.size).astype(np.int32)
         key[8 + lane] = -1
-        assert chaotic_maps._compiled_ibt(compiled_library, blk, key) is None
+        assert _native._compiled_ibt(compiled_library, blk, key) is None
         assert np.array_equal(ibt_apply(blk, key), numpy_gather(blk, key))
 
     @either_path
@@ -192,6 +192,6 @@ class TestOutOfRangeInt32Keys:
         blk = rng.integers(0, 256, size=shape, dtype=np.uint8)
         key = rng.permutation(8 * blk.size).astype(np.int32)
         key[8 + lane] = key.size if past_end else np.iinfo(np.int32).min
-        assert chaotic_maps._compiled_ibt(compiled_library, blk, key) is None
+        assert _native._compiled_ibt(compiled_library, blk, key) is None
         with pytest.raises(IndexError):
             ibt_apply(blk, key)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from xcross import chaotic_maps
+from xcross import _native
 from xcross.chaotic_maps import CltParams, LshmParams, iterate_clt, iterate_lshm
 from xcross.errors import DimensionError, KeyFormatError, ParameterError
 from xcross.key_schedule import (
@@ -174,7 +174,7 @@ def extraction_arrays(draw):
 @settings(max_examples=60, deadline=None)
 @given(rea=extraction_arrays())
 def test_compiled_sort_is_stable_argsort_and_inverse(compiled_library, rea):
-    key, inv = chaotic_maps._compiled_sort_keys(compiled_library, rea)
+    key, inv = _native._compiled_sort_keys(compiled_library, rea)
     want = np.argsort(rea, kind="stable")
     want_inv = np.empty_like(want)
     want_inv[want] = np.arange(want.size)
@@ -185,9 +185,9 @@ def test_compiled_sort_is_stable_argsort_and_inverse(compiled_library, rea):
 def test_compiled_sort_declines_other_inputs(compiled_library):
     # cast to uint8, 300 and 256 would sort as 44 and 0
     wide = np.array([300, 1, 2, 256])
-    assert chaotic_maps._compiled_sort_keys(compiled_library, wide) is None
-    assert chaotic_maps._compiled_sort_keys(compiled_library, np.zeros((2, 4), np.uint8)) is None
-    assert chaotic_maps._compiled_sort_keys(None, wide.astype(np.uint8)) is None
+    assert _native._compiled_sort_keys(compiled_library, wide) is None
+    assert _native._compiled_sort_keys(compiled_library, np.zeros((2, 4), np.uint8)) is None
+    assert _native._compiled_sort_keys(None, wide.astype(np.uint8)) is None
     assert build_extraction_keys(wide, wide)[0].tolist() == [1, 2, 3, 0]
 
 

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import hashed_pixels
-from xcross import chaotic_maps
+from xcross import _native
 from xcross.errors import DimensionError, ParameterError
 from xcross.permutation import (
     QuadSplit,
@@ -124,14 +124,14 @@ class TestCompiledXCross:
         blocks = [hashed_pixels(rows, cols), *split_quadrants(hashed_pixels(2 * rows, 2 * cols))]
         for blk in [*blocks, *(b[::-1] for b in blocks)]:
             for inverse, numpy in ((False, _permute_by_schedule), (True, _unpermute_by_schedule)):
-                got = chaotic_maps._compiled_xcross(compiled_library, blk, inverse)
+                got = _native._compiled_xcross(compiled_library, blk, inverse)
                 assert got.flags.c_contiguous and got.tobytes() == numpy(blk).tobytes()
             assert xcross_permute(blk).tobytes() == _permute_by_schedule(blk).tobytes()
             assert xcross_unpermute(blk).tobytes() == _unpermute_by_schedule(blk).tobytes()
 
     def test_columns_stepped_backwards_take_numpy(self, compiled_library):
         blk = hashed_pixels(6, 10)[:, ::-1]
-        assert chaotic_maps._compiled_xcross(compiled_library, blk, False) is None
+        assert _native._compiled_xcross(compiled_library, blk, False) is None
         assert xcross_permute(blk).tobytes() == _permute_by_schedule(blk).tobytes()
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -133,6 +134,13 @@ class TestContextMemo:
         derive_context(ref_key, 8, 8)
         with pytest.raises(ParameterError):
             derive_context(ref_key, 8.0, 8)
+
+    @pytest.mark.parametrize("m, n", [(np.int64(8), 8), (8, 8.0), (True, 8), (8, np.uint8(8)),
+                                      ("8", 8), (None, 8)])
+    def test_dimensions_that_are_not_ints_are_named(self, ref_key, m, n):
+        named = re.escape(f"must be Python ints, got {m!r}x{n!r}")
+        with pytest.raises(ParameterError, match=named):
+            derive_context(ref_key, m, n)
 
 
 class TestRoundTrip:

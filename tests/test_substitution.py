@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xcross import chaotic_maps
+from xcross import _native
 from xcross.errors import DimensionError, OpCodeError
 from xcross.key_schedule import build_sboxes
 from xcross.substitution import (
@@ -135,7 +135,7 @@ class TestStage:
         ops = np.zeros((4, 4), dtype=np.uint8)
         ops[3, 2] = bad
         for table in (ref_suite.forward, ref_suite.backward):
-            assert chaotic_maps._compiled_substitute(compiled_library, table, img, ops) is None
+            assert _native._compiled_substitute(compiled_library, table, img, ops) is None
         for stage in (substitution_stage, unsubstitute_stage):
             with pytest.raises(OpCodeError, match="outside"):
                 stage(img, ops, ref_suite)
@@ -145,7 +145,7 @@ class TestStage:
         ops = rng.integers(0, 3, size=(64, 48), dtype=np.uint8)
         for table in (ref_suite.forward, ref_suite.backward):
             for pixels in (img, img[::-1]):
-                got = chaotic_maps._compiled_substitute(compiled_library, table, pixels, ops)
+                got = _native._compiled_substitute(compiled_library, table, pixels, ops)
                 assert got.tobytes() == _gather(table, pixels, ops).tobytes()
 
     def test_int64_codes_give_the_uint8_bytes(self, ref_suite, rng):
