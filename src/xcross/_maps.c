@@ -38,6 +38,9 @@
  * table lookup of substitution.py and xcross_xcross the X-Cross schedule
  * of permutation.py, each one pass over the pixels without NumPy's intp
  * index.
+ *
+ * Every buffer is C-contiguous: an image's rows lie `cols` bytes apart.
+ * _native.py copies any other input before it calls a routine.
  */
 #include <math.h>
 #include <stdint.h>
@@ -164,12 +167,12 @@ int xcross_ibt(const uint8_t *in, uint8_t *out, const int32_t *key, long nbytes)
     return 0;
 }
 
-/* The adjacent pairs of one direction: a = the h x w view at `a`, whose
- * rows lie `stride` bytes apart, and b = the same view `off` bytes on.
- * Pair i is the view's pixel i in row-major order. */
+/* The adjacent pairs of one direction: a = the h x w view at `a` of an
+ * image `cols` bytes wide, and b = the same view `off` bytes on.  Pair i
+ * is the view's pixel i in row-major order. */
 struct pairs {
     const uint8_t *a;
-    long w, stride, off;
+    long w, cols, off;
     double mx, my;
     int avx2; /* whether the leaves of at least 8 pairs take moments_avx2 */
 };
@@ -272,11 +275,11 @@ static void pairwise_moments(const struct pairs *p, long lo, long n, double *sum
     const uint8_t *qa = ca, *qb = cb;
     long r = lo / p->w, c = lo % p->w;
     if (c + n <= p->w) {
-        qa = p->a + r * p->stride + c;
+        qa = p->a + r * p->cols + c;
         qb = qa + p->off;
     } else {
         for (long i = 0; i < n; r++, c = 0) {
-            const uint8_t *ra = p->a + r * p->stride + c;
+            const uint8_t *ra = p->a + r * p->cols + c;
             long run = p->w - c < n - i ? p->w - c : n - i;
             memcpy(ca + i, ra, run);
             memcpy(cb + i, ra + p->off, run);
@@ -301,24 +304,22 @@ static void pairwise_moments(const struct pairs *p, long lo, long n, double *sum
 }
 
 /* The centred second moments of the pairs (a, b) of the rows x cols image
- * at img, rows `stride` bytes apart, that lie dr >= 0 rows and dc >= 0
- * columns apart: a = img[:rows-dr, :cols-dc] and b = img[dr:, dc:], each
- * h x w, and b starts off = dr * stride + dc bytes after a (a negative
- * stride, a view taken bottom up, included).  The means are exact integer
- * sums over the count, as x.mean() of the float64 pixels gives them, and
- * the three sums are those np.add.reduce adds over the flattened centred
+ * at img that lie dr >= 0 rows and dc >= 0 columns apart: a =
+ * img[:rows-dr, :cols-dc] and b = img[dr:, dc:], each h x w, and b starts
+ * off = dr * cols + dc bytes after a.  The means are exact integer sums
+ * over the count, as x.mean() of the float64 pixels gives them, and the
+ * three sums are those np.add.reduce adds over the flattened centred
  * products; with no pairs they are the empty sums, +0.0. */
-void xcross_moments(const uint8_t *img, long rows, long cols, long stride, long dr, long dc,
-                    double *sums)
+void xcross_moments(const uint8_t *img, long rows, long cols, long dr, long dc, double *sums)
 {
-    long h = rows - dr, w = cols - dc, off = dr * stride + dc;
+    long h = rows - dr, w = cols - dc, off = dr * cols + dc;
     if (h < 1 || w < 1) {
         sums[0] = sums[1] = sums[2] = 0.0;
         return;
     }
     uint64_t sa = 0, sb = 0;
     for (long r = 0; r < h; r++) {
-        const uint8_t *ra = img + r * stride, *rb = ra + off;
+        const uint8_t *ra = img + r * cols, *rb = ra + off;
         long c = 0;
         /* 16 bytes at a time into 32-bit partial sums, a loop that -O2
          * vectorises; one byte at a time into 64 bits it does not */
@@ -337,7 +338,7 @@ void xcross_moments(const uint8_t *img, long rows, long cols, long stride, long 
         }
     }
     double n = (double)(h * w);
-    struct pairs p = {img, w, stride, off, (double)sa / n, (double)sb / n, 0};
+    struct pairs p = {img, w, cols, off, (double)sa / n, (double)sb / n, 0};
 #ifdef XCROSS_AVX2
     p.avx2 = __builtin_cpu_supports("avx2");
 #endif
@@ -356,19 +357,18 @@ static double pairwise_tree(double *leaves, long n)
     return leaves[0];
 }
 
-/* The GLCM of analysis.glcm for the rows x cols image at img, rows
- * `stride` bytes apart, rows >= 1 and cols >= 2.  With c the counts of the
- * horizontal pairs (left, right) at c[left][right] and p = (c + c^T) / its
- * sum, out[0 .. 5] = the sums of (i-j)^2 p, p^2 and p / (1 + |i-j|), mu,
- * the variance, and the sum of ((i-mu)(j-mu)) p, each term formed as NumPy
- * forms it.  A sum over p's 65536 cells is NumPy's pairwise sum: 512 runs
- * of 128 cells, half a row each, paired up by pairwise_tree; a row of
- * p.sum(axis=1) is its two runs' sum.  Only the last sum has negative
- * terms, so only it is added to +0.0.  The pair pass also adds np.bincount
- * of the pixels into the 256 counts at hist.  Returns 1, with hist as it
- * was, when the pair counts cannot be allocated, else 0. */
-int xcross_glcm(const uint8_t *img, long rows, long cols, long stride, double *out,
-                int64_t *hist)
+/* The GLCM of analysis.glcm for the rows x cols image at img, rows >= 1
+ * and cols >= 2.  With c the counts of the horizontal pairs (left, right)
+ * at c[left][right] and p = (c + c^T) / its sum, out[0 .. 5] = the sums of
+ * (i-j)^2 p, p^2 and p / (1 + |i-j|), mu, the variance, and the sum of
+ * ((i-mu)(j-mu)) p, each term formed as NumPy forms it.  A sum over p's
+ * 65536 cells is NumPy's pairwise sum: 512 runs of 128 cells, half a row
+ * each, paired up by pairwise_tree; a row of p.sum(axis=1) is its two
+ * runs' sum.  Only the last sum has negative terms, so only it is added
+ * to +0.0.  The pair pass also adds np.bincount of the pixels into the
+ * 256 counts at hist.  Returns 1, with hist as it was, when the pair
+ * counts cannot be allocated, else 0. */
+int xcross_glcm(const uint8_t *img, long rows, long cols, double *out, int64_t *hist)
 {
     /* the counts, then in place p: (double)0 / total is +0.0, so no cell
      * needs a branch */
@@ -376,7 +376,7 @@ int xcross_glcm(const uint8_t *img, long rows, long cols, long stride, double *o
     if (m == NULL)
         return 1;
     /* each pixel but the last of a row is the left of one pair */
-    for (long r = 0; r < rows; r++, img += stride) {
+    for (long r = 0; r < rows; r++, img += cols) {
         for (long x = 0; x + 1 < cols; x++) {
             hist[img[x]]++;
             m[img[x] << 8 | img[x + 1]].n++;
@@ -454,21 +454,19 @@ int xcross_substitute(const uint8_t *img, const uint8_t *ops, const uint8_t *tab
     return 0;
 }
 
-/* The X-Cross permutation of the rows x cols block at in, rows `stride`
- * bytes apart (a negative stride included), both sides even, written
- * row-major to out; its inverse when `inverse` is set.  Row pair t is rows
- * t (top) and rows-1-t (bottom).  Its column pairs (l, r = cols-1-l) are
- * visited outermost and innermost remaining in turn, l = 0, pairs-1, 1,
- * pairs-2, ..., two per turn, and each emits (top,r), (bottom,l), (top,l),
- * (bottom,r); the 2 * cols emissions of row pair t fill rows 2t and 2t+1
- * of the permuted block. */
-void xcross_xcross(const uint8_t *in, long rows, long cols, long stride, uint8_t *out,
-                   int inverse)
+/* The X-Cross permutation of the rows x cols block at in, both sides
+ * even, written to out; its inverse when `inverse` is set.  Row pair t is
+ * rows t (top) and rows-1-t (bottom).  Its column pairs (l, r = cols-1-l)
+ * are visited outermost and innermost remaining in turn, l = 0, pairs-1,
+ * 1, pairs-2, ..., two per turn, and each emits (top,r), (bottom,l),
+ * (top,l), (bottom,r); the 2 * cols emissions of row pair t fill rows 2t
+ * and 2t+1 of the permuted block, which follow each other at e. */
+void xcross_xcross(const uint8_t *in, long rows, long cols, uint8_t *out, int inverse)
 {
     long last = cols / 2 - 1;
     for (long t = 0; t < rows / 2; t++) {
         if (!inverse) {
-            const uint8_t *top = in + t * stride, *bottom = in + (rows - 1 - t) * stride;
+            const uint8_t *top = in + t * cols, *bottom = in + (rows - 1 - t) * cols;
             uint8_t *e = out + 2 * t * cols;
             for (long l = 0, m = last; l <= m; l++, m--, e += 8) {
                 e[0] = top[cols - 1 - l];
@@ -484,29 +482,20 @@ void xcross_xcross(const uint8_t *in, long rows, long cols, long stride, uint8_t
             }
             continue;
         }
-        /* the inverse reads what the forward loop writes; it is a loop of
-         * its own because the forward one, written row-major, needs no row
-         * test and runs about 1.6x faster without it.  Emission i lies at
-         * e[i] in row 2t and at e[jump + i] in row 2t+1, two by two: with an
-         * odd number of column pairs, one pair's four straddle the rows */
+        /* the forward loop with each move turned round */
         uint8_t *top = out + t * cols, *bottom = out + (rows - 1 - t) * cols;
-        const uint8_t *e = in + 2 * t * stride, *p, *q;
-        long jump = stride - cols;
-        for (long l = 0, m = last, i = 0; l <= m; l++, m--, i += 8) {
-            p = e + i + (i < cols ? 0 : jump);
-            q = e + i + 2 + (i + 2 < cols ? 0 : jump);
-            top[cols - 1 - l] = p[0];
-            bottom[l] = p[1];
-            top[l] = q[0];
-            bottom[cols - 1 - l] = q[1];
+        const uint8_t *e = in + 2 * t * cols;
+        for (long l = 0, m = last; l <= m; l++, m--, e += 8) {
+            top[cols - 1 - l] = e[0];
+            bottom[l] = e[1];
+            top[l] = e[2];
+            bottom[cols - 1 - l] = e[3];
             if (m == l)
                 break;
-            p = e + i + 4 + (i + 4 < cols ? 0 : jump);
-            q = e + i + 6 + (i + 6 < cols ? 0 : jump);
-            top[cols - 1 - m] = p[0];
-            bottom[m] = p[1];
-            top[m] = q[0];
-            bottom[cols - 1 - m] = q[1];
+            top[cols - 1 - m] = e[4];
+            bottom[m] = e[5];
+            top[m] = e[6];
+            bottom[cols - 1 - m] = e[7];
         }
     }
 }

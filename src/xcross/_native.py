@@ -9,8 +9,10 @@ Each group is what one entry point of the cipher calls:
 * ``statistics``: the correlation moments and the GLCM (``analyze``).
 
 :func:`trusted` checks a group on its first use in a process and gives the
-library, or None; each ``_compiled_*`` wrapper given None returns None, as
-it does for an input C cannot take, and its caller then runs the definition.
+library, or None.  Every routine reads and writes C-contiguous buffers,
+and each ``_compiled_*`` wrapper copies an input laid out otherwise.  A
+wrapper returns None when given None, for a dtype, rank or shape C cannot
+take, or for an error C reports, and its caller then runs the definition.
 """
 
 from __future__ import annotations
@@ -49,10 +51,10 @@ _ROUTINES = {
     "xcross_clt": (None, [ctypes.c_void_p, ctypes.c_long] + [ctypes.c_double] * 3),
     "xcross_sort_keys": (None, [ctypes.c_void_p, ctypes.c_long] + [ctypes.c_void_p] * 2),
     "xcross_ibt": (ctypes.c_int, [ctypes.c_void_p] * 3 + [ctypes.c_long]),
-    "xcross_moments": (None, [ctypes.c_void_p] + [ctypes.c_long] * 5 + [ctypes.c_void_p]),
-    "xcross_glcm": (ctypes.c_int, [ctypes.c_void_p] + [ctypes.c_long] * 3 + [ctypes.c_void_p] * 2),
+    "xcross_moments": (None, [ctypes.c_void_p] + [ctypes.c_long] * 4 + [ctypes.c_void_p]),
+    "xcross_glcm": (ctypes.c_int, [ctypes.c_void_p] + [ctypes.c_long] * 2 + [ctypes.c_void_p] * 2),
     "xcross_substitute": (ctypes.c_int, [ctypes.c_void_p] * 4 + [ctypes.c_long]),
-    "xcross_xcross": (None, [ctypes.c_void_p] + [ctypes.c_long] * 3 + [ctypes.c_void_p, ctypes.c_int]),
+    "xcross_xcross": (None, [ctypes.c_void_p] + [ctypes.c_long] * 2 + [ctypes.c_void_p, ctypes.c_int]),
 }
 
 
@@ -69,8 +71,8 @@ def trusted(group: str) -> ctypes.CDLL | None:
     if isinstance(lib, str):
         failures[group] = lib
         return None
-    matches, cause = _CHECKS[group]
-    if not matches(lib):
+    pairs, cause = _CHECKS[group]
+    if not _same_bytes(pairs(lib)):
         failures[group] = f"{lib._name} {cause}"
         return None
     return lib
@@ -147,12 +149,11 @@ def _compile_command(cc: str, out: str) -> list[str]:
 
 
 def _address(a: np.ndarray) -> int:
-    """The address of an array's first element, for the C routines.  Taken
-    through the buffer of a writable, C-contiguous, nonempty array, where
+    """The address of a C-contiguous array's first element, for the C
+    routines.  Taken through the buffer of a writable nonempty array, where
     ``a.ctypes.data`` costs about three times as much (1.2 µs, as long as
     the C loop of a 32x32 block takes); other arrays go through ``a.ctypes``."""
-    flags = a.flags
-    if flags.writeable and flags.c_contiguous and a.size:
+    if a.flags.writeable and a.size:
         return ctypes.addressof(ctypes.c_char.from_buffer(a))
     return a.ctypes.data
 
@@ -172,12 +173,12 @@ def _compiled_sort_keys(lib: ctypes.CDLL | None,
 
 def _compiled_ibt(lib: ctypes.CDLL | None, blk: np.ndarray, key: np.ndarray) -> np.ndarray | None:
     """The bits of a uint8 block gathered by the C loop; or None unless
-    ``lib`` is the compiled library and ``key`` a C-contiguous int32 vector
-    of ``8 * blk.size`` entries that all lie in ``range(8 * blk.size)``."""
+    ``lib`` is the compiled library and ``key`` an int32 vector of
+    ``8 * blk.size`` entries that all lie in ``range(8 * blk.size)``."""
     if (lib is None or blk.dtype != np.uint8 or key.dtype != np.int32
-            or not key.flags.c_contiguous or key.shape != (8 * blk.size,)):
+            or key.shape != (8 * blk.size,)):
         return None
-    blk = np.ascontiguousarray(blk)
+    blk, key = np.ascontiguousarray(blk), np.ascontiguousarray(key)
     out = np.empty(blk.shape, np.uint8)
     if lib.xcross_ibt(_address(blk), _address(out), _address(key), blk.size):
         return None
@@ -189,11 +190,12 @@ def _compiled_moments(lib: ctypes.CDLL | None, img: np.ndarray, dr: int,
     """The sums of (a-mean(a))**2, (b-mean(b))**2 and their product for the
     pixels a of ``img[:rows-dr, :cols-dc]`` and b of ``img[dr:, dc:]``, added
     by the C loop in NumPy's pairwise order; or None unless ``lib`` is the
-    compiled library and ``img`` is 2-D uint8 stepping one byte per column."""
-    if lib is None or img.dtype != np.uint8 or img.ndim != 2 or img.strides[1] != 1:
+    compiled library and ``img`` is 2-D uint8."""
+    if lib is None or img.dtype != np.uint8 or img.ndim != 2:
         return None
+    img = np.ascontiguousarray(img)
     sums = (ctypes.c_double * 3)()
-    lib.xcross_moments(_address(img), *img.shape, img.strides[0], dr, dc, sums)
+    lib.xcross_moments(_address(img), *img.shape, dr, dc, sums)
     return sums[0], sums[1], sums[2]
 
 
@@ -203,13 +205,14 @@ def _compiled_glcm(lib: ctypes.CDLL | None,
     sum of a 2-D uint8 image by the C loop, each formed and added as NumPy
     forms and adds it in :mod:`~xcross.analysis`, and the image's int64
     histogram counted in the same pass over the pairs; or None unless
-    ``lib`` is the compiled library, the image has a horizontal pair and
-    steps one byte per column, and the C loop could allocate its counts."""
-    if (lib is None or img.dtype != np.uint8 or img.ndim != 2 or img.strides[1] != 1
+    ``lib`` is the compiled library, the image has a horizontal pair, and
+    the C loop could allocate its counts."""
+    if (lib is None or img.dtype != np.uint8 or img.ndim != 2
             or img.shape[0] < 1 or img.shape[1] < 2):
         return None
+    img = np.ascontiguousarray(img)
     sums, hist = (ctypes.c_double * 6)(), np.zeros(256, np.int64)
-    if lib.xcross_glcm(_address(img), *img.shape, img.strides[0], sums, _address(hist)):
+    if lib.xcross_glcm(_address(img), *img.shape, sums, _address(hist)):
         return None
     return tuple(sums), hist
 
@@ -217,13 +220,12 @@ def _compiled_glcm(lib: ctypes.CDLL | None,
 def _compiled_substitute(lib: ctypes.CDLL | None, table: np.ndarray, img: np.ndarray,
                          ops: np.ndarray) -> np.ndarray | None:
     """``table[ops, img]`` by the C loop; or None unless ``lib`` is the
-    compiled library, ``table`` a C-contiguous (3, 256) uint8 array, and
-    ``ops`` uint8 with every code at most 2.  The caller gives ``img`` and
-    ``ops`` one shape."""
-    if (lib is None or ops.dtype != np.uint8 or table.dtype != np.uint8
-            or table.shape != (3, 256) or not table.flags.c_contiguous):
+    compiled library, ``table`` a (3, 256) uint8 array, and ``ops`` uint8
+    with every code at most 2.  The caller gives ``img`` and ``ops`` one
+    shape."""
+    if lib is None or ops.dtype != np.uint8 or table.dtype != np.uint8 or table.shape != (3, 256):
         return None
-    img, ops = np.ascontiguousarray(img), np.ascontiguousarray(ops)
+    table, img, ops = map(np.ascontiguousarray, (table, img, ops))
     out = np.empty(img.shape, np.uint8)
     if lib.xcross_substitute(_address(img), _address(ops), _address(table),
                              _address(out), img.size):
@@ -233,21 +235,32 @@ def _compiled_substitute(lib: ctypes.CDLL | None, table: np.ndarray, img: np.nda
 
 def _compiled_xcross(lib: ctypes.CDLL | None, blk: np.ndarray, inverse: bool) -> np.ndarray | None:
     """The X-Cross permutation of a 2-D uint8 block, or its inverse, by the C
-    loop; or None unless ``lib`` is the compiled library and ``blk`` steps
-    one byte per column.  The caller keeps both sides even."""
-    if lib is None or blk.dtype != np.uint8 or blk.ndim != 2 or blk.strides[1] != 1:
+    loop; or None unless ``lib`` is the compiled library.  The caller keeps
+    both sides even."""
+    if lib is None or blk.dtype != np.uint8 or blk.ndim != 2:
         return None
+    blk = np.ascontiguousarray(blk)
     out = np.empty(blk.shape, np.uint8)
-    lib.xcross_xcross(_address(blk), *blk.shape, blk.strides[0], _address(out), inverse)
+    lib.xcross_xcross(_address(blk), *blk.shape, _address(out), inverse)
     return out
 
 
-def _derivation_matches(lib: ctypes.CDLL) -> bool:
-    """Whether the C loops reproduce the Python loops on the reference key,
-    and the C sort the NumPy key sort on two rows of 512 hashed bytes.
+def _same_bytes(pairs) -> bool:
+    """Whether each (compiled result, definition result) pair holds the same
+    bytes: a compiled None, another dtype or any differing byte, a
+    differently signed zero included, is a mismatch.  Stops at the first."""
+    for got, want in pairs:
+        if got is None:
+            return False
+        got, want = np.asarray(got), np.asarray(want)
+        if got.dtype != want.dtype or got.tobytes() != want.tobytes():
+            return False
+    return True
 
-    Compared as bytes, so a differently signed zero is a mismatch too.
-    """
+
+def _derivation_pairs(lib: ctypes.CDLL):
+    """The C loops and the Python loops on the reference key, then the C
+    sort and the NumPy key sort of two rows of 512 hashed bytes."""
     from .key_schedule import _argsort_keys, reference_key
 
     key = reference_key()
@@ -256,21 +269,21 @@ def _derivation_matches(lib: ctypes.CDLL) -> bool:
     for loop_lib, (xs, ys, zs) in ((lib, got), (None, want)):
         chaotic_maps._lshm_loop(loop_lib, xs, ys, p.x0, p.y0, p)
         chaotic_maps._clt_loop(loop_lib, zs, c.z0, c)
-    sorts = [(_compiled_sort_keys(lib, r), _argsort_keys(r)) for r in _hashed_pixels(2, 512)]
-    return got.tobytes() == want.tobytes() and all(
-        np.array(a).tobytes() == np.array(b).tobytes() for a, b in sorts)
+    yield got, want
+    for rea in _hashed_pixels(2, 512):
+        yield _compiled_sort_keys(lib, rea), _argsort_keys(rea)
 
 
-def _transform_matches(lib: ctypes.CDLL) -> bool:
-    """Whether the C gather, X-Cross and substitution reproduce their NumPy
-    definitions on two rows of 512 hashed bytes, as bytes.
+def _transform_pairs(lib: ctypes.CDLL):
+    """The C gather, X-Cross and substitution and their NumPy definitions
+    on two rows of 512 hashed bytes.
 
     The gather runs for an 8x8 block by the NumPy keys sorted from each row,
     and on a 7x9 block with keys sorted from each row's first 504 bytes:
     63 bytes, not a multiple of 4, take the scalar loop where the 8x8 block
     may take the AVX2 one.  X-Cross runs both ways on a 6x10 view that takes
-    every second row of 12 from the bottom up: a negative row stride, and 5
-    column pairs, so that one pair's four emissions straddle two rows.  The
+    every second row of 12 from the bottom up, which the wrapper copies; its
+    5 column pairs make one pair's four emissions straddle two rows.  The
     substitution looks up all 768 (code, pixel) pairs, in a scrambled
     order, in a table of the rows' first 768 bytes; both directions run
     the one routine, and the key's S-box tables would cost more to build
@@ -286,24 +299,20 @@ def _transform_matches(lib: ctypes.CDLL) -> bool:
     for rea in reas:
         for blk, keys in ((square, _argsort_keys(rea)), (odd, _argsort_keys(rea[:8 * odd.size]))):
             for key in keys:
-                out = _compiled_ibt(lib, blk, key)
-                if out is None or out.tobytes() != _gather_bits(blk, key).tobytes():
-                    return False
+                yield _compiled_ibt(lib, blk, key), _gather_bits(blk, key)
     blk = reas[1][:120].reshape(12, 10)[::-2]
-    for inverse, numpy in ((False, _permute_by_schedule), (True, _unpermute_by_schedule)):
-        if _compiled_xcross(lib, blk, inverse).tobytes() != numpy(blk).tobytes():
-            return False
+    yield _compiled_xcross(lib, blk, False), _permute_by_schedule(blk)
+    yield _compiled_xcross(lib, blk, True), _unpermute_by_schedule(blk)
     # 5 and 768 are coprime, so each code << 8 | pixel comes once
     pairs = np.arange(0, 5 * 768, 5, dtype=np.uint16) % 768
     ops, img = (pairs >> 8).astype(np.uint8), pairs.astype(np.uint8)
     table = reas.reshape(-1)[:768].reshape(3, 256)
-    out = _compiled_substitute(lib, table, img, ops)
-    return out is not None and out.tobytes() == _gather(table, img, ops).tobytes()
+    yield _compiled_substitute(lib, table, img, ops), _gather(table, img, ops)
 
 
-def _statistics_matches(lib: ctypes.CDLL) -> bool:
-    """Whether the C moments and GLCM reproduce their NumPy definitions in
-    :mod:`~xcross.analysis`, as bytes.
+def _statistics_pairs(lib: ctypes.CDLL):
+    """The C moments and GLCM and their NumPy definitions in
+    :mod:`~xcross.analysis`.
 
     The sums are checked on 3x4, 12x13 and 91x92 blocks of hashed bytes,
     whose pair counts in the three directions cross 8 and 128 (where
@@ -320,25 +329,21 @@ def _statistics_matches(lib: ctypes.CDLL) -> bool:
     view = large[::-3]
     for img in (_hashed_pixels(3, 4), _hashed_pixels(12, 13), large, view):
         for direction, steps in _DIRECTIONS.items():
-            got = _compiled_moments(lib, img, *steps)
-            want = _centred_sums(*_direction_pairs(img, direction))
-            if got is None or np.array(got).tobytes() != np.array(want).tobytes():
-                return False
+            yield (_compiled_moments(lib, img, *steps),
+                   _centred_sums(*_direction_pairs(img, direction)))
     for img in (large, view):
-        got, want = _compiled_glcm(lib, img), _histogram(img)
-        if (got is None or np.array(got[0]).tobytes() != np.array(_glcm_sums(img)).tobytes()
-                or got[1].dtype != want.dtype or not np.array_equal(got[1], want)):
-            return False
-    return True
+        sums, hist = _compiled_glcm(lib, img) or (None, None)
+        yield sums, _glcm_sums(img)
+        yield hist, _histogram(img)
 
 
 #: Each group's check, and what its failure means.
 _CHECKS = {
-    "derivation": (_derivation_matches, "differs from lshm_step/clt_step on the reference key "
+    "derivation": (_derivation_pairs, "differs from lshm_step/clt_step on the reference key "
                    f"within {_SELF_CHECK_STEPS} steps, or from the NumPy key sort"),
-    "transform": (_transform_matches, "differs from the NumPy bit gather, X-Cross or "
+    "transform": (_transform_pairs, "differs from the NumPy bit gather, X-Cross or "
                   "substitution"),
-    "statistics": (_statistics_matches, "differs from the NumPy image statistics"),
+    "statistics": (_statistics_pairs, "differs from the NumPy image statistics"),
 }
 
 

@@ -66,8 +66,7 @@ def _nonempty(img: np.ndarray) -> np.ndarray:
     img = checked_image(img)
     if img.size == 0:
         raise DimensionError("image is empty")
-    # the compiled statistics read each row as adjacent bytes
-    return img if img.strides[1] == 1 else np.ascontiguousarray(img)
+    return img
 
 
 def _histogram(img: np.ndarray) -> np.ndarray:

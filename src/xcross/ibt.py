@@ -11,11 +11,10 @@ key schedule's inverse keys.  Only the key's length is checked: a full
 check would cost one more pass over the key per quadrant and call.
 
 The NumPy unpack/gather/pack is the definition.  Where the compiled
-library of :mod:`~xcross._native` takes the key (C-contiguous int32,
-as the key schedule derives it), it gathers the same bits without the
-unpacked copy.  It hands a key with an index outside
-``range(8 * block.size)`` back to the NumPy gather, so such keys wrap or
-raise exactly as there.
+library of :mod:`~xcross._native` takes the key (int32, as the key
+schedule derives it), it gathers the same bits without the unpacked
+copy.  It hands a key with an index outside ``range(8 * block.size)``
+back to the NumPy gather, so such keys wrap or raise exactly as there.
 """
 
 from __future__ import annotations

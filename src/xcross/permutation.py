@@ -10,9 +10,8 @@ in the same column order, so one schedule of 2·cols read positions over
 the pair's two rows serves the whole block.
 
 The NumPy take through that schedule is the definition.  Where the
-compiled library of :mod:`~xcross._native` takes the block (one byte
-per column, any row stride), one C pass moves the same bytes without the
-schedule's intp index or a copy of the block.
+compiled library of :mod:`~xcross._native` runs, one C pass moves the
+same bytes without the schedule's intp index.
 
 At image level the four quadrants are chained: each quadrant is XORed with
 the previous quadrant's *output* before being X-Cross permuted, so a

@@ -437,10 +437,16 @@ class TestCompiledStatistics:
         img = hashed_pixels(8, 10)
         assert _native._compiled_glcm(None, img) is None
         assert _native._compiled_moments(None, img, 1, 0) is None
-        assert _native._compiled_glcm(compiled_library, img[:, ::2]) is None
+        # no horizontal pair: no GLCM
         assert _native._compiled_glcm(compiled_library, img[:, :1]) is None
-        assert _native._compiled_moments(compiled_library, img[:, ::2], 0, 1) is None
-        assert _native._compiled_moments(compiled_library, img, 1, 0) is not None
+        # a view whose columns lie apart is read through a contiguous copy
+        view = img[:, ::2]
+        got = _native._compiled_glcm(compiled_library, view)
+        assert np.array(got[0]).tobytes() == np.array(analysis._glcm_sums(view)).tobytes()
+        assert np.array_equal(got[1], analysis._histogram(view))
+        got = _native._compiled_moments(compiled_library, view, 0, 1)
+        want = analysis._centred_sums(*analysis._direction_pairs(view, "horizontal"))
+        assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
 @settings(max_examples=60, deadline=None)

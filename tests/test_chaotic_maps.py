@@ -435,6 +435,18 @@ class TestCompiledLoops:
             assert _native.trusted(other) is not None, _native.failures
         assert layer_bytes(group) == want
 
+    @pytest.mark.parametrize("got", [
+        pytest.param(None, id="declined"),
+        # the same bytes as another dtype
+        pytest.param(np.zeros(2, np.int64), id="dtype"),
+        pytest.param(np.array([0.0, -0.0]), id="signed_zero"),
+        pytest.param((0.0, 1.0), id="tuple"),
+    ])
+    def test_any_difference_is_a_mismatch(self, got):
+        zeros = np.zeros(2)
+        assert _native._same_bytes([(zeros, zeros.copy()), ((0.0, 0.0), zeros)])
+        assert not _native._same_bytes([(zeros, zeros.copy()), (got, zeros)])
+
     @pytest.mark.parametrize("key, side", [
         pytest.param(reference_key(), 256, id="reference"),
         # streams that overflow to NaN: the two paths may differ in NaN
@@ -593,10 +605,11 @@ class TestCompiledLoops:
                      "                e[2] = top[l];",
                      "e[0] = top[l];\n                e[1] = bottom[l];\n"
                      "                e[2] = top[cols - 1 - l];", id="xcross"),
-        # an inverse X-Cross that reads the second of a pair's two emission
-        # halves from the first row where the pair straddles two rows
-        pytest.param("(i + 2 < cols ? 0 : jump)", "(i + 2 <= cols ? 0 : jump)",
-                     id="xcross_inverse"),
+        # an inverse X-Cross that writes a column pair's bottom corners swapped
+        pytest.param("bottom[l] = e[1];\n            top[l] = e[2];\n"
+                     "            bottom[cols - 1 - l] = e[3];",
+                     "bottom[cols - 1 - l] = e[1];\n            top[l] = e[2];\n"
+                     "            bottom[l] = e[3];", id="xcross_inverse"),
         # a substitution whose table rows are one entry short
         pytest.param("table[ops[i] << 8 | img[i]];", "table[ops[i] * 255 + img[i]];",
                      id="substitute"),
@@ -618,8 +631,8 @@ class TestCompiledLoops:
         source_copy.write_text(text.replace(AVX2_DEFINE, ""))
         lib = _native._library.__wrapped__()
         assert isinstance(lib, ctypes.CDLL), lib
-        for group, (matches, _) in _native._CHECKS.items():
-            assert matches(lib), group
+        for group, (pairs, _) in _native._CHECKS.items():
+            assert _native._same_bytes(pairs(lib)), group
         for name, block in SUM_BLOCKS.items():
             img = sum_block(*block)
             for direction, steps in analysis._DIRECTIONS.items():

@@ -113,9 +113,9 @@ class TestAgainstBruteForceTable:
 
 
 class TestCompiledXCross:
-    """The compiled X-Cross against the NumPy definition, as bytes, on the
-    block layouts the cipher hands it: whole blocks, quadrant views whose
-    rows lie apart, and views taken bottom up."""
+    """The compiled X-Cross against the NumPy definition, as bytes, on
+    whole blocks and on views the wrapper copies: quadrant views whose rows
+    lie apart, and views taken bottom up."""
 
     # odd and even numbers of column pairs, single row and column pairs
     @pytest.mark.parametrize("rows, cols", [(6, 10), (10, 6), (2, 2), (2, 12), (12, 2),
@@ -129,9 +129,11 @@ class TestCompiledXCross:
             assert xcross_permute(blk).tobytes() == _permute_by_schedule(blk).tobytes()
             assert xcross_unpermute(blk).tobytes() == _unpermute_by_schedule(blk).tobytes()
 
-    def test_columns_stepped_backwards_take_numpy(self, compiled_library):
+    def test_columns_stepped_backwards_are_copied(self, compiled_library):
         blk = hashed_pixels(6, 10)[:, ::-1]
-        assert _native._compiled_xcross(compiled_library, blk, False) is None
+        for inverse, numpy in ((False, _permute_by_schedule), (True, _unpermute_by_schedule)):
+            got = _native._compiled_xcross(compiled_library, blk, inverse)
+            assert got.tobytes() == numpy(blk).tobytes()
         assert xcross_permute(blk).tobytes() == _permute_by_schedule(blk).tobytes()
 
 

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from xcross import key_schedule, pipeline
+from xcross import _native, analysis, key_schedule, pipeline
 from xcross.errors import DimensionError, ParameterError
 from xcross.key_schedule import random_key_material, reference_key
 from xcross.pipeline import (
@@ -252,3 +252,40 @@ class TestAblationHook:
         img = rng.integers(0, 256, size=(16, 16), dtype=np.uint8)
         self.drop(monkeypatch, stage)
         assert np.array_equal(decrypt(encrypt(img, ref_key), ref_key), img)
+
+
+class TestCompiledTraffic:
+    """What the cipher hands the compiled routines.  Each wrapper copies an
+    input that is not C-contiguous, so a caller that hands one a view costs
+    a copy and changes no byte; only this test shows it."""
+
+    WRAPPERS = sorted(name for name in vars(_native) if name.startswith("_compiled_"))
+
+    # 20x20 quadrants have an odd number of column pairs
+    @pytest.mark.parametrize("side", [64, 20])
+    def test_arrays_are_already_contiguous(self, compiled_library, monkeypatch, rng, side):
+        calls, stage = [], []
+
+        def spy(name, wrapper):
+            def call(*args):
+                arrays = [a for a in args if isinstance(a, np.ndarray)]
+                calls.append((stage[-1], name, arrays))
+                return wrapper(*args)
+            return call
+
+        for name in self.WRAPPERS:
+            monkeypatch.setattr(_native, name, spy(name, getattr(_native, name)))
+        stage.append("derive")
+        ctx = pipeline._build_context(reference_key(), side, side)
+        stage.append("encrypt")
+        cipher = encrypt_with_context(rng.integers(0, 256, size=(side, side), dtype=np.uint8), ctx)
+        stage.append("decrypt")
+        decrypt_with_context(cipher, ctx)
+        stage.append("analyze")
+        analysis.analyze(cipher)
+        assert sorted({name for _, name, _ in calls}) == self.WRAPPERS
+        for stage_name, name, arrays in calls:
+            if (stage_name, name) == ("decrypt", "_compiled_ibt"):
+                # the quadrant views of the unsubstituted image, copied today
+                arrays = arrays[1:]
+            assert all(a.flags.c_contiguous for a in arrays), (stage_name, name)
