@@ -28,11 +28,11 @@
  * adds that sum to its identity +0.0, which changes only the sign of a
  * zero, so each sum that has terms of both signs is written 0.0 + s (a
  * form the compiler keeps without -fno-signed-zeros; it may fold s - 0.0
- * to s).  The other sums have no negative term.  xcross_glcm counts the
- * horizontal pairs and, in the same pass over the image, the histogram;
- * it takes the GLCM features from the pair counts in one scalar pass over
- * the 65536 cells and a second for the correlation, with no 256 x 256
- * float64 array beyond the counts it turns into probabilities in place.
+ * to s).  The other sums have no negative term.  xcross_statistics gives
+ * every sum of analysis.analyze: the three directions' moments, then the
+ * GLCM's, from pair counts whose pass also counts the histogram, in one
+ * scalar pass over the 65536 cells and a second for the correlation, with
+ * no 256 x 256 float64 array beyond the counts, made probabilities in place.
  *
  * The two pixel layers move bytes only: xcross_substitute is the flat
  * table lookup of substitution.py and xcross_xcross the X-Cross schedule
@@ -310,7 +310,7 @@ static void pairwise_moments(const struct pairs *p, long lo, long n, double *sum
  * over the count, as x.mean() of the float64 pixels gives them, and the
  * three sums are those np.add.reduce adds over the flattened centred
  * products; with no pairs they are the empty sums, +0.0. */
-void xcross_moments(const uint8_t *img, long rows, long cols, long dr, long dc, double *sums)
+static void xcross_moments(const uint8_t *img, long rows, long cols, long dr, long dc, double *sums)
 {
     long h = rows - dr, w = cols - dc, off = dr * cols + dc;
     if (h < 1 || w < 1) {
@@ -368,7 +368,7 @@ static double pairwise_tree(double *leaves, long n)
  * to +0.0.  The pair pass also adds np.bincount of the pixels into the
  * 256 counts at hist.  Returns 1, with hist as it was, when the pair
  * counts cannot be allocated, else 0. */
-int xcross_glcm(const uint8_t *img, long rows, long cols, double *out, int64_t *hist)
+static int xcross_glcm(const uint8_t *img, long rows, long cols, double *out, int64_t *hist)
 {
     /* the counts, then in place p: (double)0 / total is +0.0, so no cell
      * needs a branch */
@@ -438,6 +438,17 @@ int xcross_glcm(const uint8_t *img, long rows, long cols, double *out, int64_t *
     out[4] = var;
     out[5] = 0.0 + pairwise_tree(leaves[0], 512);
     return 0;
+}
+
+/* Every sum of analysis.analyze for the rows x cols image at img, rows >= 1
+ * and cols >= 2: the horizontal, vertical and diagonal moments at out[0 .. 8],
+ * then xcross_glcm's out and hist at out + 9.  Returns xcross_glcm's result. */
+int xcross_statistics(const uint8_t *img, long rows, long cols, double *out, int64_t *hist)
+{
+    xcross_moments(img, rows, cols, 0, 1, out);
+    xcross_moments(img, rows, cols, 1, 0, out + 3);
+    xcross_moments(img, rows, cols, 1, 1, out + 6);
+    return xcross_glcm(img, rows, cols, out + 9, hist);
 }
 
 /* out[i] = table[ops[i] << 8 | img[i]] for the n pixels at img and their

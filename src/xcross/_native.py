@@ -6,7 +6,7 @@ Each group is what one entry point of the cipher calls:
 * ``derivation``: the LSHM and CLT loops and the key sort (``derive_context``);
 * ``transform``: the bit gather, X-Cross and substitution
   (``encrypt_with_context``, ``decrypt_with_context``);
-* ``statistics``: the correlation moments and the GLCM (``analyze``).
+* ``statistics``: every sum and the histogram of ``analyze``, in one routine.
 
 :func:`trusted` checks a group on its first use in a process and gives the
 library, or None.  Every routine reads and writes C-contiguous buffers,
@@ -51,8 +51,8 @@ _ROUTINES = {
     "xcross_clt": (None, [ctypes.c_void_p, ctypes.c_long] + [ctypes.c_double] * 3),
     "xcross_sort_keys": (None, [ctypes.c_void_p, ctypes.c_long] + [ctypes.c_void_p] * 2),
     "xcross_ibt": (ctypes.c_int, [ctypes.c_void_p] * 3 + [ctypes.c_long]),
-    "xcross_moments": (None, [ctypes.c_void_p] + [ctypes.c_long] * 4 + [ctypes.c_void_p]),
-    "xcross_glcm": (ctypes.c_int, [ctypes.c_void_p] + [ctypes.c_long] * 2 + [ctypes.c_void_p] * 2),
+    "xcross_statistics": (ctypes.c_int, [ctypes.c_void_p] + [ctypes.c_long] * 2
+                          + [ctypes.c_void_p] * 2),
     "xcross_substitute": (ctypes.c_int, [ctypes.c_void_p] * 4 + [ctypes.c_long]),
     "xcross_xcross": (None, [ctypes.c_void_p] + [ctypes.c_long] * 2 + [ctypes.c_void_p, ctypes.c_int]),
 }
@@ -185,36 +185,22 @@ def _compiled_ibt(lib: ctypes.CDLL | None, blk: np.ndarray, key: np.ndarray) -> 
     return out
 
 
-def _compiled_moments(lib: ctypes.CDLL | None, img: np.ndarray, dr: int,
-                      dc: int) -> tuple[float, float, float] | None:
-    """The sums of (a-mean(a))**2, (b-mean(b))**2 and their product for the
-    pixels a of ``img[:rows-dr, :cols-dc]`` and b of ``img[dr:, dc:]``, added
-    by the C loop in NumPy's pairwise order; or None unless ``lib`` is the
-    compiled library and ``img`` is 2-D uint8."""
-    if lib is None or img.dtype != np.uint8 or img.ndim != 2:
-        return None
-    img = np.ascontiguousarray(img)
-    sums = (ctypes.c_double * 3)()
-    lib.xcross_moments(_address(img), *img.shape, dr, dc, sums)
-    return sums[0], sums[1], sums[2]
-
-
-def _compiled_glcm(lib: ctypes.CDLL | None,
-                   img: np.ndarray) -> tuple[tuple[float, ...], np.ndarray] | None:
-    """The GLCM contrast, energy, homogeneity, mean, variance and correlation
-    sum of a 2-D uint8 image by the C loop, each formed and added as NumPy
-    forms and adds it in :mod:`~xcross.analysis`, and the image's int64
-    histogram counted in the same pass over the pairs; or None unless
-    ``lib`` is the compiled library, the image has a horizontal pair, and
-    the C loop could allocate its counts."""
+def _compiled_statistics(lib: ctypes.CDLL | None,
+                         img: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """The 15 float64 sums and the int64 histogram of
+    :func:`~xcross.analysis._numpy_statistics` by the C loops, each sum
+    formed and added as NumPy forms and adds it, the histogram counted in
+    the GLCM's pass over the pairs; a direction without pairs gives +0.0
+    sums.  None unless ``lib`` is the compiled library, the image is 2-D
+    uint8 with a horizontal pair, and the C loop could allocate its counts."""
     if (lib is None or img.dtype != np.uint8 or img.ndim != 2
             or img.shape[0] < 1 or img.shape[1] < 2):
         return None
     img = np.ascontiguousarray(img)
-    sums, hist = (ctypes.c_double * 6)(), np.zeros(256, np.int64)
-    if lib.xcross_glcm(_address(img), *img.shape, sums, _address(hist)):
+    sums, hist = np.empty(15), np.zeros(256, np.int64)
+    if lib.xcross_statistics(_address(img), *img.shape, _address(sums), _address(hist)):
         return None
-    return tuple(sums), hist
+    return sums, hist
 
 
 def _compiled_substitute(lib: ctypes.CDLL | None, table: np.ndarray, img: np.ndarray,
@@ -311,30 +297,25 @@ def _transform_pairs(lib: ctypes.CDLL):
 
 
 def _statistics_pairs(lib: ctypes.CDLL):
-    """The C moments and GLCM and their NumPy definitions in
-    :mod:`~xcross.analysis`.
+    """The C statistics and their NumPy definitions in :mod:`~xcross.analysis`.
 
-    The sums are checked on 3x4, 12x13 and 91x92 blocks of hashed bytes,
-    whose pair counts in the three directions cross 8 and 128 (where
-    NumPy's pairwise sum changes form) and 8192 (its buffer size), and on
-    a view of the largest that takes every third row from the bottom up;
-    the GLCM's sums and histogram on the largest and the view.
+    The correlation sums are checked on 3x4, 12x13 and 91x92 blocks of
+    hashed bytes, whose pair counts in the three directions cross 8 and 128
+    (where NumPy's pairwise sum changes form) and 8192 (its buffer size),
+    and on a view of the largest that takes every third row from the bottom
+    up; the GLCM's sums and the histogram on the largest and the view.
     The hash is mixed as murmur3 finalises one, so that neighbouring
     products share no pattern: on the bytes of a bare multiplicative hash,
     a sum whose accumulators were combined in another order still matched.
     """
-    from .analysis import _DIRECTIONS, _centred_sums, _direction_pairs, _glcm_sums, _histogram
+    from .analysis import _numpy_moments, _numpy_statistics
 
     large = _hashed_pixels(91, 92)
-    view = large[::-3]
-    for img in (_hashed_pixels(3, 4), _hashed_pixels(12, 13), large, view):
-        for direction, steps in _DIRECTIONS.items():
-            yield (_compiled_moments(lib, img, *steps),
-                   _centred_sums(*_direction_pairs(img, direction)))
-    for img in (large, view):
-        sums, hist = _compiled_glcm(lib, img) or (None, None)
-        yield sums, _glcm_sums(img)
-        yield hist, _histogram(img)
+    for img in (_hashed_pixels(3, 4), _hashed_pixels(12, 13)):
+        got = _compiled_statistics(lib, img)
+        yield got and got[0][:9], _numpy_moments(img)
+    for img in (large, large[::-3]):
+        yield from zip(_compiled_statistics(lib, img) or (None, None), _numpy_statistics(img))
 
 
 #: Each group's check, and what its failure means.

@@ -1,21 +1,18 @@
 """Statistical security metrics for 8-bit grayscale images.
 
 All metrics are exhaustive (every pixel / every adjacent pair) rather than
-sampled, so repeated runs on the same image give identical reports.
-`analyze` counts the 256-bin histogram once and takes entropy, chi-square
-and the reported histogram from it.  The GLCM uses the horizontal (0,1)
-offset, full 256 gray levels, counts each pair in both orders (symmetric),
-and normalizes to probabilities; a pair is counted at the flat index
-``left << 8 | right``.
+sampled, so repeated runs on the same image give identical reports.  The
+GLCM uses the horizontal (0,1) offset, full 256 gray levels, counts each
+pair in both orders (symmetric), and normalizes to probabilities; a pair is
+counted at the flat index ``left << 8 | right``.
 
-The NumPy code below is the definition of every statistic.  Where the
-compiled library of :mod:`~xcross._native` runs, it takes each
-direction's correlation sums and the GLCM's sums instead, and counts
-`analyze`'s histogram in the GLCM's pass over the pairs, without
-pixel-sized float64 arrays or 256x256 ones; it forms each term as
-NumPy does, adds the sums in NumPy's own pairwise order, and adds a sum
-with terms of both signs to +0.0, the identity NumPy's reduction starts
-from, so both paths give the same report bytes.
+The NumPy code below is the definition of every statistic, and the public
+single-metric functions run it alone.  `analyze` takes every sum and its
+one histogram from `_statistics`: where the compiled library of
+:mod:`~xcross._native` runs, one C call that forms each term as NumPy does,
+adds the sums in NumPy's own pairwise order, and adds a sum with terms of
+both signs to +0.0, the identity NumPy's reduction starts from, so both
+paths give the same report bytes.
 """
 
 from __future__ import annotations
@@ -91,11 +88,16 @@ def entropy(img: np.ndarray) -> float:
 
 
 def _direction_pairs(img: np.ndarray, direction: str) -> tuple[np.ndarray, np.ndarray]:
+    """The pixels a and b of the adjacent pairs in ``direction``, as two
+    views of one shape; an image with fewer than two such pairs is refused."""
     if direction not in _DIRECTIONS:
         raise ParameterError(f"direction must be one of {tuple(_DIRECTIONS)}, got {direction!r}")
     dr, dc = _DIRECTIONS[direction]
     rows, cols = img.shape
-    return img[:rows - dr, :cols - dc], img[dr:, dc:]
+    a, b = img[:rows - dr, :cols - dc], img[dr:, dc:]
+    if a.size < 2:
+        raise DimensionError(f"image {img.shape} has too few {direction} pairs for a correlation")
+    return a, b
 
 
 def adjacent_correlation(img: np.ndarray, direction: str) -> float:
@@ -104,26 +106,17 @@ def adjacent_correlation(img: np.ndarray, direction: str) -> float:
     Returns 0.0 when either marginal is constant (the report carries a
     flag for that case).
     """
-    return _correlation(_nonempty(img), direction)[0]
+    a, b = _direction_pairs(_nonempty(img), direction)
+    return _pearson(_centred_sums(a, b), a.size)[0]
 
 
-def _correlation(img: np.ndarray, direction: str) -> tuple[float, bool]:
-    """(Pearson correlation, whether a marginal has zero variance)."""
-    a, b = _direction_pairs(img, direction)
-    if a.size < 2:
-        raise DimensionError(
-            f"image {img.shape} has too few {direction} pairs for a correlation"
-        )
-    sums = _native._compiled_moments(_native.trusted("statistics"), img, *_DIRECTIONS[direction])
-    if sums is None:
-        sums = _centred_sums(a, b)
+def _pearson(sums, count: int) -> tuple[float, bool]:
+    """(Pearson correlation, whether a marginal has zero variance) of
+    ``count`` pairs from their `_centred_sums`."""
     # as ndarray.mean divides np.add.reduce's sum by the count
-    sxx, syy, sxy = sums
-    vx = sxx / a.size
-    vy = syy / a.size
+    vx, vy, cov = (s / count for s in sums)
     if vx == 0.0 or vy == 0.0:
         return 0.0, True
-    cov = sxy / a.size
     return float(cov / np.sqrt(vx * vy)), False
 
 
@@ -136,6 +129,11 @@ def _centred_sums(a: np.ndarray, b: np.ndarray) -> tuple[float, float, float]:
     x -= x.mean()
     y -= y.mean()
     return (x * x).sum(), (y * y).sum(), (x * y).sum()
+
+
+def _numpy_moments(img: np.ndarray) -> list[float]:
+    """The `_centred_sums` of each direction in turn."""
+    return [s for d in _DIRECTIONS for s in _centred_sums(*_direction_pairs(img, d))]
 
 
 def _by_offset(values: np.ndarray) -> np.ndarray:
@@ -169,22 +167,18 @@ def _glcm_sums(img: np.ndarray) -> tuple[float, float, float, float, float, floa
     )
 
 
+def _glcm_features(sums) -> tuple[float, float, float, float | None]:
+    """The features of `glcm` from the `_glcm_sums`."""
+    contrast, energy, homogeneity, _, var, corr_sum = (float(s) for s in sums)
+    return contrast, energy, homogeneity, None if var == 0.0 else corr_sum / var
+
+
 def glcm(img: np.ndarray) -> tuple[float, float, float, float | None]:
     """GLCM texture features: (contrast, energy, homogeneity, correlation)."""
-    return _glcm(_nonempty(img))[0]
-
-
-def _glcm(img: np.ndarray) -> tuple[tuple[float, float, float, float | None], np.ndarray]:
-    """(the GLCM features of `glcm`, the 256-bin histogram): from the
-    compiled pass over the pairs where the library takes the image, else
-    from their NumPy definitions."""
+    img = _nonempty(img)
     if img.shape[1] < 2:
         raise DimensionError("GLCM needs at least two columns")
-    compiled = _native._compiled_glcm(_native.trusted("statistics"), img)
-    sums, counts = compiled or (_glcm_sums(img), _histogram(img))
-    contrast, energy, homogeneity, _, var, corr_sum = (float(s) for s in sums)
-    correlation = None if var == 0.0 else corr_sum / var
-    return (contrast, energy, homogeneity, correlation), counts
+    return _glcm_features(_glcm_sums(img))
 
 
 def histogram_chi_square(img: np.ndarray) -> float:
@@ -192,29 +186,43 @@ def histogram_chi_square(img: np.ndarray) -> float:
     return _chi_square(_histogram(_nonempty(img)))
 
 
+def _numpy_statistics(img: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The 15 float64 sums and the histogram `analyze` takes, by NumPy: the
+    definition.  The sums are the `_numpy_moments`, then the `_glcm_sums`."""
+    return np.array([*_numpy_moments(img), *_glcm_sums(img)]), _histogram(img)
+
+
+def _statistics(img: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`_numpy_statistics`, from the compiled routine where the library
+    takes the image."""
+    return _native._compiled_statistics(_native.trusted("statistics"), img) or _numpy_statistics(img)
+
+
 def analyze(img: np.ndarray) -> AnalysisReport:
     """All metrics in one deterministic report."""
     img = _nonempty(img)
-    flags = []
-    corrs = {}
-    for d in _DIRECTIONS:
-        corrs[d], zero_variance = _correlation(img, d)
+    pair_counts = [_direction_pairs(img, d)[0].size for d in _DIRECTIONS]
+    sums, hist = _statistics(img)
+    corrs, flags = [], []
+    for k, (d, count) in enumerate(zip(_DIRECTIONS, pair_counts)):
+        corr, zero_variance = _pearson(sums[3 * k:3 * k + 3], count)
+        corrs.append(corr)
         if zero_variance:
             flags.append(f"corr_{d[0]}_zero_variance")
-    (contrast, energy_, homogeneity, correlation), counts = _glcm(img)
+    contrast, energy_, homogeneity, correlation = _glcm_features(sums[9:])
     if correlation is None:
         flags.append("glcm_correlation_undefined")
     return AnalysisReport(
-        entropy=_entropy(counts),
-        corr_h=corrs["horizontal"],
-        corr_v=corrs["vertical"],
-        corr_d=corrs["diagonal"],
+        entropy=_entropy(hist),
+        corr_h=corrs[0],
+        corr_v=corrs[1],
+        corr_d=corrs[2],
         glcm_contrast=contrast,
         glcm_energy=energy_,
         glcm_homogeneity=homogeneity,
         glcm_correlation=correlation,
-        chi_square=_chi_square(counts),
-        histogram=counts,
+        chi_square=_chi_square(hist),
+        histogram=hist,
         flags=tuple(flags),
     )
 

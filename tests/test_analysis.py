@@ -1,9 +1,10 @@
 """Statistical metrics: hand-computable cases, invariants, report formats.
 
-Every test class runs twice: as written, on the default path (the compiled
-statistics where the library loads), and as its ``...NumPy`` subclass at
-the end of the module, with the NumPy definitions.  The tests after those
-compare the two paths byte for byte.
+Every test class runs twice: as written, on the default path (`analyze`
+takes the compiled statistics where the library loads; the single-metric
+functions always run the NumPy definitions), and as its ``...NumPy``
+subclass at the end of the module, with the NumPy definitions only.  The
+tests after those compare the two paths byte for byte.
 """
 
 import math
@@ -353,10 +354,10 @@ class TestCompiledStatistics:
     @pytest.mark.parametrize("block", list(SUM_BLOCKS.values()), ids=list(SUM_BLOCKS))
     def test_sums_and_reports_match_numpy_across_block_sizes(self, compiled_library, block):
         img = sum_block(*block)
-        for direction, steps in analysis._DIRECTIONS.items():
-            got = _native._compiled_moments(compiled_library, img, *steps)
-            want = analysis._centred_sums(*analysis._direction_pairs(img, direction))
-            assert np.array(got).tobytes() == np.array(want).tobytes(), direction
+        got = _native._compiled_statistics(compiled_library, img)
+        for got_part, want_part in zip(got, analysis._numpy_statistics(img)):
+            assert got_part.dtype == want_part.dtype
+            assert got_part.tobytes() == want_part.tobytes()
         assert report_csv(analyze(img)) == numpy_report(img)
 
     @pytest.mark.parametrize("img", [
@@ -379,23 +380,21 @@ class TestCompiledStatistics:
         monkeypatch.setattr(analysis, "_histogram", numpy_in_use)
         report = analyze(img)
         assert report_csv(report) == want
-        sums = [*_native._compiled_glcm(compiled_library, img)[0]]
-        for steps in analysis._DIRECTIONS.values():
-            sums += _native._compiled_moments(compiled_library, img, *steps)
+        sums = _native._compiled_statistics(compiled_library, img)[0]
         assert all(math.copysign(1.0, s) == 1.0 for s in sums if s == 0.0)
         if img.shape == (3, 5):
             assert report.corr_d == 0.0 and report.flags == ()
 
     def test_no_pairs_give_the_empty_sums(self, compiled_library):
-        # +0.0 each, as NumPy sums no terms, and no byte outside the image read
-        img = hashed_pixels(1, 5)
-        for view, steps in ((img, (1, 0)), (img, (1, 1)), (img[:, :1], (0, 1))):
-            got = _native._compiled_moments(compiled_library, view, *steps)
-            assert np.array(got).tobytes() == np.zeros(3).tobytes(), steps
+        # +0.0 each, as NumPy sums no terms, and no byte outside the image
+        # read: one row has no vertical or diagonal pair (a single column,
+        # no horizontal pair, is declined below)
+        got = _native._compiled_statistics(compiled_library, hashed_pixels(1, 5))[0]
+        assert got[3:9].tobytes() == np.zeros(6).tobytes()
 
     def test_counts_match_bincount(self, compiled_library):
         img = hashed_pixels(17, 23)
-        got = _native._compiled_glcm(compiled_library, img)[1]
+        got = _native._compiled_statistics(compiled_library, img)[1]
         want = analysis._histogram(img)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
@@ -409,7 +408,7 @@ class TestCompiledStatistics:
     ])
     def test_histogram_comes_from_the_pair_pass(self, compiled_library, img):
         # each row's last pixel is no pair's left pixel, and is counted apart
-        hist = _native._compiled_glcm(compiled_library, img)[1]
+        hist = _native._compiled_statistics(compiled_library, img)[1]
         want = np.bincount(img.reshape(-1), minlength=256)
         assert hist.dtype == np.int64 == want.dtype
         assert np.array_equal(hist, want)
@@ -425,28 +424,23 @@ class TestCompiledStatistics:
         pytest.param(hashed_pixels(64, 64) % 4 + 100, id="narrow_range_64"),
     ])
     def test_glcm_matches_numpy(self, compiled_library, img):
-        got = _native._compiled_glcm(compiled_library, img)[0]
+        got = _native._compiled_statistics(compiled_library, img)[0][9:]
         want = analysis._glcm_sums(img)
-        assert np.array(got).tobytes() == np.array(want).tobytes()
+        assert got.tobytes() == np.array(want).tobytes()
         assert report_or_error(img) == numpy_report(img)
-        with python_loops():
-            numpy_glcm = glcm(img)
-        assert repr(glcm(img)) == repr(numpy_glcm)
+        assert repr(analysis._glcm_features(got)) == repr(glcm(img))
 
     def test_views_the_library_cannot_read_are_declined(self, compiled_library):
         img = hashed_pixels(8, 10)
-        assert _native._compiled_glcm(None, img) is None
-        assert _native._compiled_moments(None, img, 1, 0) is None
+        assert _native._compiled_statistics(None, img) is None
         # no horizontal pair: no GLCM
-        assert _native._compiled_glcm(compiled_library, img[:, :1]) is None
+        assert _native._compiled_statistics(compiled_library, img[:, :1]) is None
         # a view whose columns lie apart is read through a contiguous copy
         view = img[:, ::2]
-        got = _native._compiled_glcm(compiled_library, view)
-        assert np.array(got[0]).tobytes() == np.array(analysis._glcm_sums(view)).tobytes()
-        assert np.array_equal(got[1], analysis._histogram(view))
-        got = _native._compiled_moments(compiled_library, view, 0, 1)
-        want = analysis._centred_sums(*analysis._direction_pairs(view, "horizontal"))
-        assert np.array(got).tobytes() == np.array(want).tobytes()
+        got = _native._compiled_statistics(compiled_library, view)
+        want = analysis._numpy_statistics(view)
+        assert got[0].tobytes() == want[0].tobytes()
+        assert np.array_equal(got[1], want[1])
 
 
 @settings(max_examples=60, deadline=None)

@@ -3,6 +3,7 @@ import re
 
 import numpy as np
 import pytest
+from conftest import hashed_pixels, python_loops
 
 from xcross import _native, analysis, key_schedule, pipeline
 from xcross.errors import DimensionError, ParameterError
@@ -284,8 +285,25 @@ class TestCompiledTraffic:
         stage.append("analyze")
         analysis.analyze(cipher)
         assert sorted({name for _, name, _ in calls}) == self.WRAPPERS
+        assert [name for stage_name, name, _ in calls if stage_name == "analyze"] == [
+            "_compiled_statistics"]
         for stage_name, name, arrays in calls:
             if (stage_name, name) == ("decrypt", "_compiled_ibt"):
                 # the quadrant views of the unsubstituted image, copied today
                 arrays = arrays[1:]
             assert all(a.flags.c_contiguous for a in arrays), (stage_name, name)
+
+    def test_a_view_is_analyzed_in_one_call(self, compiled_library, monkeypatch):
+        # every statistic comes from one compiled call, so a view is copied once
+        cipher = encrypt(hashed_pixels(64, 64), reference_key())[:, ::-1]
+        with python_loops():
+            want = analysis.report_csv(analysis.analyze(cipher))
+        calls, wrapper = [], _native._compiled_statistics
+
+        def spy(lib, img):
+            calls.append(img.flags.c_contiguous)
+            return wrapper(lib, img)
+
+        monkeypatch.setattr(_native, "_compiled_statistics", spy)
+        assert analysis.report_csv(analysis.analyze(cipher)) == want
+        assert calls == [False]
