@@ -357,7 +357,7 @@ static double pairwise_tree(double *leaves, long n)
     return leaves[0];
 }
 
-/* The GLCM of analysis.glcm for the rows x cols image at img, rows >= 1
+/* The GLCM of analysis._glcm_sums for the rows x cols image at img, rows >= 1
  * and cols >= 2.  With c the counts of the horizontal pairs (left, right)
  * at c[left][right] and p = (c + c^T) / its sum, out[0 .. 5] = the sums of
  * (i-j)^2 p, p^2 and p / (1 + |i-j|), mu, the variance, and the sum of

@@ -6,13 +6,13 @@ GLCM uses the horizontal (0,1) offset, full 256 gray levels, counts each
 pair in both orders (symmetric), and normalizes to probabilities; a pair is
 counted at the flat index ``left << 8 | right``.
 
-The NumPy code below is the definition of every statistic, and the public
-single-metric functions run it alone.  `analyze` takes every sum and its
-one histogram from `_statistics`: where the compiled library of
-:mod:`~xcross._native` runs, one C call that forms each term as NumPy does,
-adds the sums in NumPy's own pairwise order, and adds a sum with terms of
-both signs to +0.0, the identity NumPy's reduction starts from, so both
-paths give the same report bytes.
+`analyze` is the one entry point: each metric is a field of its report.
+The NumPy code below is the definition of every statistic.  `analyze`
+takes every sum and its one histogram from `_statistics`: where the
+compiled library of :mod:`~xcross._native` runs, one C call that forms
+each term as NumPy does, adds the sums in NumPy's own pairwise order, and
+adds a sum with terms of both signs to +0.0, the identity NumPy's
+reduction starts from, so both paths give the same report bytes.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import _native
-from .errors import DimensionError, ParameterError, checked_image
+from .errors import DimensionError, checked_image
 
 #: Direction -> the (rows, columns) from each pixel to its pair.
 _DIRECTIONS = {"horizontal": (0, 1), "vertical": (1, 0), "diagonal": (1, 1)}
@@ -82,32 +82,16 @@ def _chi_square(counts: np.ndarray) -> float:
     return float(((counts - expected) ** 2 / expected).sum())
 
 
-def entropy(img: np.ndarray) -> float:
-    """Shannon entropy of the pixel histogram, in bits per pixel."""
-    return _entropy(_histogram(_nonempty(img)))
-
-
 def _direction_pairs(img: np.ndarray, direction: str) -> tuple[np.ndarray, np.ndarray]:
-    """The pixels a and b of the adjacent pairs in ``direction``, as two
-    views of one shape; an image with fewer than two such pairs is refused."""
-    if direction not in _DIRECTIONS:
-        raise ParameterError(f"direction must be one of {tuple(_DIRECTIONS)}, got {direction!r}")
+    """The pixels a and b of the adjacent pairs in ``direction``, one of
+    `_DIRECTIONS`, as two views of one shape; an image with fewer than two
+    such pairs is refused."""
     dr, dc = _DIRECTIONS[direction]
     rows, cols = img.shape
     a, b = img[:rows - dr, :cols - dc], img[dr:, dc:]
     if a.size < 2:
         raise DimensionError(f"image {img.shape} has too few {direction} pairs for a correlation")
     return a, b
-
-
-def adjacent_correlation(img: np.ndarray, direction: str) -> float:
-    """Pearson correlation over all adjacent pixel pairs in one direction.
-
-    Returns 0.0 when either marginal is constant (the report carries a
-    flag for that case).
-    """
-    a, b = _direction_pairs(_nonempty(img), direction)
-    return _pearson(_centred_sums(a, b), a.size)[0]
 
 
 def _pearson(sums, count: int) -> tuple[float, bool]:
@@ -168,22 +152,10 @@ def _glcm_sums(img: np.ndarray) -> tuple[float, float, float, float, float, floa
 
 
 def _glcm_features(sums) -> tuple[float, float, float, float | None]:
-    """The features of `glcm` from the `_glcm_sums`."""
+    """The GLCM contrast, energy, homogeneity and correlation (None where
+    the marginals have zero variance) from the `_glcm_sums`."""
     contrast, energy, homogeneity, _, var, corr_sum = (float(s) for s in sums)
     return contrast, energy, homogeneity, None if var == 0.0 else corr_sum / var
-
-
-def glcm(img: np.ndarray) -> tuple[float, float, float, float | None]:
-    """GLCM texture features: (contrast, energy, homogeneity, correlation)."""
-    img = _nonempty(img)
-    if img.shape[1] < 2:
-        raise DimensionError("GLCM needs at least two columns")
-    return _glcm_features(_glcm_sums(img))
-
-
-def histogram_chi_square(img: np.ndarray) -> float:
-    """Chi-square statistic of the 256-bin histogram against uniform."""
-    return _chi_square(_histogram(_nonempty(img)))
 
 
 def _numpy_statistics(img: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

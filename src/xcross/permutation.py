@@ -9,9 +9,10 @@ emitted pixel sequence refills the block row-major.  Every row pair emits
 in the same column order, so one schedule of 2·cols read positions over
 the pair's two rows serves the whole block.
 
-The NumPy take through that schedule is the definition.  Where the
-compiled library of :mod:`~xcross._native` runs, one C pass moves the
-same bytes without the schedule's intp index.
+The NumPy take through that schedule is the definition, and the scatter
+back through it the inverse's.  Where the compiled library of
+:mod:`~xcross._native` runs, one C pass moves the same bytes without the
+schedule's intp index.
 
 At image level the four quadrants are chained: each quadrant is XORed with
 the previous quadrant's *output* before being X-Cross permuted, so a
@@ -56,9 +57,9 @@ def _check_quarterable(m: int, n: int) -> None:
 
 
 @lru_cache(maxsize=64)
-def _pair_schedule(cols: int) -> tuple[np.ndarray, np.ndarray]:
+def _pair_schedule(cols: int) -> np.ndarray:
     """Read positions of one row pair laid out as ``[top row | bottom row]``,
-    in emission order, and their inverse."""
+    in emission order."""
     pairs = cols // 2
     # column-pair visit order: outermost, innermost-remaining, next-outermost, ...
     left = np.empty(pairs, dtype=np.intp)
@@ -67,10 +68,8 @@ def _pair_schedule(cols: int) -> tuple[np.ndarray, np.ndarray]:
     right = cols - 1 - left
     # (top,right), (bottom,left), (top,left), (bottom,right) per column pair
     read = np.stack([right, cols + left, left, cols + right], axis=1).reshape(-1)
-    back = np.argsort(read)
     read.setflags(write=False)
-    back.setflags(write=False)
-    return read, back
+    return read
 
 
 def xcross_permute(blk: np.ndarray) -> np.ndarray:
@@ -90,7 +89,7 @@ def xcross_unpermute(blk: np.ndarray) -> np.ndarray:
 def _permute_by_schedule(blk: np.ndarray) -> np.ndarray:
     """X-Cross by NumPy through the pair schedule: the definition."""
     rows, cols = blk.shape
-    read, _ = _pair_schedule(cols)
+    read = _pair_schedule(cols)
     # row t beside row rows-1-t, outermost pair first
     pairs = np.concatenate([blk[: rows // 2], blk[::-1][: rows // 2]], axis=1)
     return pairs.take(read, axis=1).reshape(rows, cols)
@@ -99,8 +98,9 @@ def _permute_by_schedule(blk: np.ndarray) -> np.ndarray:
 def _unpermute_by_schedule(blk: np.ndarray) -> np.ndarray:
     """Inverse X-Cross by NumPy through the pair schedule: the definition."""
     rows, cols = blk.shape
-    _, back = _pair_schedule(cols)
-    pairs = blk.reshape(rows // 2, 2 * cols).take(back, axis=1)
+    # each emitted pixel back to the position it was read from
+    pairs = np.empty((rows // 2, 2 * cols), dtype=blk.dtype)
+    pairs[:, _pair_schedule(cols)] = blk.reshape(rows // 2, 2 * cols)
     return np.concatenate([pairs[:, :cols], pairs[::-1, cols:]])
 
 

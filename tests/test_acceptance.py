@@ -3,7 +3,9 @@
 Each test checks a numbered criterion end to end at its stated tolerance
 and prints `[criterion N] <label>: PASS/FAIL (<measurements>)`.  The
 verdict lines bypass pytest's capture, so they appear in every run mode.
-All randomness is seeded; reruns measure identical numbers.
+Criteria 2-5 read the fields of `analyze`'s report, the one `xcross
+analyze` prints.  All randomness is seeded; reruns measure identical
+numbers.
 """
 
 import dataclasses
@@ -14,12 +16,7 @@ import pytest
 from scipy.stats import chi2 as chi2_dist
 
 import oracles
-from xcross.analysis import (
-    adjacent_correlation,
-    entropy,
-    glcm,
-    histogram_chi_square,
-)
+from xcross.analysis import analyze
 from xcross.chaotic_maps import clt_step, iterate_clt, iterate_lshm, lshm_step
 from xcross.ibt import ibt_apply
 from xcross.key_schedule import (
@@ -92,7 +89,7 @@ def test_criterion_1_round_trip_exactness():
 def test_criterion_2_ciphertext_entropy():
     t0 = time.perf_counter()
     _, cipher = _natural_pair()
-    h = entropy(cipher)
+    h = analyze(cipher).entropy
     dt = time.perf_counter() - t0
     _verdict(
         2,
@@ -104,9 +101,9 @@ def test_criterion_2_ciphertext_entropy():
 
 def test_criterion_3_adjacent_correlation():
     plain, cipher = _natural_pair()
-    plain_h = adjacent_correlation(plain, "horizontal")
-    c = {d: adjacent_correlation(cipher, d)
-         for d in ("horizontal", "vertical", "diagonal")}
+    plain_h = analyze(plain).corr_h
+    report = analyze(cipher)
+    c = {"horizontal": report.corr_h, "vertical": report.corr_v, "diagonal": report.corr_d}
     worst = max(abs(v) for v in c.values())
     _verdict(
         3,
@@ -119,13 +116,13 @@ def test_criterion_3_adjacent_correlation():
 
 def test_criterion_4_glcm_texture():
     _, cipher = _natural_pair()
-    contrast, energy_, homogeneity, _ = glcm(cipher)
+    r = analyze(cipher)
     _verdict(
         4,
         "GLCM texture",
-        contrast >= 10.0 and energy_ <= 0.0040 and homogeneity <= 0.40,
-        f"contrast = {contrast:.1f} (floor 10), energy = {energy_:.6f} "
-        f"(cap 0.0040), homogeneity = {homogeneity:.4f} (cap 0.40)",
+        r.glcm_contrast >= 10.0 and r.glcm_energy <= 0.0040 and r.glcm_homogeneity <= 0.40,
+        f"contrast = {r.glcm_contrast:.1f} (floor 10), energy = {r.glcm_energy:.6f} "
+        f"(cap 0.0040), homogeneity = {r.glcm_homogeneity:.4f} (cap 0.40)",
     )
 
 
@@ -134,7 +131,7 @@ def test_criterion_5_histogram_uniformity():
     plain = natural_test_image()
     critical = float(chi2_dist.ppf(0.95, 255))
     chis = [
-        histogram_chi_square(encrypt(plain, random_key_material(rng)))
+        analyze(encrypt(plain, random_key_material(rng))).chi_square
         for _ in range(10)
     ]
     passing = sum(c < critical for c in chis)

@@ -1,10 +1,10 @@
 """Statistical metrics: hand-computable cases, invariants, report formats.
 
-Every test class runs twice: as written, on the default path (`analyze`
-takes the compiled statistics where the library loads; the single-metric
-functions always run the NumPy definitions), and as its ``...NumPy``
-subclass at the end of the module, with the NumPy definitions only.  The
-tests after those compare the two paths byte for byte.
+Every metric is read from a field of `analyze`'s report.  Every test class
+runs twice: as written, on the default path (the compiled statistics where
+the library loads), and as its ``...NumPy`` subclass at the end of the
+module, with the NumPy definitions only.  The tests after those compare
+the two paths byte for byte.
 """
 
 import math
@@ -16,16 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xcross import _native, analysis
-from xcross.analysis import (
-    AnalysisReport,
-    adjacent_correlation,
-    analyze,
-    entropy,
-    glcm,
-    histogram_chi_square,
-    report_csv,
-    report_text,
-)
+from xcross.analysis import analyze, report_csv, report_text
 from xcross.errors import DimensionError, ParameterError
 from xcross.permutation import xcross_permute
 
@@ -41,127 +32,122 @@ def row_ramp(m=8, n=8):
 
 class TestEntropy:
     def test_constant_image_has_zero_entropy(self):
-        h = entropy(np.full((16, 16), 7, dtype=np.uint8))
+        h = analyze(np.full((16, 16), 7, dtype=np.uint8)).entropy
         assert h == 0.0
         assert math.copysign(1.0, h) == 1.0  # +0.0: reports print 0.000000, not -0.000000
 
     def test_perfectly_uniform_histogram_has_eight_bits(self):
         img = np.arange(256, dtype=np.uint8).reshape(16, 16)
-        assert entropy(img) == 8.0
+        assert analyze(img).entropy == 8.0
 
     def test_two_equal_levels_give_one_bit(self):
-        assert entropy(checkerboard()) == pytest.approx(1.0, abs=1e-15)
+        assert analyze(checkerboard()).entropy == pytest.approx(1.0, abs=1e-15)
 
     def test_never_exceeds_eight_bits(self):
         rng = np.random.default_rng(11)
         img = rng.integers(0, 256, size=(32, 32), dtype=np.uint8)
-        assert entropy(img) <= 8.0
+        assert analyze(img).entropy <= 8.0
 
     def test_rejects_non_uint8(self):
         with pytest.raises(ParameterError):
-            entropy(np.zeros((4, 4), dtype=np.float64))
+            analyze(np.zeros((4, 4), dtype=np.float64))
 
     def test_rejects_empty(self):
-        with pytest.raises(DimensionError):
-            entropy(np.zeros((0, 4), dtype=np.uint8))
+        with pytest.raises(DimensionError, match="empty"):
+            analyze(np.zeros((0, 4), dtype=np.uint8))
+
+
+def correlations(img):
+    """The report's adjacent-pixel correlations by direction."""
+    report = analyze(img)
+    return {"horizontal": report.corr_h, "vertical": report.corr_v, "diagonal": report.corr_d}
 
 
 class TestAdjacentCorrelation:
     def test_row_ramp_is_perfectly_correlated_horizontally(self):
         # every horizontal pair is (i, i), so x and y are the same sequence
-        assert adjacent_correlation(row_ramp(), "horizontal") == pytest.approx(
-            1.0, abs=1e-12
-        )
+        assert analyze(row_ramp()).corr_h == pytest.approx(1.0, abs=1e-12)
 
     def test_checkerboard_is_anticorrelated(self):
-        img = checkerboard()
+        c = correlations(checkerboard())
         for d in ("horizontal", "vertical"):
-            assert adjacent_correlation(img, d) == pytest.approx(-1.0, abs=1e-12)
+            assert c[d] == pytest.approx(-1.0, abs=1e-12)
         # diagonal neighbours share the same parity -> same value
-        assert adjacent_correlation(img, "diagonal") == pytest.approx(1.0, abs=1e-12)
+        assert c["diagonal"] == pytest.approx(1.0, abs=1e-12)
 
     def test_constant_image_reports_zero(self):
         img = np.full((8, 8), 42, dtype=np.uint8)
-        assert adjacent_correlation(img, "horizontal") == 0.0
+        assert analyze(img).corr_h == 0.0
 
     def test_vertical_equals_horizontal_of_transpose(self):
         rng = np.random.default_rng(5)
         img = rng.integers(0, 256, size=(12, 20), dtype=np.uint8)
-        v = adjacent_correlation(img, "vertical")
-        h_t = adjacent_correlation(np.ascontiguousarray(img.T), "horizontal")
+        v = analyze(img).corr_v
+        h_t = analyze(np.ascontiguousarray(img.T)).corr_h
         assert v == pytest.approx(h_t, abs=1e-12)
 
     def test_complement_invariance(self):
         rng = np.random.default_rng(6)
         img = rng.integers(0, 256, size=(16, 16), dtype=np.uint8)
+        c, complement = correlations(img), correlations(255 - img)
         for d in ("horizontal", "vertical", "diagonal"):
-            assert adjacent_correlation(img, d) == pytest.approx(
-                adjacent_correlation(255 - img, d), abs=1e-12
-            )
-
-    def test_unknown_direction_rejected(self):
-        with pytest.raises(ParameterError):
-            adjacent_correlation(checkerboard(), "antidiagonal")
+            assert c[d] == pytest.approx(complement[d], abs=1e-12)
 
     def test_too_small_for_direction(self):
-        # a 1x2 image has one horizontal pair (below the two-pair minimum)
-        # and no vertical pairs at all
-        img = np.array([[1, 2]], dtype=np.uint8)
-        with pytest.raises(DimensionError):
-            adjacent_correlation(img, "horizontal")
-        with pytest.raises(DimensionError):
-            adjacent_correlation(img, "vertical")
+        # a 1x2 image has one horizontal pair (below the two-pair minimum);
+        # a 1x3 image has two, and no vertical pairs at all
+        with pytest.raises(DimensionError, match="horizontal"):
+            analyze(np.array([[1, 2]], dtype=np.uint8))
+        with pytest.raises(DimensionError, match="vertical"):
+            analyze(np.array([[1, 2, 3]], dtype=np.uint8))
 
 
 class TestGlcm:
     def test_constant_image(self):
-        contrast, energy_, homogeneity, correlation = glcm(
-            np.full((8, 8), 9, dtype=np.uint8)
-        )
-        assert contrast == 0.0
-        assert energy_ == 1.0
-        assert homogeneity == 1.0
-        assert correlation is None
+        report = analyze(np.full((8, 8), 9, dtype=np.uint8))
+        assert report.glcm_contrast == 0.0
+        assert report.glcm_energy == 1.0
+        assert report.glcm_homogeneity == 1.0
+        assert report.glcm_correlation is None
 
     def test_checkerboard_closed_forms(self):
-        contrast, energy_, homogeneity, correlation = glcm(checkerboard())
+        report = analyze(checkerboard())
         # all horizontal pairs are (0,255) or (255,0), each with mass 1/2
-        assert contrast == pytest.approx(255.0**2, abs=1e-9)
-        assert energy_ == pytest.approx(0.5, abs=1e-15)
-        assert homogeneity == pytest.approx(1.0 / 256.0, abs=1e-15)
-        assert correlation == pytest.approx(-1.0, abs=1e-12)
+        assert report.glcm_contrast == pytest.approx(255.0**2, abs=1e-9)
+        assert report.glcm_energy == pytest.approx(0.5, abs=1e-15)
+        assert report.glcm_homogeneity == pytest.approx(1.0 / 256.0, abs=1e-15)
+        assert report.glcm_correlation == pytest.approx(-1.0, abs=1e-12)
 
     def test_matrix_is_normalized_and_symmetric_features_bounded(self):
         rng = np.random.default_rng(7)
-        img = rng.integers(0, 256, size=(24, 24), dtype=np.uint8)
-        contrast, energy_, homogeneity, correlation = glcm(img)
-        assert 0.0 <= energy_ <= 1.0
-        assert 0.0 < homogeneity <= 1.0
-        assert contrast >= 0.0
-        assert correlation is not None and -1.0 <= correlation <= 1.0
+        report = analyze(rng.integers(0, 256, size=(24, 24), dtype=np.uint8))
+        assert 0.0 <= report.glcm_energy <= 1.0
+        assert 0.0 < report.glcm_homogeneity <= 1.0
+        assert report.glcm_contrast >= 0.0
+        assert report.glcm_correlation is not None and -1.0 <= report.glcm_correlation <= 1.0
 
     def test_energy_homogeneity_ordering_is_not_universal(self):
         # On typical photographic or noise images energy stays well below
         # homogeneity, but the ordering can invert: a two-level 0/255
         # checkerboard concentrates the GLCM in two far-apart cells, giving
         # energy 1/2 while homogeneity collapses to 1/256.
-        _, energy_, homogeneity, _ = glcm(checkerboard())
-        assert energy_ > homogeneity
+        report = analyze(checkerboard())
+        assert report.glcm_energy > report.glcm_homogeneity
         rng = np.random.default_rng(8)
         for _ in range(5):
-            img = rng.integers(0, 256, size=(32, 32), dtype=np.uint8)
-            _, energy_, homogeneity, _ = glcm(img)
-            assert energy_ <= homogeneity
+            report = analyze(rng.integers(0, 256, size=(32, 32), dtype=np.uint8))
+            assert report.glcm_energy <= report.glcm_homogeneity
 
     def test_needs_two_columns(self):
-        with pytest.raises(DimensionError):
-            glcm(np.zeros((4, 1), dtype=np.uint8))
+        # a single column has no horizontal pair, so no GLCM either
+        with pytest.raises(DimensionError, match="horizontal"):
+            analyze(np.zeros((4, 1), dtype=np.uint8))
 
 
 class TestChiSquare:
     def test_exactly_uniform_histogram_scores_zero(self):
         img = np.arange(256, dtype=np.uint8).reshape(16, 16)
-        assert histogram_chi_square(img) == 0.0
+        assert analyze(img).chi_square == 0.0
 
     def test_constant_image_closed_form(self):
         img = np.zeros((256, 256), dtype=np.uint8)
@@ -169,12 +155,12 @@ class TestChiSquare:
         expected = n / 256.0
         # one bin holds everything, 255 bins hold nothing
         closed = 255 * expected + (n - expected) ** 2 / expected
-        assert histogram_chi_square(img) == pytest.approx(closed, rel=1e-12)
+        assert analyze(img).chi_square == pytest.approx(closed, rel=1e-12)
 
     def test_nonnegative(self):
         rng = np.random.default_rng(9)
         img = rng.integers(0, 256, size=(16, 16), dtype=np.uint8)
-        assert histogram_chi_square(img) >= 0.0
+        assert analyze(img).chi_square >= 0.0
 
 
 class TestPermutationInvariance:
@@ -182,29 +168,13 @@ class TestPermutationInvariance:
     def test_entropy_and_chi_square_survive_permutation(self):
         rng = np.random.default_rng(10)
         img = rng.integers(0, 256, size=(8, 8), dtype=np.uint8)
-        shuffled = xcross_permute(img)
-        assert entropy(shuffled) == entropy(img)
-        assert histogram_chi_square(shuffled) == histogram_chi_square(img)
+        report, shuffled = analyze(img), analyze(xcross_permute(img))
+        assert shuffled.entropy == report.entropy
+        assert shuffled.chi_square == report.chi_square
+        assert np.array_equal(shuffled.histogram, report.histogram)
 
 
 class TestAnalyze:
-    def test_aggregates_match_individual_metrics(self):
-        rng = np.random.default_rng(12)
-        img = rng.integers(0, 256, size=(16, 16), dtype=np.uint8)
-        report = analyze(img)
-        assert report.entropy == entropy(img)
-        assert report.corr_h == adjacent_correlation(img, "horizontal")
-        assert report.corr_v == adjacent_correlation(img, "vertical")
-        assert report.corr_d == adjacent_correlation(img, "diagonal")
-        contrast, energy_, homogeneity, correlation = glcm(img)
-        assert report.glcm_contrast == contrast
-        assert report.glcm_energy == energy_
-        assert report.glcm_homogeneity == homogeneity
-        assert report.glcm_correlation == correlation
-        assert report.chi_square == histogram_chi_square(img)
-        assert report.histogram.sum() == img.size
-        assert report.flags == ()
-
     def test_constant_image_sets_flags(self):
         report = analyze(np.full((8, 8), 3, dtype=np.uint8))
         assert report.entropy == 0.0
@@ -428,7 +398,7 @@ class TestCompiledStatistics:
         want = analysis._glcm_sums(img)
         assert got.tobytes() == np.array(want).tobytes()
         assert report_or_error(img) == numpy_report(img)
-        assert repr(analysis._glcm_features(got)) == repr(glcm(img))
+        assert repr(analysis._glcm_features(got)) == repr(analysis._glcm_features(want))
 
     def test_views_the_library_cannot_read_are_declined(self, compiled_library):
         img = hashed_pixels(8, 10)

@@ -1,13 +1,7 @@
 import numpy as np
 import pytest
 
-from xcross.analysis import (
-    adjacent_correlation,
-    analyze,
-    entropy,
-    glcm,
-    histogram_chi_square,
-)
+from xcross.analysis import analyze
 from xcross.errors import ParameterError
 from xcross.ibt import ibt_apply
 from xcross.image_io import write_pgm
@@ -28,10 +22,6 @@ ENTRY_POINTS = {
     "xcross_unpermute": xcross_unpermute,
     "split_quadrants": split_quadrants,
     "analyze": analyze,
-    "entropy": entropy,
-    "histogram_chi_square": histogram_chi_square,
-    "glcm": glcm,
-    "adjacent_correlation": lambda img: adjacent_correlation(img, "horizontal"),
     "write_pgm": write_pgm,
     "encrypt": lambda img: encrypt(img, reference_key()),
     "decrypt": lambda img: decrypt(img, reference_key()),

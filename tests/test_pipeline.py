@@ -4,6 +4,8 @@ import re
 import numpy as np
 import pytest
 from conftest import hashed_pixels, python_loops
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xcross import _native, analysis, key_schedule, pipeline
 from xcross.errors import DimensionError, ParameterError
@@ -216,6 +218,36 @@ class TestCipherBehavior:
             encrypt(np.zeros((8, 8), dtype=np.float64), ref_key)
         with pytest.raises(DimensionError):
             encrypt(np.zeros(64, dtype=np.uint8), ref_key)
+
+
+#: Quadrant of a flipped plaintext bit -> the fewest and most ciphertext
+#: pixels it changes.  The cascade XOR, X-Cross and IBT are GF(2)-linear bit
+#: maps and substitution is a bijection per pixel, so the flip stays one bit
+#: in its own quadrant and each later one.  A bit in C also feeds
+#: A' = X(A ^ C), so it reaches C' and D' twice, where the two copies may
+#: cancel or share a pixel.
+FLIP_PIXELS = {"A": (4, 4), "B": (3, 3), "C": (2, 6), "D": (1, 1)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    data=st.data(),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    m=st.sampled_from([4, 8, 12, 16]),
+    n=st.sampled_from([4, 8, 12, 16]),
+)
+def test_one_plaintext_bit_changes_at_most_six_pixels(data, seed, m, n):
+    key = random_key_material(np.random.default_rng(seed))
+    pixels = data.draw(st.binary(min_size=m * n, max_size=m * n))
+    plain = np.frombuffer(pixels, dtype=np.uint8).reshape(m, n)
+    row = data.draw(st.integers(0, m - 1), label="row")
+    col = data.draw(st.integers(0, n - 1), label="col")
+    flipped = plain.copy()
+    flipped[row, col] ^= 1 << data.draw(st.integers(0, 7), label="bit")
+    changed = np.count_nonzero(encrypt(plain, key) != encrypt(flipped, key))
+    quadrant = "ABCD"[2 * (row >= m // 2) + (col >= n // 2)]
+    low, high = FLIP_PIXELS[quadrant]
+    assert low <= changed <= high, (quadrant, changed)
 
 
 #: Each layer's forward and inverse as the pipeline module names them, and

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from xcross.analysis import adjacent_correlation
+from xcross.analysis import analyze
 from xcross.errors import DimensionError
 from xcross.sample_images import natural_test_image, random_image
 
@@ -22,7 +22,7 @@ def test_marginal_is_exactly_uniform():
 
 def test_smooth_but_quadrant_decorrelated():
     img = natural_test_image()
-    assert adjacent_correlation(img, "horizontal") >= 0.95
+    assert analyze(img).corr_h >= 0.95
     left = img[:, :128].reshape(-1).astype(np.float64)
     right = img[:, 128:].reshape(-1).astype(np.float64)
     assert abs(np.corrcoef(left, right)[0, 1]) <= 0.2
