@@ -8,12 +8,13 @@ with it, and fails unless the round trip is exact and both budgets hold:
 
 * ``WALL_BUDGET_S`` = 30 s for derive + encrypt + decrypt.  Measured with
   the compiled library on a 2-core x86-64 host (Python 3.11, NumPy 2.4):
-  derive 4.5-5.0 s, encrypt 0.18-0.24 s, decrypt 0.20-0.24 s, 4.9-5.4 s
-  in all.  The budget is about five times that, room for a slower CI
-  runner.  The Python loops with the NumPy definitions took 23 s on that
-  host.
+  derive 4.8-5.4 s, encrypt 0.21-0.24 s, decrypt 0.21-0.24 s, 5.3-5.8 s
+  in all (encrypt 0.25-0.26 s and decrypt 0.24-0.27 s there before the
+  IBT gather prefetched its key).  The budget is about five times that,
+  room for a slower CI runner.  The Python loops with the NumPy
+  definitions took 23 s on that host.
 * ``RSS_BUDGET_MB`` = 780 MB of peak RSS (``ru_maxrss``).  Measured:
-  646 MB with the compiled library and 898 MB with the Python loops and
+  645 MB with the compiled library and 898 MB with the Python loops and
   NumPy definitions, both reached by the end of derivation (two
   extraction arrays and four keys).  The budget leaves 20% for allocator
   and NumPy-version differences; at this size one int32 extraction key

@@ -18,7 +18,8 @@
  *  - The IBT gather, per call, for blocks whose byte count is a multiple of
  *    4; other blocks run the scalar loop.  It reads each bit through the
  *    aligned 4-byte word holding it, which lies inside the block because the
- *    block is a whole number of such words.
+ *    block is a whole number of such words, and prefetches the key a fixed
+ *    lead ahead of the gathers.
  *  - The leaves of the correlation sums of 8 or more pairs, where one pass
  *    keeps all three sums' eight accumulators in vector lanes.
  *
@@ -110,6 +111,15 @@ void xcross_sort_keys(const uint8_t *rea, long n, int32_t *key, int32_t *inv)
 }
 
 #ifdef XCROSS_AVX2
+/* How many output bytes ahead ibt_avx2 prefetches the key: 128 bytes are
+ * 4 KB of key.  The gathers keep the hardware prefetcher from running
+ * ahead of the key stream; a one-process sweep over 1-16 KB of key at
+ * 1024^2, encrypt and decrypt alternated with the unprefetched loop per
+ * op, found 2-16 KB within a few percent of each other and 4 KB the best
+ * (CHANGES.md).  The scalar loop is slower per byte, and a prefetch there
+ * cost about 2%. */
+#define IBT_PREFETCH_LEAD 128
+
 /* xcross_ibt for nbytes a multiple of 4 and at most 2**28, so 8 * nbytes - 1
  * fits an unsigned 32-bit lane and every negative entry compares above it.
  * One output byte per turn: eight entries checked and gathered at once. */
@@ -121,6 +131,10 @@ static int ibt_avx2(const uint8_t *in, uint8_t *out, const int32_t *key, long nb
     const __m256i top = _mm256_set1_epi32(24);
     const __m256i reversed = _mm256_setr_epi32(7, 6, 5, 4, 3, 2, 1, 0);
     for (long i = 0; i < nbytes; i++, key += 8) {
+        /* the entries of byte i + lead, or of the last byte near the end,
+         * so the address never passes the key */
+        long ahead = nbytes - 1 - i < IBT_PREFETCH_LEAD ? nbytes - 1 - i : IBT_PREFETCH_LEAD;
+        __builtin_prefetch(key + 8 * ahead);
         __m256i k = _mm256_loadu_si256((const __m256i *)key);
         __m256i ok = _mm256_cmpeq_epi32(_mm256_max_epu32(k, last), last);
         if (_mm256_movemask_ps(_mm256_castsi256_ps(ok)) != 0xff)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from xcross import _native
@@ -128,8 +128,15 @@ def numpy_gather(blk, key):
     return np.packbits(np.unpackbits(blk.reshape(-1))[np.asarray(key, np.intp)]).reshape(blk.shape)
 
 
+# the AVX2 body prefetches the key 128 output bytes ahead (IBT_PREFETCH_LEAD
+# in _maps.c): quadrants of 124, 128 and 132 bytes, and 135, odd, for the
+# scalar loop
 @settings(max_examples=50, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 12), cols=st.integers(1, 12))
+@example(seed=1, rows=4, cols=31)
+@example(seed=2, rows=4, cols=32)
+@example(seed=3, rows=4, cols=33)
+@example(seed=4, rows=3, cols=45)
 def test_compiled_gather_matches_numpy(compiled_library, seed, rows, cols):
     r = np.random.default_rng(seed)
     img = r.integers(0, 256, size=(2 * rows, 2 * cols), dtype=np.uint8)
@@ -170,17 +177,25 @@ class TestOutOfRangeInt32Keys:
         with pytest.raises(IndexError):
             ibt_apply(blk, key)
 
-    # 16 bytes take the AVX2 gather on CPUs that have it, 15 the scalar loop
-    # everywhere; the bad entry is the first or last of the second group of 8
-    either_path = pytest.mark.parametrize("shape", [(4, 4), (3, 5)], ids=["4x4", "3x5"])
-    either_lane = pytest.mark.parametrize("lane", [0, 7], ids=["lane0", "lane7"])
+    # 16 and 132 bytes take the AVX2 gather on CPUs that have it, 15 and 135
+    # the scalar loop everywhere; 132 and 135 pass the 128 output bytes the
+    # AVX2 body prefetches the key ahead (IBT_PREFETCH_LEAD in _maps.c).  The
+    # bad entry is the first or last of a group of 8: the second, the first,
+    # read while the prefetch runs a full lead ahead, or the last, where the
+    # prefetch is clamped to it
+    either_path = pytest.mark.parametrize("shape", [(4, 4), (3, 5), (4, 33), (3, 45)],
+                                          ids=["4x4", "3x5", "4x33", "3x45"])
+    either_lane = pytest.mark.parametrize(
+        "group, lane", [(1, 0), (1, 7), (0, 0), (0, 7), (-1, 0), (-1, 7)],
+        ids=["lane0", "lane7", "first-lane0", "first-lane7", "last-lane0", "last-lane7"])
 
     @either_path
     @either_lane
-    def test_negative_entry_wraps_on_either_path(self, compiled_library, rng, shape, lane):
+    def test_negative_entry_wraps_on_either_path(self, compiled_library, rng, shape, group,
+                                                 lane):
         blk = rng.integers(0, 256, size=shape, dtype=np.uint8)
         key = rng.permutation(8 * blk.size).astype(np.int32)
-        key[8 + lane] = -1
+        key.reshape(-1, 8)[group, lane] = -1
         assert _native._compiled_ibt(compiled_library, blk, key) is None
         assert np.array_equal(ibt_apply(blk, key), numpy_gather(blk, key))
 
@@ -188,10 +203,10 @@ class TestOutOfRangeInt32Keys:
     @either_lane
     @pytest.mark.parametrize("past_end", [True, False], ids=["nbits", "int32min"])
     def test_entry_out_of_range_raises_on_either_path(self, compiled_library, rng, shape,
-                                                      lane, past_end):
+                                                      group, lane, past_end):
         blk = rng.integers(0, 256, size=shape, dtype=np.uint8)
         key = rng.permutation(8 * blk.size).astype(np.int32)
-        key[8 + lane] = key.size if past_end else np.iinfo(np.int32).min
+        key.reshape(-1, 8)[group, lane] = key.size if past_end else np.iinfo(np.int32).min
         assert _native._compiled_ibt(compiled_library, blk, key) is None
         with pytest.raises(IndexError):
             ibt_apply(blk, key)
