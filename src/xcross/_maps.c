@@ -11,17 +11,20 @@
  * CPython.  Each loop writes `count` states, transient included, into the
  * caller's buffers.
  *
- * Two functions have a second, AVX2 body, compiled for that target (never
+ * Three functions have a second, SIMD body, compiled for its target (never
  * "fma") by a function attribute, so the compile command stays the same.
- * Both are taken on x86-64 CPUs that report AVX2; other CPUs, and builds
- * without XCROSS_AVX2, run the scalar code.
- *  - The IBT gather, per call, for blocks whose byte count is a multiple of
- *    4; other blocks run the scalar loop.  It reads each bit through the
- *    aligned 4-byte word holding it, which lies inside the block because the
- *    block is a whole number of such words, and prefetches the key a fixed
- *    lead ahead of the gathers.
- *  - The leaves of the correlation sums of 8 or more pairs, where one pass
- *    keeps all three sums' eight accumulators in vector lanes.
+ * Each is taken on x86-64 CPUs that report its instructions; other CPUs,
+ * and builds without XCROSS_AVX2, run the scalar code.
+ *  - The IBT gather, AVX2, per call, for blocks whose byte count is a
+ *    multiple of 4; other blocks run the scalar loop.  It reads each bit
+ *    through the aligned 4-byte word holding it, which lies inside the
+ *    block because the block is a whole number of such words, and
+ *    prefetches the key a fixed lead ahead of the gathers.
+ *  - The leaves of the correlation sums of 8 or more pairs, AVX2, where one
+ *    pass keeps all three sums' eight accumulators in vector lanes.
+ *  - The substitution, AVX-512 VBMI, per call of 64 or more pixels, for
+ *    each whole run of 64: two vpermi2b lookups per code, blended on the
+ *    pixel's bit 7.  The tail of fewer than 64 pixels runs the scalar loop.
  *
  * The statistics repeat NumPy's float64 sums bit for bit: each term is the
  * product or quotient NumPy forms, and pairwise_leaf and pairwise_tree add
@@ -465,13 +468,53 @@ int xcross_statistics(const uint8_t *img, long rows, long cols, double *out, int
     return xcross_glcm(img, rows, cols, out + 9, hist);
 }
 
+#ifdef XCROSS_AVX2
+/* xcross_substitute for the first n - n % 64 pixels, 64 at a time: each
+ * code's row lies in four registers, vpermi2b looks a pixel's low seven
+ * bits up in its first or last 128 entries, and bit 7 picks between them.
+ * A run's codes are checked before it is written. */
+__attribute__((target("avx512f,avx512bw,avx512vbmi")))
+static int substitute_vbmi(const uint8_t *img, const uint8_t *ops, const uint8_t *table,
+                           uint8_t *out, long n)
+{
+    __m512i rows[3][4];
+    for (int c = 0; c < 3; c++)
+        for (int q = 0; q < 4; q++)
+            rows[c][q] = _mm512_loadu_si512(table + 256 * c + 64 * q);
+    const __m512i two = _mm512_set1_epi8(2);
+    for (long i = 0; i + 64 <= n; i += 64) {
+        __m512i p = _mm512_loadu_si512(img + i), o = _mm512_loadu_si512(ops + i);
+        if (_mm512_cmpgt_epu8_mask(o, two))
+            return 1;
+        __mmask64 high = _mm512_movepi8_mask(p);
+        __m512i r = _mm512_setzero_si512();
+        for (int c = 0; c < 3; c++) {
+            __m512i lo = _mm512_permutex2var_epi8(rows[c][0], p, rows[c][1]);
+            __m512i hi = _mm512_permutex2var_epi8(rows[c][2], p, rows[c][3]);
+            __mmask64 code = _mm512_cmpeq_epi8_mask(o, _mm512_set1_epi8((char)c));
+            r = _mm512_mask_mov_epi8(r, code, _mm512_mask_blend_epi8(high, lo, hi));
+        }
+        _mm512_storeu_si512(out + i, r);
+    }
+    return 0;
+}
+#endif
+
 /* out[i] = table[ops[i] << 8 | img[i]] for the n pixels at img and their
  * operation codes at ops; table holds one 256-entry row per code.  Returns
  * 1 at the first code above 2, leaving out partly written, else 0. */
 int xcross_substitute(const uint8_t *img, const uint8_t *ops, const uint8_t *table,
                       uint8_t *out, long n)
 {
-    for (long i = 0; i < n; i++) {
+    long i = 0;
+#ifdef XCROSS_AVX2
+    if (n >= 64 && __builtin_cpu_supports("avx512vbmi")) {
+        if (substitute_vbmi(img, ops, table, out, n))
+            return 1;
+        i = n - n % 64;
+    }
+#endif
+    for (; i < n; i++) {
         if (ops[i] > 2)
             return 1;
         out[i] = table[ops[i] << 8 | img[i]];

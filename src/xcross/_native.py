@@ -82,12 +82,19 @@ def trusted(group: str) -> ctypes.CDLL | None:
 def _library() -> ctypes.CDLL | str:
     """The compiled library with its routines declared, or why it did not load."""
     try:
-        lib = ctypes.CDLL(os.fspath(_built_kernel()))
-        for name, (restype, argtypes) in _ROUTINES.items():
-            routine = getattr(lib, name)
-            routine.restype, routine.argtypes = restype, argtypes
+        return _load(_built_kernel())
     except (OSError, AttributeError) as exc:
         return f"{type(exc).__name__}: {exc}"
+
+
+def _load(path: str | os.PathLike) -> ctypes.CDLL:
+    """The library built from ``_maps.c`` at ``path``, every routine of
+    ``_ROUTINES`` declared.  Raises OSError when it does not load and
+    AttributeError when it lacks a routine."""
+    lib = ctypes.CDLL(os.fspath(path))
+    for name, (restype, argtypes) in _ROUTINES.items():
+        routine = getattr(lib, name)
+        routine.restype, routine.argtypes = restype, argtypes
     return lib
 
 
@@ -271,9 +278,12 @@ def _transform_pairs(lib: ctypes.CDLL):
     every second row of 12 from the bottom up, which the wrapper copies; its
     5 column pairs make one pair's four emissions straddle two rows.  The
     substitution looks up all 768 (code, pixel) pairs, in a scrambled
-    order, in a table of the rows' first 768 bytes; both directions run
-    the one routine, and the key's S-box tables would cost more to build
-    than the rest of this check.
+    order, and then 40 of them again with codes 0, 1 and 2, in a table of
+    the rows' first 768 bytes: 808 pixels are twelve runs of 64, which a
+    CPU that reports AVX-512 VBMI looks up with byte permutes, and a tail
+    that the scalar loop looks up on every CPU.  Both directions run the
+    one routine, and the key's S-box tables would cost more to build than
+    the rest of this check.
     """
     from .ibt import _gather_bits
     from .key_schedule import _argsort_keys
@@ -289,8 +299,9 @@ def _transform_pairs(lib: ctypes.CDLL):
     blk = reas[1][:120].reshape(12, 10)[::-2]
     yield _compiled_xcross(lib, blk, False), _permute_by_schedule(blk)
     yield _compiled_xcross(lib, blk, True), _unpermute_by_schedule(blk)
-    # 5 and 768 are coprime, so each code << 8 | pixel comes once
-    pairs = np.arange(0, 5 * 768, 5, dtype=np.uint16) % 768
+    # 97 and 768 are coprime, so each code << 8 | pixel comes once in the
+    # first 768 lookups; the last 40 repeat the first 40
+    pairs = np.arange(808) * 97 % 768
     ops, img = (pairs >> 8).astype(np.uint8), pairs.astype(np.uint8)
     table = reas.reshape(-1)[:768].reshape(3, 256)
     yield _compiled_substitute(lib, table, img, ops), _gather(table, img, ops)

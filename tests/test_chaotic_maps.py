@@ -38,24 +38,66 @@ from xcross.chaotic_maps import (
     iterate_lshm,
     lshm_step,
 )
-from xcross.errors import EmptyRequestError, ParameterError
+from xcross.errors import EmptyRequestError, OpCodeError, ParameterError
 from xcross.ibt import _gather_bits
 from xcross.key_schedule import PARAM_RANGES, reference_key
 from xcross.pipeline import _build_context
 from xcross.sample_images import random_image
 
 
-def cpu_reports_avx2() -> bool:
-    """Whether this is an x86-64 Linux host whose CPU flags list AVX2, where
-    the compiled gather takes its AVX2 body for whole 4-byte blocks."""
+@functools.cache
+def cpu_flags() -> frozenset[str]:
+    """The CPU flags of an x86-64 Linux host; none elsewhere."""
     try:
         flags = Path("/proc/cpuinfo").read_text()
     except OSError:
-        return False
-    return platform.machine() == "x86_64" and "avx2" in flags.split()
+        return frozenset()
+    return frozenset(flags.split()) if platform.machine() == "x86_64" else frozenset()
 
 
-#: The line of _maps.c that compiles the AVX2 bodies on x86-64.
+def cpu_reports_avx2() -> bool:
+    """Whether this is an x86-64 Linux host whose CPU flags list AVX2, where
+    the compiled gather takes its AVX2 body for whole 4-byte blocks."""
+    return "avx2" in cpu_flags()
+
+
+def cpu_reports_vbmi() -> bool:
+    """Whether this is an x86-64 Linux host whose CPU flags list AVX-512
+    VBMI, where the compiled substitution takes its VBMI body for each whole
+    run of 64 pixels."""
+    return "avx512vbmi" in cpu_flags()
+
+
+def substitution_cases(rng):
+    """Pixels and codes, one row each, of every length from 0 to 200, so
+    that runs of 64 pixels and the tails after them are looked up; then,
+    for each length, the codes with a 3 at the first, a middle and the last
+    pixel."""
+    good, bad = [], []
+    for n in range(201):
+        img = rng.integers(0, 256, (1, n), dtype=np.uint8)
+        ops = rng.integers(0, 3, (1, n), dtype=np.uint8)
+        good.append((img, ops))
+        for at in sorted({0, n // 2, n - 1}) if n else ():
+            worse = ops.copy()
+            worse[0, at] = 3
+            bad.append((img, worse))
+    return good, bad
+
+
+def assert_substitution_matches_gather(lib, rng):
+    """The compiled lookup gives the NumPy gather's bytes for every case of
+    :func:`substitution_cases` and declines every bad code."""
+    table = rng.integers(0, 256, (3, 256), dtype=np.uint8)
+    good, bad = substitution_cases(rng)
+    for img, ops in good:
+        got = _native._compiled_substitute(lib, table, img, ops)
+        assert got.tobytes() == substitution._gather(table, img, ops).tobytes(), img.size
+    for img, ops in bad:
+        assert _native._compiled_substitute(lib, table, img, ops) is None, (img.size, ops)
+
+
+#: The line of _maps.c that compiles the AVX2 and AVX-512 VBMI bodies on x86-64.
 AVX2_DEFINE = "#define XCROSS_AVX2 1\n"
 
 #: Why each routine group is refused when its check finds a differing byte.
@@ -621,6 +663,11 @@ class TestCompiledLoops:
         # a substitution whose table rows are one entry short
         pytest.param("table[ops[i] << 8 | img[i]];", "table[ops[i] * 255 + img[i]];",
                      id="substitute"),
+        # a VBMI substitution that picks a row's last 128 entries by bit 6, not bit 7
+        pytest.param("_mm512_movepi8_mask(p)", "_mm512_test_epi8_mask(p, _mm512_set1_epi8(0x40))",
+                     id="substitute_simd",
+                     marks=pytest.mark.skipif(not cpu_reports_vbmi(), reason="only CPUs that "
+                                              "report AVX-512 VBMI run the VBMI substitution")),
     ])
     def test_pixel_layer_mismatch_refuses_library(self, compiled_library, source_copy,
                                                   monkeypatch, old, new):
@@ -633,7 +680,8 @@ class TestCompiledLoops:
                                                      monkeypatch, rng):
         # CI runners report AVX2, so only a build without the AVX2 bodies runs
         # the scalar correlation leaf of 8 or more pairs and the scalar gather
-        # of whole 4-byte words there
+        # of whole 4-byte words there, and on a CPU that reports AVX-512 VBMI
+        # the scalar substitution of whole 64-pixel runs
         text = source_copy.read_text()
         assert AVX2_DEFINE in text
         source_copy.write_text(text.replace(AVX2_DEFINE, ""))
@@ -648,6 +696,16 @@ class TestCompiledLoops:
         blk = hashed_pixels(8, 8)
         key = rng.permutation(8 * blk.size).astype(np.int32)
         assert _native._compiled_ibt(lib, blk, key).tobytes() == _gather_bits(blk, key).tobytes()
+        assert_substitution_matches_gather(lib, rng)
+
+    @pytest.mark.skipif(not cpu_reports_vbmi(),
+                        reason="only CPUs that report AVX-512 VBMI run the VBMI substitution")
+    def test_vbmi_substitution_matches_numpy(self, compiled_library, rng):
+        assert_substitution_matches_gather(compiled_library, rng)
+        suite = substitution.SubstitutionSuite(tuple(rng.permutation(256) for _ in range(3)))
+        for img, ops in substitution_cases(rng)[1]:
+            with pytest.raises(OpCodeError, match="outside"):
+                substitution.substitution_stage(img, ops, suite)
 
     @pytest.mark.parametrize("edits", [
         # correlation sums added left to right, not in NumPy's eight lanes, in
