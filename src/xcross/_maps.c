@@ -11,17 +11,20 @@
  * CPython.  Each loop writes `count` states, transient included, into the
  * caller's buffers.
  *
- * Three functions have a second, SIMD body, compiled for its target (never
- * "fma") by a function attribute, so the compile command stays the same.
- * Each is taken on x86-64 CPUs that report its instructions; other CPUs,
- * and builds without XCROSS_AVX2, run the scalar code.
+ * Four bodies are SIMD, each compiled for its target by a function
+ * attribute, so the compile command stays the same.  No target is "fma",
+ * and -ffp-contract=off keeps the fused multiply-adds of AVX-512F unused.
+ * Each body is taken on x86-64 CPUs that report its instructions; other
+ * CPUs, and builds without XCROSS_AVX2, run the scalar code.
  *  - The IBT gather, AVX2, per call, for blocks whose byte count is a
  *    multiple of 4; other blocks run the scalar loop.  It reads each bit
  *    through the aligned 4-byte word holding it, which lies inside the
  *    block because the block is a whole number of such words, and
  *    prefetches the key a fixed lead ahead of the gathers.
- *  - The leaves of the correlation sums of 8 or more pairs, AVX2, where one
- *    pass keeps all three sums' eight accumulators in vector lanes.
+ *  - The leaves of the correlation sums of 8 or more pairs, AVX-512F where
+ *    the CPU reports it, else AVX2, where one pass keeps all three sums'
+ *    eight accumulators in vector lanes: one zmm register per sum, or two
+ *    ymm registers.
  *  - The substitution, AVX-512 VBMI, per call of 64 or more pixels, for
  *    each whole run of 64: two vpermi2b lookups per code, blended on the
  *    pixel's bit 7.  The tail of fewer than 64 pixels runs the scalar loop.
@@ -33,10 +36,11 @@
  * zero, so each sum that has terms of both signs is written 0.0 + s (a
  * form the compiler keeps without -fno-signed-zeros; it may fold s - 0.0
  * to s).  The other sums have no negative term.  xcross_statistics gives
- * every sum of analysis.analyze: the three directions' moments, then the
- * GLCM's, from pair counts whose pass also counts the histogram, in one
- * scalar pass over the 65536 cells and a second for the correlation, with
- * no 256 x 256 float64 array beyond the counts, made probabilities in place.
+ * every sum of analysis.analyze: the three directions' moments, whose six
+ * means come from one pass over the image, then the GLCM's, from pair
+ * counts whose pass also counts the histogram, in one scalar pass over the
+ * 65536 cells and a second for the correlation, with no 256 x 256 float64
+ * array beyond the counts, made probabilities in place.
  *
  * The two pixel layers move bytes only: xcross_substitute is the flat
  * table lookup of substitution.py and xcross_xcross the X-Cross schedule
@@ -184,6 +188,11 @@ int xcross_ibt(const uint8_t *in, uint8_t *out, const int32_t *key, long nbytes)
     return 0;
 }
 
+/* A leaf of the three moment sums: pairwise_leaf's sums of (a-mx)^2,
+ * (b-my)^2 and (a-mx)(b-my) over the n <= 128 pairs (qa[i], qb[i]) */
+typedef void moments_leaf(const uint8_t *qa, const uint8_t *qb, long n, double mx, double my,
+                          double *sums);
+
 /* The adjacent pairs of one direction: a = the h x w view at `a` of an
  * image `cols` bytes wide, and b = the same view `off` bytes on.  Pair i
  * is the view's pixel i in row-major order. */
@@ -191,7 +200,7 @@ struct pairs {
     const uint8_t *a;
     long w, cols, off;
     double mx, my;
-    int avx2; /* whether the leaves of at least 8 pairs take moments_avx2 */
+    moments_leaf *leaf; /* the body of the leaves of at least 8 pairs */
 };
 
 /* NumPy's pairwise sum of t[0 .. n-1], n <= 128: the leaf of
@@ -220,7 +229,32 @@ static double pairwise_leaf(const double *t, long n)
     return res;
 }
 
+/* The definition of the leaf: each term formed, then pairwise_leaf */
+static void moments_scalar(const uint8_t *qa, const uint8_t *qb, long n, double mx, double my,
+                           double *sums)
+{
+    double t[3][128];
+    for (long i = 0; i < n; i++) {
+        double x = qa[i] - mx, y = qb[i] - my;
+        t[0][i] = x * x;
+        t[1][i] = y * y;
+        t[2][i] = x * y;
+    }
+    for (int k = 0; k < 3; k++)
+        sums[k] = pairwise_leaf(t[k], n);
+}
+
 #ifdef XCROSS_AVX2
+/* ((r0+r1)+(r2+r3)) + ((r4+r5)+(r6+r7)) of the accumulators r0-3 in lo
+ * and r4-7 in hi, by way of (r0+r1, r4+r5, r2+r3, r6+r7) */
+__attribute__((target("avx2")))
+static inline double combine_avx2(__m256d lo, __m256d hi)
+{
+    __m256d pairs = _mm256_hadd_pd(lo, hi);
+    __m128d q = _mm_add_pd(_mm256_castpd256_pd128(pairs), _mm256_extractf128_pd(pairs, 1));
+    return _mm_cvtsd_f64(q) + _mm_cvtsd_f64(_mm_unpackhi_pd(q, q));
+}
+
 /* The (a-mx)^2, (b-my)^2 and (a-mx)(b-my) of pairs 0 .. 7, lanes 0-3 of
  * each sum in t[k][0] and lanes 4-7 in t[k][1] */
 __attribute__((target("avx2")))
@@ -238,9 +272,9 @@ static inline void products_avx2(const uint8_t *qa, const uint8_t *qb, __m256d m
     }
 }
 
-/* pairwise_leaf's three sums over the pairs (qa[i], qb[i]), 8 <= n <= 128,
- * in one pass: lane j of each sum's two vectors is accumulator r[j] there,
- * and every product, add and combine is the one pairwise_leaf rounds */
+/* The moments_leaf of 8 <= n <= 128 pairs in one pass: lane j of each
+ * sum's two vectors is accumulator r[j] of pairwise_leaf, and every
+ * product, add and combine is the one pairwise_leaf rounds */
 __attribute__((target("avx2")))
 static void moments_avx2(const uint8_t *qa, const uint8_t *qb, long n, double mx, double my,
                          double *sums)
@@ -258,12 +292,49 @@ static void moments_avx2(const uint8_t *qa, const uint8_t *qb, long n, double mx
                 r[k][h] = _mm256_add_pd(r[k][h], t[k][h]);
     }
 #pragma GCC unroll 3
-    for (int k = 0; k < 3; k++) {
-        /* (r0+r1, r4+r5, r2+r3, r6+r7), then ((r0+r1)+(r2+r3)) + ((r4+r5)+(r6+r7)) */
-        __m256d pairs = _mm256_hadd_pd(r[k][0], r[k][1]);
-        __m128d q = _mm_add_pd(_mm256_castpd256_pd128(pairs), _mm256_extractf128_pd(pairs, 1));
-        sums[k] = _mm_cvtsd_f64(q) + _mm_cvtsd_f64(_mm_unpackhi_pd(q, q));
+    for (int k = 0; k < 3; k++)
+        sums[k] = combine_avx2(r[k][0], r[k][1]);
+    for (; i < n; i++) {
+        double x = qa[i] - mx, y = qb[i] - my;
+        sums[0] += x * x;
+        sums[1] += y * y;
+        sums[2] += x * y;
     }
+}
+
+/* The (a-mx)^2, (b-my)^2 and (a-mx)(b-my) of pairs 0 .. 7, lane j of t[k]
+ * holding pair j's term of sum k */
+__attribute__((target("avx512f")))
+static inline void products_avx512(const uint8_t *qa, const uint8_t *qb, __m512d mx, __m512d my,
+                                   __m512d t[3])
+{
+    __m512d x = _mm512_sub_pd(
+        _mm512_cvtepi32_pd(_mm256_cvtepu8_epi32(_mm_loadl_epi64((const __m128i *)qa))), mx);
+    __m512d y = _mm512_sub_pd(
+        _mm512_cvtepi32_pd(_mm256_cvtepu8_epi32(_mm_loadl_epi64((const __m128i *)qb))), my);
+    t[0] = _mm512_mul_pd(x, x);
+    t[1] = _mm512_mul_pd(y, y);
+    t[2] = _mm512_mul_pd(x, y);
+}
+
+/* moments_avx2 with each sum's eight accumulators in one register */
+__attribute__((target("avx512f")))
+static void moments_avx512(const uint8_t *qa, const uint8_t *qb, long n, double mx, double my,
+                           double *sums)
+{
+    const __m512d vmx = _mm512_set1_pd(mx), vmy = _mm512_set1_pd(my);
+    __m512d r[3], t[3];
+    products_avx512(qa, qb, vmx, vmy, r);
+    long i;
+    for (i = 8; i < n - (n % 8); i += 8) {
+        products_avx512(qa + i, qb + i, vmx, vmy, t);
+#pragma GCC unroll 3
+        for (int k = 0; k < 3; k++)
+            r[k] = _mm512_add_pd(r[k], t[k]);
+    }
+#pragma GCC unroll 3
+    for (int k = 0; k < 3; k++)
+        sums[k] = combine_avx2(_mm512_castpd512_pd256(r[k]), _mm512_extractf64x4_pd(r[k], 1));
     for (; i < n; i++) {
         double x = qa[i] - mx, y = qb[i] - my;
         sums[0] += x * x;
@@ -303,64 +374,54 @@ static void pairwise_moments(const struct pairs *p, long lo, long n, double *sum
             i += run;
         }
     }
-#ifdef XCROSS_AVX2
-    if (p->avx2 && n >= 8) {
-        moments_avx2(qa, qb, n, p->mx, p->my, sums);
-        return;
-    }
-#endif
-    double t[3][128];
-    for (long i = 0; i < n; i++) {
-        double x = qa[i] - p->mx, y = qb[i] - p->my;
-        t[0][i] = x * x;
-        t[1][i] = y * y;
-        t[2][i] = x * y;
-    }
-    for (int k = 0; k < 3; k++)
-        sums[k] = pairwise_leaf(t[k], n);
+    (n >= 8 ? p->leaf : moments_scalar)(qa, qb, n, p->mx, p->my, sums);
 }
 
 /* The centred second moments of the pairs (a, b) of the rows x cols image
  * at img that lie dr >= 0 rows and dc >= 0 columns apart: a =
  * img[:rows-dr, :cols-dc] and b = img[dr:, dc:], each h x w, and b starts
- * off = dr * cols + dc bytes after a.  The means are exact integer sums
- * over the count, as x.mean() of the float64 pixels gives them, and the
- * three sums are those np.add.reduce adds over the flattened centred
- * products; with no pairs they are the empty sums, +0.0. */
-static void xcross_moments(const uint8_t *img, long rows, long cols, long dr, long dc, double *sums)
+ * off = dr * cols + dc bytes after a.  sa and sb are the exact integer
+ * sums of a's and b's pixels, which xcross_statistics takes from its one
+ * pass over the image; over the count they are the means x.mean() of the
+ * float64 pixels gives.  The three sums are those np.add.reduce adds over
+ * the flattened centred products; with no pairs they are the empty sums,
+ * +0.0. */
+static void xcross_moments(const uint8_t *img, long rows, long cols, long dr, long dc,
+                           uint64_t sa, uint64_t sb, double *sums)
 {
     long h = rows - dr, w = cols - dc, off = dr * cols + dc;
     if (h < 1 || w < 1) {
         sums[0] = sums[1] = sums[2] = 0.0;
         return;
     }
-    uint64_t sa = 0, sb = 0;
-    for (long r = 0; r < h; r++) {
-        const uint8_t *ra = img + r * cols, *rb = ra + off;
-        long c = 0;
-        /* 16 bytes at a time into 32-bit partial sums, a loop that -O2
-         * vectorises; one byte at a time into 64 bits it does not */
-        for (; c + 16 <= w; c += 16) {
-            unsigned ba = 0, bb = 0;
-            for (int k = 0; k < 16; k++) {
-                ba += ra[c + k];
-                bb += rb[c + k];
-            }
-            sa += ba;
-            sb += bb;
-        }
-        for (; c < w; c++) {
-            sa += ra[c];
-            sb += rb[c];
-        }
-    }
     double n = (double)(h * w);
-    struct pairs p = {img, w, cols, off, (double)sa / n, (double)sb / n, 0};
+    struct pairs p = {img, w, cols, off, (double)sa / n, (double)sb / n, moments_scalar};
 #ifdef XCROSS_AVX2
-    p.avx2 = __builtin_cpu_supports("avx2");
+    if (__builtin_cpu_supports("avx512f"))
+        p.leaf = moments_avx512;
+    else if (__builtin_cpu_supports("avx2"))
+        p.leaf = moments_avx2;
 #endif
     pairwise_moments(&p, 0, h * w, sums);
     sums[2] = 0.0 + sums[2];
+}
+
+/* The sum of the n bytes at p: 16 bytes at a time into 32-bit partial
+ * sums, a loop that -O2 vectorises; one byte at a time into 64 bits it
+ * does not */
+static uint64_t byte_sum(const uint8_t *p, long n)
+{
+    uint64_t s = 0;
+    long i = 0;
+    for (; i + 16 <= n; i += 16) {
+        unsigned b = 0;
+        for (int k = 0; k < 16; k++)
+            b += p[i + k];
+        s += b;
+    }
+    for (; i < n; i++)
+        s += p[i];
+    return s;
 }
 
 /* NumPy's pairwise sum of the n runs of 128 terms whose leaf sums are
@@ -462,9 +523,19 @@ static int xcross_glcm(const uint8_t *img, long rows, long cols, double *out, in
  * then xcross_glcm's out and hist at out + 9.  Returns xcross_glcm's result. */
 int xcross_statistics(const uint8_t *img, long rows, long cols, double *out, int64_t *hist)
 {
-    xcross_moments(img, rows, cols, 0, 1, out);
-    xcross_moments(img, rows, cols, 1, 0, out + 3);
-    xcross_moments(img, rows, cols, 1, 1, out + 6);
+    /* the sums of the image, its first and last rows and its first and
+     * last columns: a direction's a and b each leave out one row, one
+     * column, or both, whose shared corner is then added back */
+    long last = rows * cols - 1;
+    uint64_t t = byte_sum(img, rows * cols), r0 = byte_sum(img, cols),
+             rl = byte_sum(img + (rows - 1) * cols, cols), c0 = 0, cl = 0;
+    for (long r = 0; r < rows; r++) {
+        c0 += img[r * cols];
+        cl += img[r * cols + cols - 1];
+    }
+    xcross_moments(img, rows, cols, 0, 1, t - cl, t - c0, out);
+    xcross_moments(img, rows, cols, 1, 0, t - rl, t - r0, out + 3);
+    xcross_moments(img, rows, cols, 1, 1, t + img[last] - rl - cl, t + img[0] - r0 - c0, out + 6);
     return xcross_glcm(img, rows, cols, out + 9, hist);
 }
 

@@ -318,6 +318,9 @@ def _statistics_pairs(lib: ctypes.CDLL):
     The hash is mixed as murmur3 finalises one, so that neighbouring
     products share no pattern: on the bytes of a bare multiplicative hash,
     a sum whose accumulators were combined in another order still matched.
+    The hash of index 0 is 0, so pixel (0, 0) is zero on every image but
+    the view, which starts at 119: only the view catches a mean that leaves
+    out the corner pixel the first row and column share.
     """
     from .analysis import _numpy_moments, _numpy_statistics
 

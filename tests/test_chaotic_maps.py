@@ -68,6 +68,13 @@ def cpu_reports_vbmi() -> bool:
     return "avx512vbmi" in cpu_flags()
 
 
+def cpu_reports_avx512f() -> bool:
+    """Whether this is an x86-64 Linux host whose CPU flags list AVX-512F,
+    where the compiled correlation sums take the AVX-512 leaf, not the AVX2
+    one."""
+    return "avx512f" in cpu_flags()
+
+
 def substitution_cases(rng):
     """Pixels and codes, one row each, of every length from 0 to 200, so
     that runs of 64 pixels and the tails after them are looked up; then,
@@ -97,8 +104,12 @@ def assert_substitution_matches_gather(lib, rng):
         assert _native._compiled_substitute(lib, table, img, ops) is None, (img.size, ops)
 
 
-#: The line of _maps.c that compiles the AVX2 and AVX-512 VBMI bodies on x86-64.
+#: The line of _maps.c that compiles the AVX2 and AVX-512 bodies on x86-64.
 AVX2_DEFINE = "#define XCROSS_AVX2 1\n"
+
+#: The test that sends the correlation leaves to the AVX-512 body, and the
+#: edit that turns it off, so that CPUs reporting AVX-512F run the AVX2 leaf.
+AVX512_LEAF_OFF = ('__builtin_cpu_supports("avx512f")', "0")
 
 #: Why each routine group is refused when its check finds a differing byte.
 MISMATCH_CAUSES = {
@@ -676,15 +687,14 @@ class TestCompiledLoops:
         source_copy.write_text(text.replace(old, new))
         self.assert_only_group_refused(monkeypatch, "transform")
 
-    def test_scalar_bodies_match_numpy_without_avx2(self, compiled_library, source_copy,
-                                                     monkeypatch, rng):
-        # CI runners report AVX2, so only a build without the AVX2 bodies runs
-        # the scalar correlation leaf of 8 or more pairs and the scalar gather
-        # of whole 4-byte words there, and on a CPU that reports AVX-512 VBMI
-        # the scalar substitution of whole 64-pixel runs
+    @staticmethod
+    def edited_library_matching_numpy(source_copy, old, new):
+        """The library built with ``old`` replaced by ``new`` in its source,
+        once it passes all three group checks and gives the correlation sums
+        of `_numpy_moments` on every SUM_BLOCKS entry."""
         text = source_copy.read_text()
-        assert AVX2_DEFINE in text
-        source_copy.write_text(text.replace(AVX2_DEFINE, ""))
+        assert text.count(old) == 1
+        source_copy.write_text(text.replace(old, new))
         lib = _native._library.__wrapped__()
         assert isinstance(lib, ctypes.CDLL), lib
         for group, (pairs, _) in _native._CHECKS.items():
@@ -693,10 +703,26 @@ class TestCompiledLoops:
             img = sum_block(*block)
             got = _native._compiled_statistics(lib, img)[0][:9]
             assert got.tobytes() == np.array(analysis._numpy_moments(img)).tobytes(), name
+        return lib
+
+    def test_scalar_bodies_match_numpy_without_avx2(self, compiled_library, source_copy,
+                                                     monkeypatch, rng):
+        # CI runners report AVX2, so only a build without the AVX2 bodies runs
+        # the scalar correlation leaf of 8 or more pairs and the scalar gather
+        # of whole 4-byte words there, and on a CPU that reports AVX-512 VBMI
+        # the scalar substitution of whole 64-pixel runs
+        lib = self.edited_library_matching_numpy(source_copy, AVX2_DEFINE, "")
         blk = hashed_pixels(8, 8)
         key = rng.permutation(8 * blk.size).astype(np.int32)
         assert _native._compiled_ibt(lib, blk, key).tobytes() == _gather_bits(blk, key).tobytes()
         assert_substitution_matches_gather(lib, rng)
+
+    @pytest.mark.skipif(not cpu_reports_avx512f(), reason="CPUs that do not report "
+                        "AVX-512F run the AVX2 correlation leaf in the unedited build")
+    def test_avx2_leaf_matches_numpy_without_avx512(self, compiled_library, source_copy):
+        # where the CPU reports AVX-512F, only a build with that leaf's
+        # dispatch turned off runs the AVX2 leaf that other CPUs take
+        self.edited_library_matching_numpy(source_copy, *AVX512_LEAF_OFF)
 
     @pytest.mark.skipif(not cpu_reports_vbmi(),
                         reason="only CPUs that report AVX-512 VBMI run the VBMI substitution")
@@ -712,12 +738,25 @@ class TestCompiledLoops:
         # a build without the AVX2 leaf, which would take every leaf of 8 or
         # more pairs
         pytest.param([(AVX2_DEFINE, ""), ("if (n < 8) {", "if (n < 8 || 1) {")], id="sums"),
-        # an AVX2 leaf that combines lanes 1 and 2 of its accumulators swapped
-        pytest.param([("_mm256_hadd_pd(r[k][0], r[k][1])",
-                       "_mm256_hadd_pd(_mm256_permute4x64_pd(r[k][0], 0xd8), r[k][1])")],
+        # an AVX2 leaf that combines accumulators 1 and 2 swapped, in a build
+        # whose CPUs reporting AVX-512F take it too
+        pytest.param([AVX512_LEAF_OFF,
+                      ("combine_avx2(r[k][0], r[k][1])",
+                       "combine_avx2(_mm256_permute4x64_pd(r[k][0], 0xd8), r[k][1])")],
                      id="sums_simd", marks=pytest.mark.skipif(
                          not cpu_reports_avx2(),
                          reason="only CPUs that report AVX2 run the AVX2 correlation leaf")),
+        # an AVX-512 leaf that combines accumulators 1 and 2 swapped
+        pytest.param([("combine_avx2(_mm512_castpd512_pd256(r[k]),",
+                       "combine_avx2(_mm256_permute4x64_pd(_mm512_castpd512_pd256(r[k]), 0xd8),")],
+                     id="sums_avx512", marks=pytest.mark.skipif(
+                         not cpu_reports_avx512f(),
+                         reason="only CPUs that report AVX-512F run the AVX-512 correlation leaf")),
+        # diagonal b's sum without the corner it shares with the first row and
+        # column, which only the check's [::-3] view has nonzero
+        pytest.param([("t + img[0] - r0 - c0", "t - r0 - c0")], id="means_corner"),
+        # horizontal a's and b's sums, each without the other's column
+        pytest.param([("t - cl, t - c0", "t - c0, t - cl")], id="means_columns"),
         # leaves that combine accumulators 1 and 2 swapped: where the CPU
         # reports AVX2, only the GLCM sums add through this scalar leaf
         pytest.param([("((r[0] + r[1]) + (r[2] + r[3]))", "((r[0] + r[2]) + (r[1] + r[3]))")],
@@ -729,7 +768,7 @@ class TestCompiledLoops:
                                                  monkeypatch, edits):
         text = source_copy.read_text()
         for old, new in edits:
-            assert old in text
+            assert text.count(old) == 1
             text = text.replace(old, new)
         source_copy.write_text(text)
         self.assert_only_group_refused(monkeypatch, "statistics")
