@@ -255,6 +255,18 @@ static inline double combine_avx2(__m256d lo, __m256d hi)
     return _mm_cvtsd_f64(q) + _mm_cvtsd_f64(_mm_unpackhi_pd(q, q));
 }
 
+/* pairwise_leaf's tail: the terms of pairs i .. n-1 added to sums[0..2] */
+static inline void moments_tail(const uint8_t *qa, const uint8_t *qb, long i, long n, double mx,
+                                double my, double *sums)
+{
+    for (; i < n; i++) {
+        double x = qa[i] - mx, y = qb[i] - my;
+        sums[0] += x * x;
+        sums[1] += y * y;
+        sums[2] += x * y;
+    }
+}
+
 /* The (a-mx)^2, (b-my)^2 and (a-mx)(b-my) of pairs 0 .. 7, lanes 0-3 of
  * each sum in t[k][0] and lanes 4-7 in t[k][1] */
 __attribute__((target("avx2")))
@@ -294,12 +306,7 @@ static void moments_avx2(const uint8_t *qa, const uint8_t *qb, long n, double mx
 #pragma GCC unroll 3
     for (int k = 0; k < 3; k++)
         sums[k] = combine_avx2(r[k][0], r[k][1]);
-    for (; i < n; i++) {
-        double x = qa[i] - mx, y = qb[i] - my;
-        sums[0] += x * x;
-        sums[1] += y * y;
-        sums[2] += x * y;
-    }
+    moments_tail(qa, qb, i, n, mx, my, sums);
 }
 
 /* The (a-mx)^2, (b-my)^2 and (a-mx)(b-my) of pairs 0 .. 7, lane j of t[k]
@@ -335,12 +342,7 @@ static void moments_avx512(const uint8_t *qa, const uint8_t *qb, long n, double 
 #pragma GCC unroll 3
     for (int k = 0; k < 3; k++)
         sums[k] = combine_avx2(_mm512_castpd512_pd256(r[k]), _mm512_extractf64x4_pd(r[k], 1));
-    for (; i < n; i++) {
-        double x = qa[i] - mx, y = qb[i] - my;
-        sums[0] += x * x;
-        sums[1] += y * y;
-        sums[2] += x * y;
-    }
+    moments_tail(qa, qb, i, n, mx, my, sums);
 }
 #endif
 

@@ -1,11 +1,11 @@
 """The compiled library of ``_maps.c``: its build, its routines, and the
 check that decides, per group of routines, whether it is used.
 
-Each group is what one entry point of the cipher calls:
+Each group is what one command family calls:
 
-* ``derivation``: the LSHM and CLT loops and the key sort (``derive_context``);
-* ``transform``: the bit gather, X-Cross and substitution
-  (``encrypt_with_context``, ``decrypt_with_context``);
+* ``cipher``: the LSHM and CLT loops and the key sort of ``derive_context``,
+  and the bit gather, X-Cross and substitution of ``encrypt_with_context``
+  and ``decrypt_with_context``;
 * ``statistics``: every sum and the histogram of ``analyze``, in one routine.
 
 :func:`trusted` checks a group on its first use in a process and gives the
@@ -251,10 +251,29 @@ def _same_bytes(pairs) -> bool:
     return True
 
 
-def _derivation_pairs(lib: ctypes.CDLL):
+def _cipher_pairs(lib: ctypes.CDLL):
     """The C loops and the Python loops on the reference key, then the C
-    sort and the NumPy key sort of two rows of 512 hashed bytes."""
+    key sort, gather, X-Cross and substitution and their NumPy definitions
+    on two rows of 512 hashed bytes.
+
+    Each row is sorted by C and by NumPy, and the gather runs for an 8x8
+    block by the NumPy keys of that sort, and on a 7x9 block with keys
+    sorted from the row's first 504 bytes: 63 bytes, not a multiple of 4,
+    take the scalar loop where the 8x8 block may take the AVX2 one.  X-Cross
+    runs both ways on a 6x10 view that takes every second row of 12 from the
+    bottom up, which the wrapper copies; its 5 column pairs make one pair's
+    four emissions straddle two rows.  The substitution looks up all 768
+    (code, pixel) pairs, in a scrambled order, and then 40 of them again
+    with codes 0, 1 and 2, in a table of the rows' first 768 bytes: 808
+    pixels are twelve runs of 64, which a CPU that reports AVX-512 VBMI
+    looks up with byte permutes, and a tail that the scalar loop looks up on
+    every CPU.  Both directions run the one routine, and the key's S-box
+    tables would cost more to build than the rest of this check.
+    """
+    from .ibt import _gather_bits
     from .key_schedule import _argsort_keys, reference_key
+    from .permutation import _permute_by_schedule, _unpermute_by_schedule
+    from .substitution import _gather
 
     key = reference_key()
     p, c = key.lshm, key.clt
@@ -263,39 +282,14 @@ def _derivation_pairs(lib: ctypes.CDLL):
         chaotic_maps._lshm_loop(loop_lib, xs, ys, p.x0, p.y0, p)
         chaotic_maps._clt_loop(loop_lib, zs, c.z0, c)
     yield got, want
-    for rea in _hashed_pixels(2, 512):
-        yield _compiled_sort_keys(lib, rea), _argsort_keys(rea)
-
-
-def _transform_pairs(lib: ctypes.CDLL):
-    """The C gather, X-Cross and substitution and their NumPy definitions
-    on two rows of 512 hashed bytes.
-
-    The gather runs for an 8x8 block by the NumPy keys sorted from each row,
-    and on a 7x9 block with keys sorted from each row's first 504 bytes:
-    63 bytes, not a multiple of 4, take the scalar loop where the 8x8 block
-    may take the AVX2 one.  X-Cross runs both ways on a 6x10 view that takes
-    every second row of 12 from the bottom up, which the wrapper copies; its
-    5 column pairs make one pair's four emissions straddle two rows.  The
-    substitution looks up all 768 (code, pixel) pairs, in a scrambled
-    order, and then 40 of them again with codes 0, 1 and 2, in a table of
-    the rows' first 768 bytes: 808 pixels are twelve runs of 64, which a
-    CPU that reports AVX-512 VBMI looks up with byte permutes, and a tail
-    that the scalar loop looks up on every CPU.  Both directions run the
-    one routine, and the key's S-box tables would cost more to build than
-    the rest of this check.
-    """
-    from .ibt import _gather_bits
-    from .key_schedule import _argsort_keys
-    from .permutation import _permute_by_schedule, _unpermute_by_schedule
-    from .substitution import _gather
-
     reas = _hashed_pixels(2, 512)
     square, odd = reas[1][:64].reshape(8, 8), reas[1][:63].reshape(7, 9)
     for rea in reas:
-        for blk, keys in ((square, _argsort_keys(rea)), (odd, _argsort_keys(rea[:8 * odd.size]))):
-            for key in keys:
-                yield _compiled_ibt(lib, blk, key), _gather_bits(blk, key)
+        keys = _argsort_keys(rea)
+        yield _compiled_sort_keys(lib, rea), keys
+        for blk, blk_keys in ((square, keys), (odd, _argsort_keys(rea[:8 * odd.size]))):
+            for k in blk_keys:
+                yield _compiled_ibt(lib, blk, k), _gather_bits(blk, k)
     blk = reas[1][:120].reshape(12, 10)[::-2]
     yield _compiled_xcross(lib, blk, False), _permute_by_schedule(blk)
     yield _compiled_xcross(lib, blk, True), _unpermute_by_schedule(blk)
@@ -334,10 +328,9 @@ def _statistics_pairs(lib: ctypes.CDLL):
 
 #: Each group's check, and what its failure means.
 _CHECKS = {
-    "derivation": (_derivation_pairs, "differs from lshm_step/clt_step on the reference key "
-                   f"within {_SELF_CHECK_STEPS} steps, or from the NumPy key sort"),
-    "transform": (_transform_pairs, "differs from the NumPy bit gather, X-Cross or "
-                  "substitution"),
+    "cipher": (_cipher_pairs, "differs from lshm_step/clt_step on the reference key "
+               f"within {_SELF_CHECK_STEPS} steps, or from the NumPy key sort, bit gather, "
+               "X-Cross or substitution"),
     "statistics": (_statistics_pairs, "differs from the NumPy image statistics"),
 }
 

@@ -18,7 +18,7 @@ One Python loop per map, :func:`_lshm_loop` and :func:`_clt_loop`, is the
 definition of both streams; :func:`lshm_step` and :func:`clt_step` are one
 turn of that loop.  The compiled library holds the same two loops, and
 the iterators run them wherever :func:`~xcross._native.trusted` gives it
-for the ``derivation`` group; else the loops run in Python.
+for the ``cipher`` group; else the loops run in Python.
 Both paths emit the same bytes, with one exception:
 once a stream has overflowed to NaN (only for keys far outside the
 operating ranges, such as ``k1=-1e308``), which NaN an operation returns
@@ -136,7 +136,7 @@ def iterate_lshm(params: LshmParams, n: int) -> tuple[np.ndarray, np.ndarray]:
         raise ParameterError("params must be LshmParams")
     n = _checked_count(n)
     xs, ys = np.empty(TRANSIENT + n), np.empty(TRANSIENT + n)
-    _lshm_loop(_native.trusted("derivation"), xs, ys, params.x0, params.y0, params)
+    _lshm_loop(_native.trusted("cipher"), xs, ys, params.x0, params.y0, params)
     return xs[TRANSIENT:], ys[TRANSIENT:]
 
 
@@ -146,7 +146,7 @@ def iterate_clt(params: CltParams, n: int) -> np.ndarray:
         raise ParameterError("params must be CltParams")
     n = _checked_count(n)
     zs = np.empty(TRANSIENT + n)
-    _clt_loop(_native.trusted("derivation"), zs, params.z0, params)
+    _clt_loop(_native.trusted("cipher"), zs, params.z0, params)
     return zs[TRANSIENT:]
 
 

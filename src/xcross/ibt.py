@@ -7,8 +7,8 @@ The key must be a permutation of ``range(8 * block.size)``, as
 :func:`~xcross.key_schedule.build_extraction_keys` derives it; then
 popcount is conserved per block, and rearranging by the key's inverse
 permutation undoes it, so the inverse stage is the forward one with the
-key schedule's inverse keys.  Only the key's length is checked: a full
-check would cost one more pass over the key per quadrant and call.
+key schedule's inverse keys.  Only the key's dtype and length are checked:
+a full check would cost one more pass over the key per quadrant and call.
 
 The NumPy unpack/gather/pack is the definition.  Where the compiled
 library of :mod:`~xcross._native` takes the key (int32, as the key
@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import _native
-from .errors import DimensionError, checked_image
+from .errors import DimensionError, ParameterError, checked_image
 from .permutation import QuadSplit
 
 
@@ -31,16 +31,18 @@ def ibt_apply(blk: np.ndarray, key: np.ndarray) -> np.ndarray:
 
     ``key`` must be a permutation of ``range(8 * blk.size)``, as
     :func:`~xcross.key_schedule.build_extraction_keys` derives it.  Only
-    its length is checked: an in-range key of that length that is not a
-    permutation gathers without error and duplicates or drops bits.
+    its dtype (an integer one) and length are checked: an in-range key of
+    that length that is not a permutation duplicates or drops bits.
     """
     blk = checked_image(blk)
     key = np.asarray(key)
+    if not np.issubdtype(key.dtype, np.integer):
+        raise ParameterError(f"extraction keys must be integers, got dtype {key.dtype}")
     if key.ndim != 1 or key.size != blk.size * 8:
         raise DimensionError(
             f"extraction key of length {key.size} does not fit a block of {blk.size} pixels"
         )
-    out = _native._compiled_ibt(_native.trusted("transform"), blk, key)
+    out = _native._compiled_ibt(_native.trusted("cipher"), blk, key)
     return _gather_bits(blk, key) if out is None else out
 
 

@@ -164,7 +164,7 @@ def build_extraction_keys(rea1: np.ndarray, rea2: np.ndarray) -> tuple[np.ndarra
 
 def _sorted_keys(rea: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """:func:`_argsort_keys` of ``rea``, by the compiled sort where it runs."""
-    keys = _native._compiled_sort_keys(_native.trusted("derivation"), rea)
+    keys = _native._compiled_sort_keys(_native.trusted("cipher"), rea)
     return _argsort_keys(rea) if keys is None else keys
 
 

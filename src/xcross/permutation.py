@@ -75,14 +75,14 @@ def _pair_schedule(cols: int) -> np.ndarray:
 def xcross_permute(blk: np.ndarray) -> np.ndarray:
     """Apply the X-Cross position permutation to one block."""
     blk = _check_block(blk)
-    out = _native._compiled_xcross(_native.trusted("transform"), blk, False)
+    out = _native._compiled_xcross(_native.trusted("cipher"), blk, False)
     return _permute_by_schedule(blk) if out is None else out
 
 
 def xcross_unpermute(blk: np.ndarray) -> np.ndarray:
     """Exact inverse of :func:`xcross_permute`."""
     blk = _check_block(blk)
-    out = _native._compiled_xcross(_native.trusted("transform"), blk, True)
+    out = _native._compiled_xcross(_native.trusted("cipher"), blk, True)
     return _unpermute_by_schedule(blk) if out is None else out
 
 

@@ -65,7 +65,7 @@ def _lookup(table: np.ndarray, img: np.ndarray, ops: np.ndarray) -> np.ndarray:
         raise DimensionError(
             f"operation matrix shape {ops.shape} does not match image shape {img.shape}"
         )
-    out = _native._compiled_substitute(_native.trusted("transform"), table, img, ops)
+    out = _native._compiled_substitute(_native.trusted("cipher"), table, img, ops)
     return _gather(table, img, ops) if out is None else out
 
 

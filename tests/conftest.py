@@ -31,7 +31,7 @@ def compiled_library():
     group passed its check."""
     if not all(map(_native.trusted, _native._CHECKS)):
         pytest.skip(f"a routine group runs its definitions: {_native.failures}")
-    return _native.trusted("derivation")
+    return _native.trusted("cipher")
 
 
 @contextmanager

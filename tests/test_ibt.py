@@ -1,10 +1,13 @@
+import contextlib
+
 import numpy as np
 import pytest
+from conftest import hashed_pixels, python_loops
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from xcross import _native
-from xcross.errors import DimensionError
+from xcross.errors import DimensionError, ParameterError
 from xcross.ibt import ibt_apply, ibt_stage, ibt_unstage
 from xcross.key_schedule import (
     build_extraction_arrays,
@@ -88,6 +91,22 @@ class TestApplyInvert:
         blk = rng.integers(0, 256, size=(4, 4), dtype=np.uint8)
         with pytest.raises(DimensionError):
             ibt_apply(blk, np.arange(100))
+
+    @pytest.mark.parametrize("key", [[True, False] * 4, np.arange(8.0)], ids=["bool", "float"])
+    def test_non_integer_key_rejected(self, key):
+        # NumPy reads a bool key as a mask, which would keep 4 of the 8 bits
+        # and give [[192]], and refuses a float key with a bare IndexError
+        for path in (contextlib.nullcontext(), python_loops()):
+            with path, pytest.raises(ParameterError, match="integers"):
+                ibt_apply(np.array([[177]], np.uint8), key)
+
+    @pytest.mark.parametrize("dtype", np.typecodes["AllInteger"])
+    def test_integer_keys_of_every_width_give_the_same_bytes(self, rng, dtype):
+        blk, key = hashed_pixels(4, 4), rng.permutation(128)
+        want = numpy_gather(blk, key).tobytes()
+        for path in (contextlib.nullcontext(), python_loops()):
+            with path:
+                assert ibt_apply(blk, key.astype(dtype)).tobytes() == want
 
 
 class TestStage:
