@@ -16,8 +16,8 @@ Stages, in the order the library runs them for one context:
 
 * ``lshm_s`` / ``clt_s``: ``iterate_lshm`` for the extraction arrays and
   ``iterate_clt`` for the operation matrix;
-* ``quantize_s``: ``build_extraction_arrays`` and ``build_operation_matrix``
-  given those streams (the map loops swapped for the streams already made);
+* ``quantize_s``: the quantizing of ``build_extraction_arrays`` and
+  ``build_operation_matrix`` (``key_schedule._quantized``) on those streams;
 * ``argsort_invert_s``: ``build_extraction_keys``;
 * ``sboxes_s``: ``build_sboxes`` (three 256-value CLT streams, argsorts);
 * ``derive_s``: the whole derivation, as ``derive_context`` runs it
@@ -65,6 +65,14 @@ def _timed(fn, *args):
     return result, time.perf_counter() - start
 
 
+def _quantize(xs, ys, zs):
+    """The two extraction arrays and the operation codes of the three
+    streams, quantized as ``build_extraction_arrays`` and
+    ``build_operation_matrix`` quantize them."""
+    return (key_schedule._quantized(xs, 1e5, 256), key_schedule._quantized(ys, 1e5, 256),
+            key_schedule._quantized(zs, 1e3, 3))
+
+
 def measure(side: int, loops: str) -> dict:
     """Median stage times at side x side and the peak RSS, in this process."""
     if loops == "python":
@@ -82,17 +90,10 @@ def measure(side: int, loops: str) -> dict:
         return result
 
     for _ in range(REPS):
-        streams = record("lshm_s", chaotic_maps.iterate_lshm, key.lshm, (m // 2) * (n // 2) * 8)
+        xs, ys = record("lshm_s", chaotic_maps.iterate_lshm, key.lshm, (m // 2) * (n // 2) * 8)
         zs = record("clt_s", chaotic_maps.iterate_clt, key.clt, m * n)
-        lshm, clt = key_schedule.iterate_lshm, key_schedule.iterate_clt
-        key_schedule.iterate_lshm, key_schedule.iterate_clt = (lambda p, k: streams), (lambda p, k: zs)
-        try:
-            (rea1, rea2), t_arrays = _timed(key_schedule.build_extraction_arrays, key, m, n)
-            _, t_ops = _timed(key_schedule.build_operation_matrix, key, m, n)
-        finally:
-            key_schedule.iterate_lshm, key_schedule.iterate_clt = lshm, clt
-        times["quantize_s"].append(t_arrays + t_ops)
-        del streams, zs
+        rea1, rea2, _ = record("quantize_s", _quantize, xs, ys, zs)
+        del xs, ys, zs
         record("argsort_invert_s", key_schedule.build_extraction_keys, rea1, rea2)
         del rea1, rea2
         record("sboxes_s", key_schedule.build_sboxes, key)

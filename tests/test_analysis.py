@@ -372,6 +372,9 @@ class TestCompiledStatistics:
         pytest.param(np.array([[1, 2]], dtype=np.uint8), id="1x2"),
         pytest.param(np.array([[7, 7], [0, 255]], dtype=np.uint8), id="2x2"),
         pytest.param(hashed_pixels(5, 2), id="5x2"),
+        # the border sums read the image's first and last bytes
+        pytest.param(hashed_pixels(1, 257), id="1x257"),
+        pytest.param(hashed_pixels(257, 2), id="257x2"),
         pytest.param(hashed_pixels(91, 92)[::-3], id="row_view"),
         pytest.param(np.full((1024, 1024), 200, dtype=np.uint8), id="constant_1024"),
         pytest.param(hashed_pixels(1024, 1024), id="random_1024"),

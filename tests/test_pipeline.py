@@ -8,15 +8,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xcross import _native, analysis, key_schedule, pipeline
-from xcross.errors import DimensionError, ParameterError
-from xcross.key_schedule import random_key_material, reference_key
+from xcross.errors import DimensionError, OpCodeError, ParameterError
+from xcross.key_schedule import build_extraction_keys, random_key_material, reference_key
 from xcross.pipeline import (
+    CipherContext,
     decrypt,
     decrypt_with_context,
     derive_context,
     encrypt,
     encrypt_with_context,
 )
+from xcross.substitution import SubstitutionSuite
 
 
 def shannon_entropy(img):
@@ -178,6 +180,69 @@ class TestRoundTrip:
         ctx = derive_context(ref_key, 8, 8)
         with pytest.raises(DimensionError):
             encrypt_with_context(rng.integers(0, 256, size=(16, 16), dtype=np.uint8), ctx)
+
+    # small, odd-sided and one-row-thin quadrants; at 4x4096 and 4096x4 the
+    # compiled loops' tails run on long rows and long columns
+    @pytest.mark.parametrize("rows, cols", [(4, 4), (4, 8), (12, 20), (100, 36), (4, 4096),
+                                            (4096, 4)])
+    def test_thin_shapes_round_trip_and_analyze_as_numpy(self, ref_key, rows, cols):
+        plain = hashed_pixels(rows, cols)
+        cipher = encrypt(plain, ref_key)
+        assert np.array_equal(decrypt(cipher, ref_key), plain)
+        # views the statistics wrapper copies: reversed, stepped, offset, transposed
+        for img in (cipher, cipher[::-1], cipher[::2], cipher[:, 1:], cipher.T):
+            with python_loops():
+                want = analysis.report_csv(analysis.analyze(img))
+            assert analysis.report_csv(analysis.analyze(img)) == want
+
+
+class TestHandBuiltContext:
+    """A 12x20 context of hashed keys, so no libm is involved: 240 pixels
+    are three 64-pixel runs of the VBMI substitution and a 48-pixel tail,
+    and a 6x10 quadrant is 60 bytes, a whole number of the AVX2 gather's
+    words.  A bad op code or key entry at either end is refused in both
+    directions, or gives the definitions' bytes."""
+
+    DIRECTIONS = pytest.mark.parametrize("run", [encrypt_with_context, decrypt_with_context],
+                                         ids=["encrypt", "decrypt"])
+
+    @pytest.fixture()
+    def plain(self):
+        return hashed_pixels(12, 20)
+
+    @pytest.fixture()
+    def ctx(self, plain):
+        sboxes = np.argsort(hashed_pixels(3, 256), kind="stable")
+        return CipherContext(keys=build_extraction_keys(*hashed_pixels(2, 8 * 60)),
+                             opmatrix=plain % 3, suite=SubstitutionSuite(tuple(sboxes)))
+
+    @staticmethod
+    def with_key1_entry(ctx, entry, value):
+        key1 = ctx.keys[0].copy()
+        key1[entry] = value
+        return dataclasses.replace(ctx, keys=(key1, *ctx.keys[1:]))
+
+    @DIRECTIONS
+    @pytest.mark.parametrize("pixel", [(0, 0), (11, 19)])
+    def test_bad_op_code_raises(self, plain, ctx, run, pixel):
+        ops = ctx.opmatrix.copy()
+        ops[pixel] = 3
+        with pytest.raises(OpCodeError):
+            run(plain, dataclasses.replace(ctx, opmatrix=ops))
+
+    @DIRECTIONS
+    @pytest.mark.parametrize("entry", [0, 479])
+    def test_key_entry_past_the_end_raises(self, plain, ctx, run, entry):
+        with pytest.raises(IndexError):
+            run(plain, self.with_key1_entry(ctx, entry, 8 * 60))
+
+    @DIRECTIONS
+    @pytest.mark.parametrize("entry", [0, 479])
+    def test_negative_key_entry_gives_the_definitions_bytes(self, plain, ctx, run, entry):
+        ctx = self.with_key1_entry(ctx, entry, -3)
+        with python_loops():
+            want = run(plain, ctx)
+        assert run(plain, ctx).tobytes() == want.tobytes()
 
 
 class TestCipherBehavior:
