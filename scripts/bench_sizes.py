@@ -25,8 +25,12 @@ Stages, in the order the library runs them for one context:
 * ``encrypt_s`` / ``decrypt_s`` / ``analyze_s``: ``encrypt_with_context``,
   ``decrypt_with_context`` and ``analyze`` on a seeded noise image.
 
-``ru_maxrss_mb`` is the process's peak RSS after all repetitions.  The
-Python-loop runs switch the compiled library off the way the tests do, by
+``ru_maxrss_mb`` is the process's peak RSS after all repetitions.  At
+2048² it follows the heap's allocation history, not the code under test:
+two trees whose stages allocate alike have read 305 and 317 MB, and a
+print per stage moved one to 297 MB.  A delta below about 5% there says
+nothing; ``scripts/cap_round_trip.py`` gives the memory figure to quote.
+The Python-loop runs switch the compiled library off the way the tests do, by
 replacing ``_native.trusted``; a compiled run in which a routine group
 runs its definitions exits with the cause rather than report those
 timings under the compiled name.

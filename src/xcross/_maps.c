@@ -40,7 +40,8 @@
  * means come from one pass over the image, then the GLCM's, from pair
  * counts whose pass also counts the histogram, in one scalar pass over the
  * 65536 cells and a second for the correlation, with no 256 x 256 float64
- * array beyond the counts, made probabilities in place.
+ * array beyond the counts, which _native passes in and which are made
+ * probabilities in place: no routine allocates.
  *
  * The two pixel layers move bytes only: xcross_substitute is the flat
  * table lookup of substitution.py and xcross_xcross the X-Cross schedule
@@ -446,15 +447,15 @@ static double pairwise_tree(double *leaves, long n)
  * each, paired up by pairwise_tree; a row of p.sum(axis=1) is its two
  * runs' sum.  Only the last sum has negative terms, so only it is added
  * to +0.0.  The pair pass also adds np.bincount of the pixels into the
- * 256 counts at hist.  Returns 1, with hist as it was, when the pair
- * counts cannot be allocated, else 0. */
-static int xcross_glcm(const uint8_t *img, long rows, long cols, double *out, int64_t *hist)
+ * 256 counts at hist.  The pair counts go into the 65536 cells at cells,
+ * a buffer from _native that this routine zeroes first. */
+static void xcross_glcm(const uint8_t *img, long rows, long cols, double *out, int64_t *hist,
+                        int64_t *cells)
 {
     /* the counts, then in place p: (double)0 / total is +0.0, so no cell
      * needs a branch */
-    union cell { int64_t n; double p; } *m = calloc(65536, sizeof *m);
-    if (m == NULL)
-        return 1;
+    union cell { int64_t n; double p; } *m = (union cell *)cells;
+    memset(m, 0, 65536 * sizeof *m);
     /* each pixel but the last of a row is the left of one pair */
     for (long r = 0; r < rows; r++, img += cols) {
         for (long x = 0; x + 1 < cols; x++) {
@@ -513,17 +514,16 @@ static int xcross_glcm(const uint8_t *img, long rows, long cols, double *out, in
             t[0][q] = lv[k / 2] * lj[q] * run[q].p;
         leaves[0][k] = pairwise_leaf(t[0], 128);
     }
-    free(m);
     out[3] = mu;
     out[4] = var;
     out[5] = 0.0 + pairwise_tree(leaves[0], 512);
-    return 0;
 }
 
 /* Every sum of analysis.analyze for the rows x cols image at img, rows >= 1
  * and cols >= 2: the horizontal, vertical and diagonal moments at out[0 .. 8],
- * then xcross_glcm's out and hist at out + 9.  Returns xcross_glcm's result. */
-int xcross_statistics(const uint8_t *img, long rows, long cols, double *out, int64_t *hist)
+ * then xcross_glcm's out and hist at out + 9, its pair counts in cells. */
+void xcross_statistics(const uint8_t *img, long rows, long cols, double *out, int64_t *hist,
+                       int64_t *cells)
 {
     /* the sums of the image, its first and last rows and its first and
      * last columns: a direction's a and b each leave out one row, one
@@ -538,7 +538,7 @@ int xcross_statistics(const uint8_t *img, long rows, long cols, double *out, int
     xcross_moments(img, rows, cols, 0, 1, t - cl, t - c0, out);
     xcross_moments(img, rows, cols, 1, 0, t - rl, t - r0, out + 3);
     xcross_moments(img, rows, cols, 1, 1, t + img[last] - rl - cl, t + img[0] - r0 - c0, out + 6);
-    return xcross_glcm(img, rows, cols, out + 9, hist);
+    xcross_glcm(img, rows, cols, out + 9, hist, cells);
 }
 
 #ifdef XCROSS_AVX2

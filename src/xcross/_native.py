@@ -51,8 +51,7 @@ _ROUTINES = {
     "xcross_clt": (None, [ctypes.c_void_p, ctypes.c_long] + [ctypes.c_double] * 3),
     "xcross_sort_keys": (None, [ctypes.c_void_p, ctypes.c_long] + [ctypes.c_void_p] * 2),
     "xcross_ibt": (ctypes.c_int, [ctypes.c_void_p] * 3 + [ctypes.c_long]),
-    "xcross_statistics": (ctypes.c_int, [ctypes.c_void_p] + [ctypes.c_long] * 2
-                          + [ctypes.c_void_p] * 2),
+    "xcross_statistics": (None, [ctypes.c_void_p] + [ctypes.c_long] * 2 + [ctypes.c_void_p] * 3),
     "xcross_substitute": (ctypes.c_int, [ctypes.c_void_p] * 4 + [ctypes.c_long]),
     "xcross_xcross": (None, [ctypes.c_void_p] + [ctypes.c_long] * 2 + [ctypes.c_void_p, ctypes.c_int]),
 }
@@ -198,15 +197,16 @@ def _compiled_statistics(lib: ctypes.CDLL | None,
     :func:`~xcross.analysis._numpy_statistics` by the C loops, each sum
     formed and added as NumPy forms and adds it, the histogram counted in
     the GLCM's pass over the pairs; a direction without pairs gives +0.0
-    sums.  None unless ``lib`` is the compiled library, the image is 2-D
-    uint8 with a horizontal pair, and the C loop could allocate its counts."""
+    sums.  None unless ``lib`` is the compiled library and the image is 2-D
+    uint8 with a horizontal pair.  The C loop zeroes the pair counts it is
+    given, so they are taken uninitialised."""
     if (lib is None or img.dtype != np.uint8 or img.ndim != 2
             or img.shape[0] < 1 or img.shape[1] < 2):
         return None
     img = np.ascontiguousarray(img)
-    sums, hist = np.empty(15), np.zeros(256, np.int64)
-    if lib.xcross_statistics(_address(img), *img.shape, _address(sums), _address(hist)):
-        return None
+    sums, hist, cells = np.empty(15), np.zeros(256, np.int64), np.empty(65536, np.int64)
+    lib.xcross_statistics(_address(img), *img.shape, _address(sums), _address(hist),
+                          _address(cells))
     return sums, hist
 
 

@@ -59,17 +59,8 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _want_color() -> bool:
-    if os.environ.get("XCROSS_NO_COLOR"):
-        return False
-    return hasattr(sys.stderr, "isatty") and sys.stderr.isatty()
-
-
 def _diag(message: str) -> None:
-    line = f"xcross: error: {message}"
-    if _want_color():
-        line = f"\x1b[31m{line}\x1b[0m"
-    print(line, file=sys.stderr)
+    print(f"xcross: error: {message}", file=sys.stderr)
 
 
 def _atomic_write(path: str, data: bytes) -> None:

@@ -80,8 +80,7 @@ def _build_context(key: KeyMaterial, m: int, n: int) -> CipherContext:
     return CipherContext(keys=keys, opmatrix=opmatrix, suite=SubstitutionSuite(sboxes=sboxes))
 
 
-# typed: an m or n of another type (8.0 for 8) must not hit a kept context
-_recent_context = lru_cache(maxsize=2, typed=True)(_build_context)
+_recent_context = lru_cache(maxsize=2)(_build_context)
 
 
 def _checked_fit(img: np.ndarray, ctx: CipherContext) -> np.ndarray:

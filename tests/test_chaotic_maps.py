@@ -33,6 +33,7 @@ from xcross.chaotic_maps import (
     TRANSIENT,
     CltParams,
     LshmParams,
+    _clt_loop,
     clt_step,
     iterate_clt,
     iterate_lshm,
@@ -150,6 +151,16 @@ class TestParamValidation:
         with pytest.raises(ParameterError):
             LshmParams(k1=math.inf, k2=3.6, alpha=2.1, beta=2.0, x0=0.3, y0=0.5)
 
+    def test_non_real_rejected(self):
+        with pytest.raises(ParameterError, match="must be a real number"):
+            LshmParams(k1="3.9", k2=3.6, alpha=2.1, beta=2.0, x0=0.3, y0=0.5)
+
+    def test_iterators_refuse_the_other_maps_params(self):
+        with pytest.raises(ParameterError, match="LshmParams"):
+            iterate_lshm(REF_CLT, 8)
+        with pytest.raises(ParameterError, match="CltParams"):
+            iterate_clt(REF_LSHM, 8)
+
     @pytest.mark.parametrize(
         "lam,alpha_c,z0",
         [
@@ -198,6 +209,23 @@ class TestKnownValues:
 
     def test_clt_zero_fixed_point(self):
         assert clt_step(0.0, REF_CLT) == 0.0
+
+    def test_lshm_tiny_negative_x_wraps_to_zero(self):
+        # cos(0) and pow(1, 1) are exact, so each step forms k1 * (1 + alpha)
+        # = -2**-55, whose % 1.0 is 1.0: the wrap fix must give +0.0, and x
+        # then stays at 0 on both paths.  y depends on libm's cos(3.6).
+        p = LshmParams(k1=0.125, k2=3.6, alpha=-1 - 2**-52, beta=1.0, x0=0.0, y0=0.0)
+        assert -2**-55 % 1.0 == 1.0
+        for xs, _ in both_loops(iterate_lshm, p, 8):
+            assert same_bits(xs, [0.0] * 8)
+
+    def test_clt_tiny_negative_z_wraps_to_zero(self):
+        # a normal number, so that no flush-to-zero mode changes the case:
+        # the step forms -5.32e-18, whose % 1.0 is 1.0, and the wrap fix
+        # must give +0.0 in the Python loop and in the C loop
+        zs = np.empty(4)
+        _clt_loop(_native.trusted("cipher"), zs, -1e-18, REF_CLT)
+        assert same_bits([clt_step(-1e-18, REF_CLT), *zs], [0.0] * 5)
 
     def test_clt_half_branch_hand_value(self):
         # z = 0.5 on the upper branch with lam=3.6, alpha=2:
@@ -587,6 +615,11 @@ class TestCompiledLoops:
         text = _native._KERNEL_SOURCE.read_text()
         exported = re.findall(r"^(?!static\b)(?:\w+[ \t]+\**)+(\w+)\([^;{]*\)\s*\{", text, re.M)
         assert sorted(exported) == sorted(_native._ROUTINES)
+
+    def test_source_allocates_nothing(self):
+        # every buffer comes from _native, so no routine can fail for memory
+        text = _native._KERNEL_SOURCE.read_text()
+        assert re.findall(r"\b(?:malloc|calloc|realloc|free)\s*\(", text) == []
 
     def test_library_serves_every_layer(self, compiled_library, monkeypatch, rng):
         # the NumPy gathers, sort, sums and X-Cross are the silent fallback,

@@ -279,13 +279,4 @@ class TestDiagnostics:
         err = capsys.readouterr().err
         assert err.startswith("xcross: error:")
         assert err.count("\n") == 1
-
-    def test_no_color_env(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("XCROSS_NO_COLOR", "1")
-        main(["analyze", "--in", str(tmp_path / "nope.pgm")])
-        assert "\x1b[" not in capsys.readouterr().err
-
-    def test_no_color_when_not_a_tty(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.delenv("XCROSS_NO_COLOR", raising=False)
-        main(["analyze", "--in", str(tmp_path / "nope.pgm")])
-        assert "\x1b[" not in capsys.readouterr().err
+        assert "\x1b" not in err

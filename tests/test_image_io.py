@@ -80,6 +80,8 @@ class TestRejections:
     def test_truncated_header(self):
         with pytest.raises(PgmTruncatedError):
             parse_pgm(b"P5\n2 2")
+        with pytest.raises(PgmTruncatedError, match="unterminated"):
+            parse_pgm(b"P5\n# no newline")
 
     def test_oversize_dimensions(self):
         # 5000*5000 = 25e6 pixels, above the 2^24 cap; no payload needed

@@ -227,6 +227,10 @@ class TestSboxes:
         table = sbox_from_stream(np.linspace(1.0, 0.0, 256))
         assert table.tolist() == list(range(255, -1, -1))
 
+    def test_stream_of_another_length_rejected(self):
+        with pytest.raises(DimensionError, match="256"):
+            sbox_from_stream(np.arange(255.0))
+
     def test_reference_boxes_bijective(self, ref_key):
         boxes = build_sboxes(ref_key)
         assert len(boxes) == 3
@@ -244,6 +248,15 @@ class TestSboxes:
                 clt=reference_key().clt,
                 sbox_seeds=(0.3, 0.3, 0.7),
             )
+
+    @pytest.mark.parametrize("change, match", [
+        pytest.param({"sbox_seeds": (0.3, 0.7)}, "exactly three", id="two_seeds"),
+        pytest.param({"sbox_seeds": (0.3, 1.0, 0.7)}, "seed2 must lie", id="seed_one"),
+        pytest.param({"version": "2"}, "unsupported key version", id="version"),
+    ])
+    def test_bad_seeds_or_version_rejected(self, ref_key, change, match):
+        with pytest.raises(ParameterError, match=match):
+            dataclasses.replace(ref_key, **change)
 
     def test_list_seeds_equal_tuple_seeds(self, ref_key, rng):
         listed = dataclasses.replace(ref_key, sbox_seeds=list(ref_key.sbox_seeds))

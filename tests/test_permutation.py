@@ -150,6 +150,11 @@ class TestQuadrants:
         img = rng.integers(0, 256, size=(12, 8), dtype=np.uint8)
         assert np.array_equal(merge_quadrants(split_quadrants(img)), img)
 
+    def test_merge_rejects_quadrants_of_different_shapes(self):
+        q = split_quadrants(np.zeros((8, 8), dtype=np.uint8))
+        with pytest.raises(DimensionError, match="one shape"):
+            merge_quadrants(q._replace(d=q.d[:2]))
+
     @pytest.mark.parametrize("shape", [(2, 2), (6, 6), (4, 10), (3, 4)])
     def test_non_mod4_rejected(self, shape):
         with pytest.raises(DimensionError):

@@ -54,6 +54,10 @@ class TestSuite:
         with pytest.raises(OpCodeError):
             SubstitutionSuite(sboxes=(IDENT.copy(), IDENT.copy()))
 
+    def test_rejects_wrong_length(self):
+        with pytest.raises(DimensionError, match="256 entries"):
+            SubstitutionSuite(sboxes=(IDENT[:255].copy(), IDENT.copy(), IDENT.copy()))
+
 
 def _one_pixel(suite, p, op, stage=substitution_stage):
     return int(stage(np.array([[p]], dtype=np.uint8), np.array([[op]]), suite)[0, 0])
