@@ -15,7 +15,7 @@ image.  This makes the key-space structure visible:
   S-boxes rather than the bit-permutation keys (one seed moves roughly
   the third of the pixels its S-box serves).
 
-    python3 scripts/key_sensitivity_sweep.py [--size 64] [--seed 7]
+    python3 scripts/key_sensitivity_sweep.py
 """
 
 from __future__ import annotations
@@ -36,6 +36,10 @@ from xcross.sample_images import random_image
 
 MAGNITUDES = (1e-10, 1e-6, 1e-3)
 
+#: Side length of the noise plaintext, and the seed of its generator.
+SIZE = 64
+SEED = 7
+
 
 def _perturbed(key: KeyMaterial, field: str, delta: float) -> KeyMaterial:
     values = key_values(key)
@@ -44,18 +48,14 @@ def _perturbed(key: KeyMaterial, field: str, delta: float) -> KeyMaterial:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--size", type=int, default=64, help="image side length")
-    parser.add_argument("--seed", type=int, default=7, help="plaintext noise seed")
-    args = parser.parse_args(argv)
+    argparse.ArgumentParser(description=__doc__.splitlines()[0]).parse_args(argv)
 
     key = reference_key()
-    rng = np.random.default_rng(args.seed)
-    plain = random_image(rng, (args.size, args.size))
+    plain = random_image(np.random.default_rng(SEED), (SIZE, SIZE))
     base = encrypt(plain, key)
 
     header = " ".join(f"{f'+{m:.0e}':>10}" for m in MAGNITUDES)
-    print(f"ciphertext change fraction, {args.size}x{args.size} noise plaintext")
+    print(f"ciphertext change fraction, {SIZE}x{SIZE} noise plaintext")
     print(f"{'scalar':<12} {header}")
     print("-" * (13 + 11 * len(MAGNITUDES)))
     for field in PARAM_RANGES:

@@ -1,24 +1,21 @@
 #!/usr/bin/env python3
 """Reproduce the headline security table on the frozen test image.
 
-Encrypts the bundled 256x256 texture with the reference key (or any key
-file you pass) and prints plaintext-vs-ciphertext rows for every metric
-the analysis suite knows.  Optionally drops the images and the raw CSV
-reports into a directory for inspection.
+Encrypts the bundled 256x256 texture with the reference key and prints
+plaintext-vs-ciphertext rows for every metric the analysis suite knows.
+``xcross encrypt`` and ``xcross analyze --format csv --out`` write the
+images and the raw CSV reports of any other key.
 
     python3 scripts/reproduce_security_report.py
-    python3 scripts/reproduce_security_report.py --key my.key --out-dir /tmp/report
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
-from xcross.analysis import analyze, report_csv
-from xcross.image_io import write_pgm
-from xcross.key_schedule import parse_key, reference_key
+from xcross.analysis import analyze
+from xcross.key_schedule import reference_key
 from xcross.pipeline import decrypt, encrypt
 from xcross.sample_images import natural_test_image
 
@@ -35,27 +32,9 @@ _ROWS = (
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--key",
-        default=None,
-        help="key file to encrypt with (default: the built-in reference key)",
-    )
-    parser.add_argument(
-        "--out-dir",
-        default=None,
-        help="also write plain.pgm / cipher.pgm / *.csv here",
-    )
-    args = parser.parse_args(argv)
+    argparse.ArgumentParser(description=__doc__.splitlines()[0]).parse_args(argv)
 
-    if args.key is None:
-        key = reference_key()
-        key_label = "reference key"
-    else:
-        with open(args.key, "r", encoding="ascii") as fh:
-            key = parse_key(fh.read())
-        key_label = args.key
-
+    key = reference_key()
     plain = natural_test_image()
     cipher = encrypt(plain, key)
     if not (decrypt(cipher, key) == plain).all():
@@ -65,25 +44,13 @@ def main(argv=None) -> int:
     before = analyze(plain)
     after = analyze(cipher)
 
-    print(f"256x256 frozen texture, encrypted with {key_label}")
+    print("256x256 frozen texture, encrypted with reference key")
     print(f"{'metric':<26} {'plaintext':>14} {'ciphertext':>14}")
     print("-" * 56)
     for label, attr, fmt in _ROWS:
         a = fmt.format(getattr(before, attr))
         b = fmt.format(getattr(after, attr))
         print(f"{label:<26} {a:>14} {b:>14}")
-
-    if args.out_dir:
-        os.makedirs(args.out_dir, exist_ok=True)
-        for name, data in (
-            ("plain.pgm", write_pgm(plain)),
-            ("cipher.pgm", write_pgm(cipher)),
-            ("plain_report.csv", report_csv(before).encode("ascii")),
-            ("cipher_report.csv", report_csv(after).encode("ascii")),
-        ):
-            with open(os.path.join(args.out_dir, name), "wb") as fh:
-                fh.write(data)
-        print(f"\nwrote images and CSV reports to {args.out_dir}")
     return 0
 
 

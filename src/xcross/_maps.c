@@ -36,12 +36,12 @@
  * zero, so each sum that has terms of both signs is written 0.0 + s (a
  * form the compiler keeps without -fno-signed-zeros; it may fold s - 0.0
  * to s).  The other sums have no negative term.  xcross_statistics gives
- * every sum of analysis.analyze: the three directions' moments, whose six
- * means come from one pass over the image, then the GLCM's, from pair
- * counts whose pass also counts the histogram, in one scalar pass over the
- * 65536 cells and a second for the correlation, with no 256 x 256 float64
- * array beyond the counts, which _native passes in and which are made
- * probabilities in place: no routine allocates.
+ * every sum of analysis.analyze: first the GLCM's, from pair counts whose
+ * pass also counts the histogram, in one scalar pass over the 65536 cells
+ * and a second for the correlation, with no 256 x 256 float64 array beyond
+ * the counts, which _native passes in and which are made probabilities in
+ * place: no routine allocates.  Then the three directions' moments, whose
+ * six means come from the histogram's sum less a border row or column.
  *
  * The two pixel layers move bytes only: xcross_substitute is the flat
  * table lookup of substitution.py and xcross_xcross the X-Cross schedule
@@ -383,20 +383,16 @@ static void pairwise_moments(const struct pairs *p, long lo, long n, double *sum
 /* The centred second moments of the pairs (a, b) of the rows x cols image
  * at img that lie dr >= 0 rows and dc >= 0 columns apart: a =
  * img[:rows-dr, :cols-dc] and b = img[dr:, dc:], each h x w, and b starts
- * off = dr * cols + dc bytes after a.  sa and sb are the exact integer
- * sums of a's and b's pixels, which xcross_statistics takes from its one
- * pass over the image; over the count they are the means x.mean() of the
- * float64 pixels gives.  The three sums are those np.add.reduce adds over
- * the flattened centred products; with no pairs they are the empty sums,
- * +0.0. */
+ * off = dr * cols + dc bytes after a; rows >= 2 and cols >= 2, so there is
+ * a pair.  sa and sb are the exact integer sums of a's and b's pixels,
+ * which xcross_statistics takes from the histogram and the border sums;
+ * over the count they are the means x.mean() of the float64 pixels gives.
+ * The three sums are those np.add.reduce adds over the flattened centred
+ * products. */
 static void xcross_moments(const uint8_t *img, long rows, long cols, long dr, long dc,
                            uint64_t sa, uint64_t sb, double *sums)
 {
     long h = rows - dr, w = cols - dc, off = dr * cols + dc;
-    if (h < 1 || w < 1) {
-        sums[0] = sums[1] = sums[2] = 0.0;
-        return;
-    }
     double n = (double)(h * w);
     struct pairs p = {img, w, cols, off, (double)sa / n, (double)sb / n, moments_scalar};
 #ifdef XCROSS_AVX2
@@ -407,24 +403,6 @@ static void xcross_moments(const uint8_t *img, long rows, long cols, long dr, lo
 #endif
     pairwise_moments(&p, 0, h * w, sums);
     sums[2] = 0.0 + sums[2];
-}
-
-/* The sum of the n bytes at p: 16 bytes at a time into 32-bit partial
- * sums, a loop that -O2 vectorises; one byte at a time into 64 bits it
- * does not */
-static uint64_t byte_sum(const uint8_t *p, long n)
-{
-    uint64_t s = 0;
-    long i = 0;
-    for (; i + 16 <= n; i += 16) {
-        unsigned b = 0;
-        for (int k = 0; k < 16; k++)
-            b += p[i + k];
-        s += b;
-    }
-    for (; i < n; i++)
-        s += p[i];
-    return s;
 }
 
 /* NumPy's pairwise sum of the n runs of 128 terms whose leaf sums are
@@ -438,7 +416,7 @@ static double pairwise_tree(double *leaves, long n)
     return leaves[0];
 }
 
-/* The GLCM of analysis._glcm_sums for the rows x cols image at img, rows >= 1
+/* The GLCM of analysis._glcm_sums for the rows x cols image at img, rows >= 2
  * and cols >= 2.  With c the counts of the horizontal pairs (left, right)
  * at c[left][right] and p = (c + c^T) / its sum, out[0 .. 5] = the sums of
  * (i-j)^2 p, p^2 and p / (1 + |i-j|), mu, the variance, and the sum of
@@ -446,9 +424,9 @@ static double pairwise_tree(double *leaves, long n)
  * 65536 cells is NumPy's pairwise sum: 512 runs of 128 cells, half a row
  * each, paired up by pairwise_tree; a row of p.sum(axis=1) is its two
  * runs' sum.  Only the last sum has negative terms, so only it is added
- * to +0.0.  The pair pass also adds np.bincount of the pixels into the
- * 256 counts at hist.  The pair counts go into the 65536 cells at cells,
- * a buffer from _native that this routine zeroes first. */
+ * to +0.0.  The pair pass also counts np.bincount of the pixels into the
+ * 256 counts at hist, and the pair counts into the 65536 cells at cells:
+ * buffers from _native that this routine zeroes first. */
 static void xcross_glcm(const uint8_t *img, long rows, long cols, double *out, int64_t *hist,
                         int64_t *cells)
 {
@@ -456,6 +434,7 @@ static void xcross_glcm(const uint8_t *img, long rows, long cols, double *out, i
      * needs a branch */
     union cell { int64_t n; double p; } *m = (union cell *)cells;
     memset(m, 0, 65536 * sizeof *m);
+    memset(hist, 0, 256 * sizeof *hist);
     /* each pixel but the last of a row is the left of one pair */
     for (long r = 0; r < rows; r++, img += cols) {
         for (long x = 0; x + 1 < cols; x++) {
@@ -519,18 +498,25 @@ static void xcross_glcm(const uint8_t *img, long rows, long cols, double *out, i
     out[5] = 0.0 + pairwise_tree(leaves[0], 512);
 }
 
-/* Every sum of analysis.analyze for the rows x cols image at img, rows >= 1
+/* Every sum of analysis.analyze for the rows x cols image at img, rows >= 2
  * and cols >= 2: the horizontal, vertical and diagonal moments at out[0 .. 8],
  * then xcross_glcm's out and hist at out + 9, its pair counts in cells. */
 void xcross_statistics(const uint8_t *img, long rows, long cols, double *out, int64_t *hist,
                        int64_t *cells)
 {
-    /* the sums of the image, its first and last rows and its first and
-     * last columns: a direction's a and b each leave out one row, one
-     * column, or both, whose shared corner is then added back */
+    xcross_glcm(img, rows, cols, out + 9, hist, cells);
+    /* the sum of the image, from its histogram, and of its first and last
+     * rows and its first and last columns: a direction's a and b each leave
+     * out one row, one column, or both, whose shared corner is then added
+     * back */
     long last = rows * cols - 1;
-    uint64_t t = byte_sum(img, rows * cols), r0 = byte_sum(img, cols),
-             rl = byte_sum(img + (rows - 1) * cols, cols), c0 = 0, cl = 0;
+    uint64_t t = 0, r0 = 0, rl = 0, c0 = 0, cl = 0;
+    for (int v = 1; v < 256; v++)
+        t += v * (uint64_t)hist[v];
+    for (long x = 0; x < cols; x++) {
+        r0 += img[x];
+        rl += img[last - x];
+    }
     for (long r = 0; r < rows; r++) {
         c0 += img[r * cols];
         cl += img[r * cols + cols - 1];
@@ -538,7 +524,6 @@ void xcross_statistics(const uint8_t *img, long rows, long cols, double *out, in
     xcross_moments(img, rows, cols, 0, 1, t - cl, t - c0, out);
     xcross_moments(img, rows, cols, 1, 0, t - rl, t - r0, out + 3);
     xcross_moments(img, rows, cols, 1, 1, t + img[last] - rl - cl, t + img[0] - r0 - c0, out + 6);
-    xcross_glcm(img, rows, cols, out + 9, hist, cells);
 }
 
 #ifdef XCROSS_AVX2

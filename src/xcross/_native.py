@@ -31,8 +31,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import chaotic_maps
-
 #: C source of the compiled loops, key sort, bit gather, pixel layers and statistics.
 _KERNEL_SOURCE = Path(__file__).with_name("_maps.c")
 
@@ -196,15 +194,14 @@ def _compiled_statistics(lib: ctypes.CDLL | None,
     """The 15 float64 sums and the int64 histogram of
     :func:`~xcross.analysis._numpy_statistics` by the C loops, each sum
     formed and added as NumPy forms and adds it, the histogram counted in
-    the GLCM's pass over the pairs; a direction without pairs gives +0.0
-    sums.  None unless ``lib`` is the compiled library and the image is 2-D
-    uint8 with a horizontal pair.  The C loop zeroes the pair counts it is
-    given, so they are taken uninitialised."""
-    if (lib is None or img.dtype != np.uint8 or img.ndim != 2
-            or img.shape[0] < 1 or img.shape[1] < 2):
+    the GLCM's pass over the pairs.  None unless ``lib`` is the compiled
+    library and the image is 2-D uint8 with at least two rows and two
+    columns.  The C loop zeroes the histogram and the pair counts it is
+    given, so both are taken uninitialised."""
+    if lib is None or img.dtype != np.uint8 or img.ndim != 2 or min(img.shape) < 2:
         return None
     img = np.ascontiguousarray(img)
-    sums, hist, cells = np.empty(15), np.zeros(256, np.int64), np.empty(65536, np.int64)
+    sums, hist, cells = np.empty(15), np.empty(256, np.int64), np.empty(65536, np.int64)
     lib.xcross_statistics(_address(img), *img.shape, _address(sums), _address(hist),
                           _address(cells))
     return sums, hist
@@ -270,6 +267,7 @@ def _cipher_pairs(lib: ctypes.CDLL):
     every CPU.  Both directions run the one routine, and the key's S-box
     tables would cost more to build than the rest of this check.
     """
+    from . import chaotic_maps
     from .ibt import _gather_bits
     from .key_schedule import _argsort_keys, reference_key
     from .permutation import _permute_by_schedule, _unpermute_by_schedule

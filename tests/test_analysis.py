@@ -355,25 +355,30 @@ class TestCompiledStatistics:
         if img.shape == (3, 5):
             assert report.corr_d == 0.0 and report.flags == ()
 
-    def test_no_pairs_give_the_empty_sums(self, compiled_library):
-        # +0.0 each, as NumPy sums no terms, and no byte outside the image
-        # read: one row has no vertical or diagonal pair (a single column,
-        # no horizontal pair, is declined below)
-        got = _native._compiled_statistics(compiled_library, hashed_pixels(1, 5))[0]
-        assert got[3:9].tobytes() == np.zeros(6).tobytes()
-
     def test_counts_match_bincount(self, compiled_library):
         img = hashed_pixels(17, 23)
         got = _native._compiled_statistics(compiled_library, img)[1]
         want = analysis._histogram(img)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
+    def test_count_buffers_are_zeroed_first(self, compiled_library):
+        # the image sum comes from the histogram, so counts added onto stale
+        # ones would change the correlation sums as well as the counts
+        img = hashed_pixels(12, 13)
+        sums, hist = np.empty(15), np.full(256, 12345, np.int64)
+        cells = np.full(65536, -7, np.int64)
+        compiled_library.xcross_statistics(
+            _native._address(img), *img.shape, _native._address(sums), _native._address(hist),
+            _native._address(cells))
+        want_sums, want_hist = analysis._numpy_statistics(img)
+        assert sums.tobytes() == want_sums.tobytes()
+        assert hist.tobytes() == want_hist.tobytes()
+
     @pytest.mark.parametrize("img", [
-        pytest.param(np.array([[1, 2]], dtype=np.uint8), id="1x2"),
         pytest.param(np.array([[7, 7], [0, 255]], dtype=np.uint8), id="2x2"),
         pytest.param(hashed_pixels(5, 2), id="5x2"),
         # the border sums read the image's first and last bytes
-        pytest.param(hashed_pixels(1, 257), id="1x257"),
+        pytest.param(hashed_pixels(2, 257), id="2x257"),
         pytest.param(hashed_pixels(257, 2), id="257x2"),
         pytest.param(hashed_pixels(91, 92)[::-3], id="row_view"),
         pytest.param(np.full((1024, 1024), 200, dtype=np.uint8), id="constant_1024"),
@@ -389,7 +394,7 @@ class TestCompiledStatistics:
     @pytest.mark.parametrize("img", [
         # variance 0: no correlation, on both paths
         pytest.param(np.full((8, 8), 9, dtype=np.uint8), id="constant"),
-        pytest.param(np.array([[1, 2]], dtype=np.uint8), id="1x2"),
+        pytest.param(np.array([[1, 2], [2, 1]], dtype=np.uint8), id="2x2"),
         pytest.param(hashed_pixels(37, 2), id="two_columns"),
         pytest.param(checkerboard(), id="checkerboard"),
         pytest.param(hashed_pixels(91, 92)[::-3], id="row_view"),
@@ -406,8 +411,9 @@ class TestCompiledStatistics:
     def test_views_the_library_cannot_read_are_declined(self, compiled_library):
         img = hashed_pixels(8, 10)
         assert _native._compiled_statistics(None, img) is None
-        # no horizontal pair: no GLCM
+        # one column has no horizontal pair, one row no vertical one
         assert _native._compiled_statistics(compiled_library, img[:, :1]) is None
+        assert _native._compiled_statistics(compiled_library, img[:1]) is None
         # a view whose columns lie apart is read through a contiguous copy
         view = img[:, ::2]
         got = _native._compiled_statistics(compiled_library, view)

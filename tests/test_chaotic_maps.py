@@ -616,6 +616,16 @@ class TestCompiledLoops:
         exported = re.findall(r"^(?!static\b)(?:\w+[ \t]+\**)+(\w+)\([^;{]*\)\s*\{", text, re.M)
         assert sorted(exported) == sorted(_native._ROUTINES)
 
+    def test_import_loads_no_other_xcross_module(self):
+        # chaotic_maps imports _native, so _native may import it only
+        # where a check runs
+        code = ("import sys, xcross._native\n"
+                "print(sorted(m for m in sys.modules if m.startswith('xcross')))")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=60, check=True).stdout
+        assert out.strip() == "['xcross', 'xcross._native']"
+
     def test_source_allocates_nothing(self):
         # every buffer comes from _native, so no routine can fail for memory
         text = _native._KERNEL_SOURCE.read_text()
@@ -776,6 +786,8 @@ class TestCompiledLoops:
                      id="glcm"),
         # a histogram that misses each row's last pixel, no pair's left one
         pytest.param([("hist[img[cols - 1]]++;", "")], id="histogram"),
+        # an image sum, for every direction's means, that leaves out level 1
+        pytest.param([("v = 1", "v = 2")], id="means_histogram"),
     ])
     def test_statistics_mismatch_refuses_library(self, compiled_library, source_copy,
                                                  monkeypatch, edits):

@@ -1,8 +1,13 @@
 """End-to-end command tests: exit codes, file contracts, diagnostics."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+from xcross.analysis import analyze, report_text
 from xcross.cli import main
 from xcross.image_io import parse_pgm, write_pgm
 from xcross.key_schedule import (
@@ -280,3 +285,22 @@ class TestDiagnostics:
         assert err.startswith("xcross: error:")
         assert err.count("\n") == 1
         assert "\x1b" not in err
+
+
+class TestModuleEntryPoint:
+    """``python -m xcross``, the way a shell runs the commands."""
+
+    @pytest.mark.parametrize("name, code", [("plain.pgm", 0), ("nope.pgm", 2)],
+                             ids=["report", "missing_input"])
+    def test_analyze(self, image_file, name, code):
+        path, img = image_file
+        path = os.path.join(os.path.dirname(path), name)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        proc = subprocess.run([sys.executable, "-m", "xcross", "analyze", "--in", path], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == code
+        if code:
+            assert proc.stdout == ""
+            assert proc.stderr.startswith("xcross: error:") and proc.stderr.count("\n") == 1
+        else:
+            assert (proc.stdout, proc.stderr) == (report_text(analyze(img)), "")
