@@ -1,10 +1,22 @@
+import platform
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from xcross import _native
 from xcross.key_schedule import reference_key
+
+#: The repository's root, which holds assets/ and scripts/.
+REPO_ROOT = Path(__file__).resolve().parent.parent
+
+#: Skips a test unless the host is x86-64, whose float64 -> int64 cast gives
+#: INT64_MIN for NaN, +-inf and values beyond +-2**63, so that each of them
+#: quantizes to byte 0 and code 1; aarch64's conversion saturates instead.
+x86_64_only = pytest.mark.skipif(platform.machine() != "x86_64",
+                                 reason="the quantized bytes of NaN and of values "
+                                        "beyond int64 are those of x86-64's cast")
 
 
 def pytest_report_header(config):

@@ -1,6 +1,8 @@
+import contextlib
 import ctypes
 import dataclasses
 import functools
+import hashlib
 import math
 import os
 import platform
@@ -18,7 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import SUM_BLOCKS, hashed_pixels, python_loops, sum_block
+from conftest import SUM_BLOCKS, hashed_pixels, python_loops, sum_block, x86_64_only
 from xcross import (
     _native,
     analysis,
@@ -119,8 +121,16 @@ MISMATCH_CAUSES = {
     "statistics": "differs from the NumPy image statistics",
 }
 
-REF_LSHM = LshmParams(k1=3.9, k2=3.6, alpha=2.1, beta=2.0, x0=0.3, y0=0.5)
-REF_CLT = CltParams(lam=3.77, alpha_c=3.1, z0=0.37)
+REF_LSHM = reference_key().lshm
+REF_CLT = reference_key().clt
+
+#: The reference key with LSHM parameters whose streams overflow to NaN:
+#: x from its first step and y from its second, whatever the libm.
+OVERFLOW_KEY = dataclasses.replace(reference_key(), lshm=LshmParams(
+    k1=-1e308, k2=1e308, alpha=1e308, beta=2.5, x0=0.0, y0=-1e300))
+
+#: SHA-256 of OVERFLOW_KEY's 16x16 context arrays, in `context_arrays` order.
+OVERFLOW_CONTEXT_DIGEST = "2445fd21d25a6977d844ed3cf13d51e387b5a3ed581717cd19d9230905565f0f"
 
 #: Attracting period-2 window of the x-map (see
 #: test_periodic_window_erases_seed_sensitivity).
@@ -487,6 +497,16 @@ class TestCompiledLoops:
         return copy
 
     @staticmethod
+    def edit_source(source_copy, edits):
+        """Replace, in the source copy, each ``old`` of the (old, new) pairs
+        ``edits``, which must occur there exactly once."""
+        text = source_copy.read_text()
+        for old, new in edits:
+            assert text.count(old) == 1, old
+            text = text.replace(old, new)
+        source_copy.write_text(text)
+
+    @staticmethod
     def fresh_checks(monkeypatch):
         # an uncached loader and checks, so the patched conditions decide
         monkeypatch.setattr(_native, "_library", functools.cache(_native._library.__wrapped__))
@@ -533,9 +553,7 @@ class TestCompiledLoops:
         # streams that overflow to NaN: the two paths may differ in NaN
         # sign bits, but every NaN quantizes to the same byte
         pytest.param(
-            dataclasses.replace(reference_key(), lshm=LshmParams(
-                k1=-1e308, k2=1e308, alpha=1e308, beta=2.5, x0=0.0, y0=-1e300)),
-            16, id="overflow",
+            OVERFLOW_KEY, 16, id="overflow",
             marks=pytest.mark.filterwarnings("ignore:invalid value encountered in cast")),
     ])
     def test_context_bytes_match_python_loops(self, compiled_library, key, side):
@@ -544,6 +562,26 @@ class TestCompiledLoops:
             python = context_arrays(_build_context(key, side, side))
         for got, want in zip(compiled, python):
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @x86_64_only
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in cast")
+    def test_overflow_key_context_is_pinned_on_both_paths(self):
+        # every NaN quantizes to byte 0, so the keys are the identity, and
+        # the CLT-fed op matrix and S-boxes are the reference key's
+        want = _build_context(reference_key(), 16, 16)
+        identity = np.arange(8 * 8 * 8, dtype=np.int32)
+        for path in (contextlib.nullcontext(), python_loops()):
+            with path:
+                ctx = _build_context(OVERFLOW_KEY, 16, 16)
+                rea1, rea2 = key_schedule.build_extraction_arrays(OVERFLOW_KEY, 16, 16)
+            assert not rea1.any() and not rea2.any()
+            for key in ctx.keys:
+                assert key.tobytes() == identity.tobytes()
+            assert ctx.opmatrix.tobytes() == want.opmatrix.tobytes()
+            for got, box in zip(ctx.suite.sboxes, want.suite.sboxes):
+                assert got.tobytes() == box.tobytes()
+            digest = hashlib.sha256(b"".join(a.tobytes() for a in context_arrays(ctx)))
+            assert digest.hexdigest() == OVERFLOW_CONTEXT_DIGEST
 
     def test_context_keys_are_read_only_int32_on_both_paths(self):
         compiled = _build_context(reference_key(), 16, 16)
@@ -604,9 +642,7 @@ class TestCompiledLoops:
 
     def test_missing_routine_keeps_python_loops(self, compiled_library, source_copy,
                                                 monkeypatch):
-        text = source_copy.read_text()
-        assert text.count("xcross_statistics(") == 1
-        source_copy.write_text(text.replace("xcross_statistics(", "xcross_sums("))
+        self.edit_source(source_copy, [("xcross_statistics(", "xcross_sums(")])
         self.assert_python_loops_in_use(monkeypatch, "AttributeError")
 
     def test_exports_are_the_declared_routines(self):
@@ -705,19 +741,14 @@ class TestCompiledLoops:
     ])
     def test_cipher_mismatch_refuses_library(self, compiled_library, source_copy, monkeypatch,
                                              old, new):
-        text = source_copy.read_text()
-        assert text.count(old) == 1
-        source_copy.write_text(text.replace(old, new))
+        self.edit_source(source_copy, [(old, new)])
         self.assert_only_group_refused(monkeypatch, "cipher")
 
-    @staticmethod
-    def edited_library_matching_numpy(source_copy, old, new):
+    def edited_library_matching_numpy(self, source_copy, old, new):
         """The library built with ``old`` replaced by ``new`` in its source,
         once it passes every group's check and gives the correlation sums
         of `_numpy_moments` on every SUM_BLOCKS entry."""
-        text = source_copy.read_text()
-        assert text.count(old) == 1
-        source_copy.write_text(text.replace(old, new))
+        self.edit_source(source_copy, [(old, new)])
         lib = _native._library.__wrapped__()
         assert isinstance(lib, ctypes.CDLL), lib
         for group, (pairs, _) in _native._CHECKS.items():
@@ -791,9 +822,5 @@ class TestCompiledLoops:
     ])
     def test_statistics_mismatch_refuses_library(self, compiled_library, source_copy,
                                                  monkeypatch, edits):
-        text = source_copy.read_text()
-        for old, new in edits:
-            assert text.count(old) == 1
-            text = text.replace(old, new)
-        source_copy.write_text(text)
+        self.edit_source(source_copy, edits)
         self.assert_only_group_refused(monkeypatch, "statistics")

@@ -1,5 +1,10 @@
 import dataclasses
 import hashlib
+import importlib.util
+import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -7,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from conftest import REPO_ROOT, x86_64_only
 from xcross import _native
 from xcross.chaotic_maps import CltParams, LshmParams, iterate_clt, iterate_lshm
 from xcross.errors import DimensionError, KeyFormatError, ParameterError
@@ -91,6 +97,17 @@ class TestChunkedQuantize:
         for modulus in (256, 3):
             got = _quantized(stream, 1e5, modulus)
             assert got.tobytes() == self.reference(stream, 1e5, modulus).tobytes()
+
+    @x86_64_only
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in cast")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in subtract")
+    @pytest.mark.parametrize("scale, modulus, expected", [
+        (1e5, 256, [0, 0, 0, 0, 0, 0, 80]),
+        (1e3, 3, [1, 1, 1, 1, 1, 1, 2]),
+    ])
+    def test_non_finite_values_give_fixed_bytes(self, scale, modulus, expected):
+        stream = np.array([np.nan, -np.nan, np.inf, -np.inf, 1e300, -1e300, 0.5])
+        assert _quantized(stream, scale, modulus).tolist() == expected
 
 
 class TestExtractionArrays:
@@ -347,6 +364,11 @@ class TestKeyFile:
     def test_round_trip_reference(self, ref_key):
         assert parse_key(serialize_key(ref_key)) == ref_key
 
+    def test_reference_key_file_is_the_reference_key(self, ref_key):
+        # the CLI's copy of the key that tests and scripts take from code
+        text = (REPO_ROOT / "assets" / "reference.key").read_bytes()
+        assert text == serialize_key(ref_key).encode("ascii")
+
     def test_round_trip_awkward_floats(self):
         key = KeyMaterial(
             lshm=LshmParams(x0=0.1 + 0.2 - 0.3 + 0.05, y0=1 / 3, k1=3.6 + 1e-13,
@@ -474,3 +496,27 @@ class TestRandomKeys:
                        for s in range(100)) + serialize_key(redrawn)
         assert hashlib.sha256(text.encode("ascii")).hexdigest() == (
             "342296a1ed87f1fdce6ac23252f6114b22dc0cc3cfaf35456a9eaf35a7200f3b")
+
+
+class TestBenchSizesScript:
+    """``scripts/bench_sizes.py`` calls ``key_schedule._quantized`` and
+    replaces ``_native.trusted``, so a rename of either would break it
+    silently."""
+
+    SCRIPT = REPO_ROOT / "scripts" / "bench_sizes.py"
+
+    @pytest.mark.parametrize("loops", ["python", "compiled"])
+    def test_child_reports_every_stage(self, request, loops):
+        if loops == "compiled":
+            request.getfixturevalue("compiled_library")
+        spec = importlib.util.spec_from_file_location("bench_sizes", self.SCRIPT)
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run([sys.executable, "-W", "error", str(self.SCRIPT), "--child", "64",
+                              loops], env=env, capture_output=True, text=True, timeout=120,
+                             check=True).stdout
+        (line,) = out.splitlines()
+        report = json.loads(line)
+        assert sorted(report) == sorted([*script.STAGES, "ru_maxrss_mb"])
+        assert all(value > 0 for value in report.values()), report
