@@ -12,14 +12,15 @@ from run to run.
 
     PYTHONPATH=src python3 scripts/bench_sizes.py [--out BENCH_sizes.json]
 
-Stages, in the order the library runs them for one context:
+Stages, in the order ``derive_context`` runs them for one context:
 
-* ``lshm_s`` / ``clt_s``: ``iterate_lshm`` for the extraction arrays and
-  ``iterate_clt`` for the operation matrix;
-* ``quantize_s``: the quantizing of ``build_extraction_arrays`` and
-  ``build_operation_matrix`` (``key_schedule._quantized``) on those streams;
-* ``argsort_invert_s``: ``build_extraction_keys``;
-* ``sboxes_s``: ``build_sboxes`` (three 256-value CLT streams, argsorts);
+* ``lshm_s``: ``iterate_lshm`` for the extraction arrays;
+* ``quantize_s``: their quantizing in ``build_extraction_arrays``
+  (``key_schedule._quantized``);
+* ``context_s``: ``key_schedule._context_arrays``, the four keys, the
+  operation matrix and the three S-boxes: one C call on the compiled path,
+  and on the Python path the CLT loops, the quantizing and the argsorts;
+* ``suite_s``: ``SubstitutionSuite``, the lookup tables of the S-boxes;
 * ``derive_s``: the whole derivation, as ``derive_context`` runs it
   uncached;
 * ``encrypt_s`` / ``decrypt_s`` / ``analyze_s``: ``encrypt_with_context``,
@@ -55,12 +56,13 @@ from xcross import _native, chaotic_maps, key_schedule, pipeline
 from xcross.analysis import analyze
 from xcross.key_schedule import reference_key
 from xcross.sample_images import random_image
+from xcross.substitution import SubstitutionSuite
 
 SIZES = (64, 256, 1024, 2048)
 REPS = 7
 LOOPS = ("compiled", "python")
-STAGES = ("lshm_s", "clt_s", "quantize_s", "argsort_invert_s", "sboxes_s", "derive_s",
-          "encrypt_s", "decrypt_s", "analyze_s")
+STAGES = ("lshm_s", "quantize_s", "context_s", "suite_s", "derive_s", "encrypt_s",
+          "decrypt_s", "analyze_s")
 
 
 def _timed(fn, *args):
@@ -69,12 +71,10 @@ def _timed(fn, *args):
     return result, time.perf_counter() - start
 
 
-def _quantize(xs, ys, zs):
-    """The two extraction arrays and the operation codes of the three
-    streams, quantized as ``build_extraction_arrays`` and
-    ``build_operation_matrix`` quantize them."""
-    return (key_schedule._quantized(xs, 1e5, 256), key_schedule._quantized(ys, 1e5, 256),
-            key_schedule._quantized(zs, 1e3, 3))
+def _quantize(xs, ys):
+    """The two extraction arrays of the LSHM streams, quantized as
+    ``build_extraction_arrays`` quantizes them."""
+    return key_schedule._quantized(xs, 1e5, 256), key_schedule._quantized(ys, 1e5, 256)
 
 
 def measure(side: int, loops: str) -> dict:
@@ -95,12 +95,11 @@ def measure(side: int, loops: str) -> dict:
 
     for _ in range(REPS):
         xs, ys = record("lshm_s", chaotic_maps.iterate_lshm, key.lshm, (m // 2) * (n // 2) * 8)
-        zs = record("clt_s", chaotic_maps.iterate_clt, key.clt, m * n)
-        rea1, rea2, _ = record("quantize_s", _quantize, xs, ys, zs)
-        del xs, ys, zs
-        record("argsort_invert_s", key_schedule.build_extraction_keys, rea1, rea2)
+        rea1, rea2 = record("quantize_s", _quantize, xs, ys)
+        del xs, ys
+        sboxes = record("context_s", key_schedule._context_arrays, key, rea1, rea2, m, n)[2]
         del rea1, rea2
-        record("sboxes_s", key_schedule.build_sboxes, key)
+        record("suite_s", SubstitutionSuite, sboxes)
         ctx = record("derive_s", pipeline._build_context, key, m, n)
         cipher = record("encrypt_s", pipeline.encrypt_with_context, plain, ctx)
         record("analyze_s", analyze, cipher)

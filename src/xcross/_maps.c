@@ -1,6 +1,7 @@
 /* The compiled routines behind chaotic_maps.py, each byte for byte its
- * Python or NumPy definition there or in key_schedule.py, ibt.py and
- * analysis.py; README, "Determinism and portability", is the full account.
+ * Python or NumPy definition there or in key_schedule.py, substitution.py,
+ * ibt.py and analysis.py; README, "Determinism and portability", is the
+ * full account.
  *
  * Every double operation of the two map loops is the one the Python loop
  * performs, in the same order: built with -ffp-contract=off nothing is
@@ -10,6 +11,15 @@
  * both are exact, so they agree, and a zero remainder comes out +0.0 as in
  * CPython.  Each loop writes `count` states, transient included, into the
  * caller's buffers.
+ *
+ * After the LSHM loop, derivation is three calls: xcross_quantize makes
+ * the extraction arrays of its streams, xcross_context the rest of a
+ * context from them, the four keys by counting sorts, the operation codes
+ * and the three S-boxes from CLT streams it runs through a scratch buffer
+ * in chunks, and xcross_tables the substitution suite's tables.
+ * The quantizer converts a double to int64 only inside int64's range, so
+ * NaN, +-inf and magnitudes of 2**63 and more give fixed bytes on every
+ * CPU, those of x86-64's conversion.
  *
  * Four bodies are SIMD, each compiled for its target by a function
  * attribute, so the compile command stays the same.  No target is "fma",
@@ -99,9 +109,44 @@ void xcross_clt(double *zs, long count, double z, double lam, double alpha_c)
     }
 }
 
+/* key_schedule.round_half_away(s * scale): |s * scale| rounded half up,
+ * then signed as s * scale is.  NaN, +-inf and magnitudes of 2**63 and more
+ * give INT64_MIN, the value x86-64's conversion gives them, whose low byte
+ * is 0 and whose floor mod 3 is 1; no double outside int64 is converted. */
+static inline int64_t round_half_away(double s, double scale)
+{
+    double v = s * scale, f = fabs(v);
+    if (!(f < 9223372036854775808.0))
+        return INT64_MIN;
+    int64_t t = (int64_t)f;
+    if (f - (double)t >= 0.5)
+        t++;
+    return signbit(v) ? -t : t;
+}
+
+/* q floor mod 3, as NumPy's int64 % 3 gives it */
+static inline uint8_t mod3(int64_t q)
+{
+    int64_t r = q % 3;
+    return (uint8_t)(r < 0 ? r + 3 : r);
+}
+
+/* key_schedule._quantized: out[i] = round_half_away(s[i] * scale) mod
+ * `modulus` for the n values at s, modulus 3 or 256; mod 256 is the low
+ * byte, the cast of NumPy's int64 to uint8. */
+void xcross_quantize(const double *s, long n, double scale, int modulus, uint8_t *out)
+{
+    if (modulus == 3)
+        for (long i = 0; i < n; i++)
+            out[i] = mod3(round_half_away(s[i], scale));
+    else
+        for (long i = 0; i < n; i++)
+            out[i] = (uint8_t)round_half_away(s[i], scale);
+}
+
 /* np.argsort(rea, kind="stable") into key and its inverse permutation into
  * inv, by one counting sort: equal bytes keep their order.  n <= 2**31. */
-void xcross_sort_keys(const uint8_t *rea, long n, int32_t *key, int32_t *inv)
+static void sort_keys(const uint8_t *rea, long n, int32_t *key, int32_t *inv)
 {
     long offs[256] = {0};
     for (long s = 0; s < n; s++)
@@ -116,6 +161,94 @@ void xcross_sort_keys(const uint8_t *rea, long n, int32_t *key, int32_t *inv)
         key[j] = (int32_t)s;
         inv[s] = (int32_t)j;
     }
+}
+
+/* key_schedule.sbox_from_stream: the stable ascending argsort of the 256
+ * values at v, into box.  A bottom-up merge sort of the indices, which
+ * takes the right run's entry only when its value is below the left's, so
+ * equal values keep their order. */
+static void argsort256(const double *v, uint8_t *box)
+{
+    uint8_t a[256], b[256], *src = a, *dst = b, *tmp;
+    for (int i = 0; i < 256; i++)
+        a[i] = (uint8_t)i;
+    for (int w = 1; w < 256; w *= 2, tmp = src, src = dst, dst = tmp) {
+        for (int lo = 0; lo < 256; lo += 2 * w) {
+            int l = lo, r = lo + w, k = lo;
+            while (l < lo + w && r < lo + 2 * w)
+                dst[k++] = v[src[r]] < v[src[l]] ? src[r++] : src[l++];
+            while (l < lo + w)
+                dst[k++] = src[l++];
+            while (r < lo + 2 * w)
+                dst[k++] = src[r++];
+        }
+    }
+    memcpy(box, src, 256);
+}
+
+/* The CLT state `skip` steps after z, run through the `chunk` doubles at
+ * scratch */
+static double clt_skip(double *scratch, long chunk, long skip, double z, double lam,
+                       double alpha_c)
+{
+    for (long len; skip > 0; skip -= len, z = scratch[len - 1]) {
+        len = skip < chunk ? skip : chunk;
+        xcross_clt(scratch, len, z, lam, alpha_c);
+    }
+    return z;
+}
+
+/* Every array of pipeline._build_context after the extraction arrays rea1
+ * and rea2 of n <= 2**31 entries each: key1 and key3 the stable argsort of
+ * rea1 and its inverse, key2 and key4 those of rea2; the operation codes of
+ * `pixels` pixels, round(z * 10**3) mod 3 of the CLT stream from z0s[0]; and
+ * the three S-boxes, one per 256-entry row of sboxes, the argsorts of the
+ * CLT streams from z0s[1 .. 3].  Each stream starts `transient` steps
+ * after its z0, and those steps and the codes' stream run through the
+ * `chunk` >= 1 doubles at scratch, so no stream is held whole. */
+void xcross_context(const uint8_t *rea1, const uint8_t *rea2, long n, double lam,
+                    double alpha_c, const double *z0s, long transient, long pixels,
+                    int32_t *key1, int32_t *key2, int32_t *key3, int32_t *key4, uint8_t *ops,
+                    uint8_t *sboxes, double *scratch, long chunk)
+{
+    sort_keys(rea1, n, key1, key3);
+    sort_keys(rea2, n, key2, key4);
+    double z = clt_skip(scratch, chunk, transient, z0s[0], lam, alpha_c);
+    for (long i = 0, len; i < pixels; i += len, z = scratch[len - 1]) {
+        len = pixels - i < chunk ? pixels - i : chunk;
+        xcross_clt(scratch, len, z, lam, alpha_c);
+        for (long j = 0; j < len; j++)
+            ops[i + j] = mod3(round_half_away(scratch[j], 1e3));
+    }
+    for (int b = 0; b < 3; b++) {
+        double v[256];
+        xcross_clt(v, 256, clt_skip(scratch, chunk, transient, z0s[1 + b], lam, alpha_c), lam,
+                   alpha_c);
+        argsort256(v, sboxes + 256 * b);
+    }
+}
+
+/* substitution.SubstitutionSuite's tables of the S-boxes s0, s1 and s2:
+ * fwd's rows are s0, ~s1 and s2 rotated left one bit, and bwd's rows their
+ * inverses, each 256 bytes.  Returns 1, before writing bwd, when a box is
+ * not a bijection on 0..255, else 0. */
+int xcross_tables(const uint8_t *s0, const uint8_t *s1, const uint8_t *s2, uint8_t *fwd,
+                  uint8_t *bwd)
+{
+    uint8_t seen[768] = {0};
+    for (int i = 0; i < 256; i++) {
+        fwd[i] = s0[i];
+        fwd[256 + i] = (uint8_t)~s1[i];
+        fwd[512 + i] = (uint8_t)(s2[i] << 1 | s2[i] >> 7);
+    }
+    for (int i = 0; i < 768; i++)
+        seen[(i & ~255) | fwd[i]] = 1;
+    for (int i = 0; i < 768; i++)
+        if (!seen[i])
+            return 1;
+    for (int i = 0; i < 768; i++)
+        bwd[(i & ~255) | fwd[i]] = (uint8_t)(i & 255);
+    return 0;
 }
 
 #ifdef XCROSS_AVX2

@@ -3,9 +3,10 @@ check that decides, per group of routines, whether it is used.
 
 Each group is what one command family calls:
 
-* ``cipher``: the LSHM and CLT loops and the key sort of ``derive_context``,
-  and the bit gather, X-Cross and substitution of ``encrypt_with_context``
-  and ``decrypt_with_context``;
+* ``cipher``: the LSHM and CLT loops, the quantizer, the context routine
+  (keys, operation matrix and S-boxes) and the suite tables of
+  ``derive_context``, and the bit gather, X-Cross and substitution of
+  ``encrypt_with_context`` and ``decrypt_with_context``;
 * ``statistics``: every sum and the histogram of ``analyze``, in one routine.
 
 :func:`trusted` checks a group on its first use in a process and gives the
@@ -31,11 +32,18 @@ from pathlib import Path
 
 import numpy as np
 
-#: C source of the compiled loops, key sort, bit gather, pixel layers and statistics.
+#: C source of the compiled loops, derivation, bit gather, pixel layers and statistics.
 _KERNEL_SOURCE = Path(__file__).with_name("_maps.c")
 
 #: Steps of the reference key the compiled loops must reproduce.
 _SELF_CHECK_STEPS = 300
+
+#: Steps of the compiled loops whose LSHM values make the extraction arrays
+#: of the check's 12x20 context (2 * 12 * 20 entries each), and the steps
+#: its contexts' CLT streams skip, where a context skips
+#: `chaotic_maps.TRANSIENT`.
+_CONTEXT_STREAM = 480
+_CONTEXT_SKIP = 50
 
 #: Seconds a compile may take before the Python loops are used instead.
 _COMPILE_TIMEOUT_S = 60
@@ -47,7 +55,12 @@ failures: dict[str, str] = {}
 _ROUTINES = {
     "xcross_lshm": (None, [ctypes.c_void_p] * 2 + [ctypes.c_long] + [ctypes.c_double] * 7),
     "xcross_clt": (None, [ctypes.c_void_p, ctypes.c_long] + [ctypes.c_double] * 3),
-    "xcross_sort_keys": (None, [ctypes.c_void_p, ctypes.c_long] + [ctypes.c_void_p] * 2),
+    "xcross_quantize": (None, [ctypes.c_void_p, ctypes.c_long, ctypes.c_double, ctypes.c_int,
+                               ctypes.c_void_p]),
+    "xcross_context": (None, [ctypes.c_void_p] * 2 + [ctypes.c_long] + [ctypes.c_double] * 2
+                       + [ctypes.c_void_p] + [ctypes.c_long] * 2 + [ctypes.c_void_p] * 7
+                       + [ctypes.c_long]),
+    "xcross_tables": (ctypes.c_int, [ctypes.c_void_p] * 5),
     "xcross_ibt": (ctypes.c_int, [ctypes.c_void_p] * 3 + [ctypes.c_long]),
     "xcross_statistics": (None, [ctypes.c_void_p] + [ctypes.c_long] * 2 + [ctypes.c_void_p] * 3),
     "xcross_substitute": (ctypes.c_int, [ctypes.c_void_p] * 4 + [ctypes.c_long]),
@@ -162,17 +175,61 @@ def _address(a: np.ndarray) -> int:
     return a.ctypes.data
 
 
-def _compiled_sort_keys(lib: ctypes.CDLL | None,
-                        rea: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """The stable argsort of a uint8 vector and its inverse, as int32, from
-    the C counting sort; or None unless ``lib`` is the compiled library and
-    ``rea`` a uint8 vector.  The caller keeps ``rea.size`` at most 2**31."""
-    if lib is None or rea.dtype != np.uint8 or rea.ndim != 1:
+def _compiled_quantize(lib: ctypes.CDLL | None, stream: np.ndarray, scale: float,
+                       modulus: int) -> np.ndarray | None:
+    """:func:`~xcross.key_schedule._quantized` of a float64 vector by the C
+    loop, which gives NaN, +-inf and values beyond int64 byte 0 and code 1
+    on every CPU; or None unless ``lib`` is the compiled library and
+    ``modulus`` 3 or 256."""
+    if lib is None or stream.dtype != np.float64 or stream.ndim != 1 or modulus not in (3, 256):
         return None
-    rea = np.ascontiguousarray(rea)
-    key, inv = np.empty(rea.size, np.int32), np.empty(rea.size, np.int32)
-    lib.xcross_sort_keys(_address(rea), rea.size, _address(key), _address(inv))
-    return key, inv
+    stream = np.ascontiguousarray(stream)
+    out = np.empty(stream.size, np.uint8)
+    lib.xcross_quantize(_address(stream), stream.size, scale, modulus, _address(out))
+    return out
+
+
+#: Doubles of scratch the context routine runs its CLT streams through,
+#: few enough to stay in L1.
+_CONTEXT_CHUNK = 2048
+
+
+def _compiled_context(lib: ctypes.CDLL | None, rea1: np.ndarray, rea2: np.ndarray, clt,
+                      seeds, pixels: int, transient: int, chunk: int = _CONTEXT_CHUNK):
+    """The four int32 extraction keys, the uint8 operation codes of
+    ``pixels`` pixels and the three uint8 S-boxes that the key schedule
+    derives from the extraction arrays ``rea1`` and ``rea2``, the CLT
+    parameters ``clt`` and the S-box seeds, each stream past ``transient``
+    steps, all by one C call; or None unless ``lib`` is the compiled
+    library and the arrays uint8 vectors of one length.  The caller keeps
+    that length at most 2**31; ``chunk`` > 0 sizes the scratch buffer the
+    CLT streams run through."""
+    if (lib is None or rea1.dtype != np.uint8 or rea2.dtype != np.uint8 or rea1.ndim != 1
+            or rea1.shape != rea2.shape):
+        return None
+    rea1, rea2 = np.ascontiguousarray(rea1), np.ascontiguousarray(rea2)
+    keys = [np.empty(rea1.size, np.int32) for _ in range(4)]
+    ops, sboxes = np.empty(pixels, np.uint8), np.empty((3, 256), np.uint8)
+    z0s, scratch = np.array([clt.z0, *seeds]), np.empty(chunk)
+    lib.xcross_context(_address(rea1), _address(rea2), rea1.size, clt.lam, clt.alpha_c,
+                       _address(z0s), transient, pixels, *map(_address, keys), _address(ops),
+                       _address(sboxes), _address(scratch), chunk)
+    return tuple(keys), ops, tuple(sboxes)
+
+
+def _compiled_tables(lib: ctypes.CDLL | None, sboxes) -> tuple[np.ndarray, np.ndarray] | None:
+    """The (3, 256) uint8 forward and backward tables of
+    :class:`~xcross.substitution.SubstitutionSuite` by the C loop; or None
+    unless ``lib`` is the compiled library and each of the three S-boxes a
+    uint8 array of 256 entries that is a bijection."""
+    if lib is None or any(not isinstance(box, np.ndarray) or box.dtype != np.uint8
+                          or box.shape != (256,) for box in sboxes):
+        return None
+    sboxes = [np.ascontiguousarray(box) for box in sboxes]
+    fwd, bwd = np.empty((3, 256), np.uint8), np.empty((3, 256), np.uint8)
+    if lib.xcross_tables(*map(_address, sboxes), _address(fwd), _address(bwd)):
+        return None
+    return fwd, bwd
 
 
 def _compiled_ibt(lib: ctypes.CDLL | None, blk: np.ndarray, key: np.ndarray) -> np.ndarray | None:
@@ -249,53 +306,96 @@ def _same_bytes(pairs) -> bool:
 
 
 def _cipher_pairs(lib: ctypes.CDLL):
-    """The C loops and the Python loops on the reference key, then the C
-    key sort, gather, X-Cross and substitution and their NumPy definitions
-    on two rows of 512 hashed bytes.
+    """The C loops and the Python loops on the reference key; then the C
+    quantizer, context routine and suite tables and their NumPy
+    definitions, fed the C streams just compared; then the C gather,
+    X-Cross and substitution and their NumPy definitions.
 
-    Each row is sorted by C and by NumPy, and the gather runs for an 8x8
-    block by the NumPy keys of that sort, and on a 7x9 block with keys
-    sorted from the row's first 504 bytes: 63 bytes, not a multiple of 4,
-    take the scalar loop where the 8x8 block may take the AVX2 one.  X-Cross
-    runs both ways on a 6x10 view that takes every second row of 12 from the
-    bottom up, which the wrapper copies; its 5 column pairs make one pair's
-    four emissions straddle two rows.  The substitution looks up all 768
-    (code, pixel) pairs, in a scrambled order, and then 40 of them again
-    with codes 0, 1 and 2, in a table of the rows' first 768 bytes: 808
-    pixels are twelve runs of 64, which a CPU that reports AVX-512 VBMI
-    looks up with byte permutes, and a tail that the scalar loop looks up on
-    every CPU.  Both directions run the one routine, and the key's S-box
-    tables would cost more to build than the rest of this check.
+    The quantizer takes exact ties, negatives and values near +-2**62 to
+    mod 3, and the two LSHM streams to mod 256: the C loop's 480 values of
+    each, of which the first 300 are those compared, make the extraction
+    arrays of a 12x20 context, and their first 32 those of a 4x4 one.  Each
+    context's CLT streams start `_CONTEXT_SKIP` steps in, within the 300
+    compared, and run through 32 doubles of scratch, so that the skipped
+    steps and the 12x20 codes' stream cross chunks and the 4x4 codes fill
+    part of one; the first S-box seed is 0, the CLT's fixed point, whose box
+    sorts 256 ties.  The tables take the contexts' boxes, and must decline
+    a box with a repeated entry.  No definition here calls
+    ``iterate_clt``, ``build_*`` or ``SubstitutionSuite``, which would
+    re-enter :func:`trusted`.
+
+    The transform's blocks and table are bytes of the extraction arrays.
+    The gather runs for a 6x10 block, 60 bytes, by the 12x20 context's four
+    keys, and for a 7x9 block by keys sorted from 504 of the bytes: 63
+    bytes, not a multiple of 4, take the scalar loop where the 60 may take
+    the AVX2 one.  X-Cross runs both ways on a 6x10 view that takes every
+    second row of 12 rows from the bottom up, which the wrapper copies; its
+    5 column pairs make one pair's four emissions straddle two rows.  The
+    substitution looks up all 768 (code, pixel) pairs, in a scrambled
+    order, and then 40 of them again with codes 0, 1 and 2, in a table of
+    768 bytes: 808 pixels are twelve runs of 64, which a CPU that reports
+    AVX-512 VBMI looks up with byte permutes, and a tail that the scalar
+    loop looks up on every CPU.
     """
     from . import chaotic_maps
     from .ibt import _gather_bits
-    from .key_schedule import _argsort_keys, reference_key
+    from .key_schedule import _argsort_keys, reference_key, round_half_away, sbox_from_stream
     from .permutation import _permute_by_schedule, _unpermute_by_schedule
-    from .substitution import _gather
+    from .substitution import _fused_tables, _gather
 
     key = reference_key()
-    p, c = key.lshm, key.clt
-    got, want = np.empty((2, 3, _SELF_CHECK_STEPS))
-    for loop_lib, (xs, ys, zs) in ((lib, got), (None, want)):
-        chaotic_maps._lshm_loop(loop_lib, xs, ys, p.x0, p.y0, p)
-        chaotic_maps._clt_loop(loop_lib, zs, c.z0, c)
-    yield got, want
-    reas = _hashed_pixels(2, 512)
-    square, odd = reas[1][:64].reshape(8, 8), reas[1][:63].reshape(7, 9)
-    for rea in reas:
-        keys = _argsort_keys(rea)
-        yield _compiled_sort_keys(lib, rea), keys
-        for blk, blk_keys in ((square, keys), (odd, _argsort_keys(rea[:8 * odd.size]))):
-            for k in blk_keys:
-                yield _compiled_ibt(lib, blk, k), _gather_bits(blk, k)
-    blk = reas[1][:120].reshape(12, 10)[::-2]
+    p, c, steps = key.lshm, key.clt, _SELF_CHECK_STEPS
+    streams = np.empty((3, _CONTEXT_STREAM))
+    xs, ys, zs = streams
+    chaotic_maps._lshm_loop(lib, xs, ys, p.x0, p.y0, p)
+    chaotic_maps._clt_loop(lib, zs, c.z0, c)
+    want = np.empty((3, steps))
+    chaotic_maps._lshm_loop(None, *want[:2], p.x0, p.y0, p)
+    chaotic_maps._clt_loop(None, want[2], c.z0, c)
+    yield streams[:, :steps], want
+
+    def quantized(stream, scale, modulus):
+        return (round_half_away(stream * scale) % modulus).astype(np.uint8)
+
+    edges = [-0.0, -3.0, 2.0**62 - 512, 2.0**62, 2.0**62 + 1024]
+    values = np.array([k + 0.5 for k in range(-8, 8)] + edges + [-v for v in edges])
+    yield _compiled_quantize(lib, values, 1.0, 3), quantized(values, 1.0, 3)
+    lshm = streams[:2].reshape(-1)
+    reas = _compiled_quantize(lib, lshm, 1e5, 256)
+    yield reas, quantized(lshm, 1e5, 256)
+
+    skip, seeds = _CONTEXT_SKIP, (0.0, *key.sbox_seeds[1:])
+    sboxes = []
+    for seed in seeds:
+        stream = np.empty(skip + 256)
+        chaotic_maps._clt_loop(lib, stream, seed, c)
+        sboxes.append(sbox_from_stream(stream[skip:]))
+    codes = quantized(zs[skip:skip + 240], 1e3, 3)
+    for pixels in (4 * 4, 12 * 20):
+        arrays = reas.reshape(2, -1)[:, :2 * pixels]
+        (key1, key3), (key2, key4) = map(_argsort_keys, arrays)
+        keys = key1, key2, key3, key4
+        got = _compiled_context(lib, *arrays, c, seeds, pixels, skip, 32)
+        yield from zip((None,) if got is None else (*got[0], got[1], *got[2]),
+                       (*keys, codes[:pixels], *sboxes))
+    yield from zip(_compiled_tables(lib, sboxes) or (None,), _fused_tables(*sboxes))
+    sboxes[1] = sboxes[1].copy()
+    sboxes[1][7] = sboxes[1][8]
+    yield [_compiled_tables(lib, sboxes) is None], [True]
+
+    odd = reas[:63].reshape(7, 9)
+    for blk, blk_keys in ((reas[900:].reshape(6, 10), keys),
+                          (odd, _argsort_keys(reas[100:100 + 8 * odd.size]))):
+        for k in blk_keys:
+            yield _compiled_ibt(lib, blk, k), _gather_bits(blk, k)
+    blk = reas[600:720].reshape(12, 10)[::-2]
     yield _compiled_xcross(lib, blk, False), _permute_by_schedule(blk)
     yield _compiled_xcross(lib, blk, True), _unpermute_by_schedule(blk)
     # 97 and 768 are coprime, so each code << 8 | pixel comes once in the
     # first 768 lookups; the last 40 repeat the first 40
     pairs = np.arange(808) * 97 % 768
     ops, img = (pairs >> 8).astype(np.uint8), pairs.astype(np.uint8)
-    table = reas.reshape(-1)[:768].reshape(3, 256)
+    table = reas[:768].reshape(3, 256)
     yield _compiled_substitute(lib, table, img, ops), _gather(table, img, ops)
 
 
@@ -327,8 +427,8 @@ def _statistics_pairs(lib: ctypes.CDLL):
 #: Each group's check, and what its failure means.
 _CHECKS = {
     "cipher": (_cipher_pairs, "differs from lshm_step/clt_step on the reference key "
-               f"within {_SELF_CHECK_STEPS} steps, or from the NumPy key sort, bit gather, "
-               "X-Cross or substitution"),
+               f"within {_SELF_CHECK_STEPS} steps, or from the NumPy quantizer, key sorts, "
+               "operation codes, S-boxes, suite tables, bit gather, X-Cross or substitution"),
     "statistics": (_statistics_pairs, "differs from the NumPy image statistics"),
 }
 

@@ -5,6 +5,13 @@ LSHM streams), four bit-extraction keys (stable argsorts and their
 inverses), the per-pixel operation-selection matrix and three S-boxes
 (both from CLT streams).  All derivations are deterministic; the keys are
 permutations and the S-boxes bijections by construction.
+
+The ``build_*`` functions, :func:`round_half_away` and
+:func:`_argsort_keys` are the definitions.  Where the compiled library of
+:mod:`~xcross._native` runs, :func:`_quantized` is one C loop, and
+:func:`_context_arrays` derives everything after the extraction arrays,
+the keys, operation matrix and S-boxes, in one C call that holds no CLT
+stream whole.
 """
 
 from __future__ import annotations
@@ -15,17 +22,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _native
-from .chaotic_maps import CltParams, LshmParams, iterate_clt, iterate_lshm
+from .chaotic_maps import TRANSIENT, CltParams, LshmParams, iterate_clt, iterate_lshm
 from .errors import DimensionError, KeyFormatError, ParameterError
 from .permutation import _check_quarterable
 
 #: Hard cap on M*N, mirrored by the image reader.
 MAX_PIXELS = 2**24
 
-#: Stream values quantized per pass, so the float64 temporaries of
-#: `round_half_away` stay this size whatever the image.  At 2**15 each
-#: temporary is 256 KB; on a 2-core x86-64 host that quantized a 256²
-#: context's streams in 0.75 of the time 2**16 took, and no size slower.
+#: Stream values the NumPy fallback of `_quantized` quantizes per pass, so
+#: the float64 temporaries of `round_half_away` stay this size whatever the
+#: image; the compiled quantizer needs none.  At 2**15 each temporary is
+#: 256 KB; on a 2-core x86-64 host that quantized a 256² context's streams
+#: in 0.75 of the time 2**16 took, and no size slower.
 _QUANTIZE_CHUNK = 2**15
 
 #: Operating ranges for key generation.  `keygen --random` draws uniformly
@@ -99,8 +107,13 @@ def round_half_away(values: np.ndarray) -> np.ndarray:
 
 
 def _quantized(stream: np.ndarray, scale: float, modulus: int) -> np.ndarray:
-    """``round_half_away(stream * scale) mod modulus`` as uint8, computed
-    `_QUANTIZE_CHUNK` values at a time."""
+    """``round_half_away(stream * scale) mod modulus`` as uint8: by the C
+    loop where it runs, else `_QUANTIZE_CHUNK` values at a time.  NaN,
+    +-inf and values beyond int64 give byte 0 and code 1 in C; NumPy's
+    cast gives them the platform's int64, the same one on x86-64."""
+    out = _native._compiled_quantize(_native.trusted("cipher"), stream, scale, modulus)
+    if out is not None:
+        return out
     out = np.empty(stream.size, np.uint8)
     for start in range(0, stream.size, _QUANTIZE_CHUNK):
         q = round_half_away(stream[start:start + _QUANTIZE_CHUNK] * scale)
@@ -133,8 +146,8 @@ def build_extraction_keys(rea1: np.ndarray, rea2: np.ndarray) -> tuple[np.ndarra
     long as its keys, and int32 halves them against intp (4 x 134 MB
     rather than 4 x 268 MB at the 4096^2 cap).  The compiled IBT gather
     reads int32 keys as they are; the NumPy fallback casts them per call.
-    For the uint8 arrays of :func:`build_extraction_arrays` the compiled
-    library builds each key and its inverse in one counting sort.
+    For a context, :func:`_context_arrays` builds the keys in one counting
+    sort each where the compiled library runs.
     """
     rea1 = np.asarray(rea1)
     rea2 = np.asarray(rea2)
@@ -144,14 +157,8 @@ def build_extraction_keys(rea1: np.ndarray, rea2: np.ndarray) -> tuple[np.ndarra
         )
     if rea1.size > 2**31:
         raise DimensionError(f"extraction arrays of {rea1.size} entries exceed int32 keys")
-    (key1, key3), (key2, key4) = _sorted_keys(rea1), _sorted_keys(rea2)
+    (key1, key3), (key2, key4) = _argsort_keys(rea1), _argsort_keys(rea2)
     return key1, key2, key3, key4
-
-
-def _sorted_keys(rea: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_argsort_keys` of ``rea``, by the compiled sort where it runs."""
-    keys = _native._compiled_sort_keys(_native.trusted("cipher"), rea)
-    return _argsort_keys(rea) if keys is None else keys
 
 
 def _argsort_keys(rea: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -199,6 +206,22 @@ def build_sboxes(key: KeyMaterial) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         p = CltParams(lam=key.clt.lam, alpha_c=key.clt.alpha_c, z0=seed)
         tables.append(sbox_from_stream(iterate_clt(p, 256)))
     return tables[0], tables[1], tables[2]
+
+
+def _context_arrays(key: KeyMaterial, rea1: np.ndarray, rea2: np.ndarray, m: int,
+                    n: int) -> tuple[tuple[np.ndarray, ...], np.ndarray, tuple[np.ndarray, ...]]:
+    """The four extraction keys of ``rea1`` and ``rea2``, the m x n
+    operation matrix and the three S-boxes of ``key``: by one C call where
+    the compiled library runs, else by :func:`build_operation_matrix`,
+    :func:`build_sboxes` and then :func:`build_extraction_keys`, so that the
+    CLT stream is freed before the keys exist."""
+    arrays = _native._compiled_context(_native.trusted("cipher"), rea1, rea2, key.clt,
+                                       key.sbox_seeds, m * n, TRANSIENT)
+    if arrays is None:
+        opmatrix, sboxes = build_operation_matrix(key, m, n), build_sboxes(key)
+        return build_extraction_keys(rea1, rea2), opmatrix, sboxes
+    keys, ops, sboxes = arrays
+    return keys, ops.reshape(m, n), sboxes
 
 
 # ---------------------------------------------------------------------------

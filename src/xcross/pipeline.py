@@ -6,6 +6,10 @@ substitution.  Decryption runs the exact inverses in reverse; its bit
 transference is the forward one with the inverse keys, key3/key4/key1/key2
 for quadrants A/B/C/D.  Both directions are deterministic functions of
 (image, key material).
+
+A context is derived in two steps: the LSHM streams become the two
+extraction arrays, and the keys, operation matrix and S-boxes follow from
+those and the CLT parameters, in one call where the compiled library runs.
 """
 
 from __future__ import annotations
@@ -17,14 +21,7 @@ import numpy as np
 
 from .errors import DimensionError, ParameterError, checked_image
 from .ibt import ibt_stage, ibt_unstage
-from .key_schedule import (
-    KeyMaterial,
-    _check_dims,
-    build_extraction_arrays,
-    build_extraction_keys,
-    build_operation_matrix,
-    build_sboxes,
-)
+from .key_schedule import KeyMaterial, _check_dims, _context_arrays, build_extraction_arrays
 from .permutation import (
     merge_quadrants,
     permute_image,
@@ -69,12 +66,10 @@ def derive_context(key: KeyMaterial, m: int, n: int) -> CipherContext:
 
 
 def _build_context(key: KeyMaterial, m: int, n: int) -> CipherContext:
-    # the CLT products first, so their temporaries are freed before the
-    # four keys exist; the streams are independent, so no byte changes
-    opmatrix = build_operation_matrix(key, m, n)
-    sboxes = build_sboxes(key)
+    # the LSHM streams are freed inside build_extraction_arrays, before any
+    # key exists; the compiled library derives the rest in one call
     rea1, rea2 = build_extraction_arrays(key, m, n)
-    keys = build_extraction_keys(rea1, rea2)
+    keys, opmatrix, sboxes = _context_arrays(key, rea1, rea2, m, n)
     for arr in (*keys, opmatrix, *sboxes):
         arr.setflags(write=False)
     return CipherContext(keys=keys, opmatrix=opmatrix, suite=SubstitutionSuite(sboxes=sboxes))

@@ -4,15 +4,18 @@ Each pixel's code picks one of three S-boxes *and* a post-operation on the
 looked-up byte: code 0 uses the box plainly, code 1 complements the
 result, code 2 rotates it left by one bit.  Every branch is a byte
 bijection, so the stage inverts exactly.  The three fused forward maps
-are plain uint8 operations on the boxes, each inverse map is the argsort
-of its forward row, and both directions are one gather from a flat
-(3 * 256)-entry table at index ``code << 8 | pixel``.
+are plain uint8 operations on the boxes, each inverse map writes i at
+entry ``forward[i]``, and both directions are one gather from a flat
+(3 * 256)-entry table at index ``code << 8 | pixel``.  The compiled
+library builds both tables of uint8 boxes in one C call, and hands a box
+that is not a bijection back to the NumPy body, :func:`_tables`, which
+raises exactly as there.
 
-NumPy's checked ``np.take`` is the definition.  Where the compiled library
-of :mod:`~xcross._native` takes the codes (uint8, as the key schedule
-derives them), one C pass looks the same bytes up and checks the codes as
-it goes, without the uint16 and intp index arrays.  It hands codes above 2
-back to the NumPy gather, which raises exactly as there.
+NumPy's checked ``np.take`` is the definition of the lookup.  Where the
+compiled library of :mod:`~xcross._native` takes the codes (uint8, as the
+key schedule derives them), one C pass looks the same bytes up and checks
+the codes as it goes, without the uint16 and intp index arrays.  It hands
+codes above 2 back to the NumPy gather, which raises exactly as there.
 """
 
 from __future__ import annotations
@@ -40,19 +43,32 @@ class SubstitutionSuite:
     def __post_init__(self) -> None:
         if len(self.sboxes) != 3:
             raise OpCodeError("a substitution suite needs exactly three S-boxes")
-        for box in self.sboxes:
-            if np.asarray(box).shape != (256,):
-                raise DimensionError("S-box tables must have 256 entries")
-            # before the cast to uint8, which would read 256 as 0
-            if not np.array_equal(np.sort(box), np.arange(256)):
-                raise OpCodeError("S-box table is not a bijection on 0..255")
-        s0, s1, s2 = (np.asarray(b, dtype=np.uint8) for b in self.sboxes)
-        fwd = np.stack([s0, ~s1, (s2 << 1) | (s2 >> 7)])
-        bwd = np.argsort(fwd, axis=1).astype(np.uint8)
+        tables = _native._compiled_tables(_native.trusted("cipher"), self.sboxes)
+        fwd, bwd = _tables(self.sboxes) if tables is None else tables
         fwd.setflags(write=False)
         bwd.setflags(write=False)
         object.__setattr__(self, "forward", fwd)
         object.__setattr__(self, "backward", bwd)
+
+
+def _tables(sboxes) -> tuple[np.ndarray, np.ndarray]:
+    """The forward and backward tables of three S-boxes by NumPy, raising
+    for a box that is not a bijection on 0..255: the definition."""
+    for box in sboxes:
+        if np.asarray(box).shape != (256,):
+            raise DimensionError("S-box tables must have 256 entries")
+        # before the cast to uint8, which would read 256 as 0
+        if not np.array_equal(np.sort(box), np.arange(256)):
+            raise OpCodeError("S-box table is not a bijection on 0..255")
+    return _fused_tables(*(np.asarray(b, dtype=np.uint8) for b in sboxes))
+
+
+def _fused_tables(s0: np.ndarray, s1: np.ndarray, s2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The tables of three uint8 bijections: the forward maps, then their inverses."""
+    fwd = np.array([s0, ~s1, (s2 << 1) | (s2 >> 7)])
+    bwd = np.empty_like(fwd)
+    bwd[np.arange(3)[:, None], fwd] = np.arange(256, dtype=np.uint8)
+    return fwd, bwd
 
 
 def _lookup(table: np.ndarray, img: np.ndarray, ops: np.ndarray) -> np.ndarray:

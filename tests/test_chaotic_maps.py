@@ -117,7 +117,8 @@ AVX512_LEAF_OFF = ('__builtin_cpu_supports("avx512f")', "0")
 #: Why each routine group is refused when its check finds a differing byte.
 MISMATCH_CAUSES = {
     "cipher": "differs from lshm_step/clt_step on the reference key within 300 steps, "
-              "or from the NumPy key sort, bit gather, X-Cross or substitution",
+              "or from the NumPy quantizer, key sorts, operation codes, S-boxes, suite tables, "
+              "bit gather, X-Cross or substitution",
     "statistics": "differs from the NumPy image statistics",
 }
 
@@ -668,13 +669,17 @@ class TestCompiledLoops:
         assert re.findall(r"\b(?:malloc|calloc|realloc|free)\s*\(", text) == []
 
     def test_library_serves_every_layer(self, compiled_library, monkeypatch, rng):
-        # the NumPy gathers, sort, sums and X-Cross are the silent fallback,
-        # so a round trip alone would also hold with none of them compiled
+        # the NumPy quantizer, sorts, suite tables, gathers, sums and X-Cross
+        # are the silent fallback, so a round trip alone would also hold with
+        # none of them compiled
         def numpy_in_use(*args):
             raise AssertionError("a NumPy definition ran where the library should")
 
         monkeypatch.setattr(ibt, "_gather_bits", numpy_in_use)
         monkeypatch.setattr(key_schedule, "_argsort_keys", numpy_in_use)
+        monkeypatch.setattr(key_schedule, "round_half_away", numpy_in_use)
+        monkeypatch.setattr(key_schedule, "sbox_from_stream", numpy_in_use)
+        monkeypatch.setattr(substitution, "_tables", numpy_in_use)
         monkeypatch.setattr(analysis, "_centred_sums", numpy_in_use)
         monkeypatch.setattr(analysis, "_glcm_matrix", numpy_in_use)
         monkeypatch.setattr(analysis, "_histogram", numpy_in_use)
@@ -714,6 +719,16 @@ class TestCompiledLoops:
         pytest.param("alpha_c * z / 2.0", "alpha_c * z * 0.4999999999", id="clt"),
         # a sort that numbers each bin from the end: not the stable order
         pytest.param("key[j] = (int32_t)s;", "key[j] = (int32_t)(n - 1 - s);", id="sort"),
+        # a quantizer that rounds exact ties down
+        pytest.param("f - (double)t >= 0.5", "f - (double)t > 0.5", id="quantize_tie"),
+        # codes of negative values left negative, 254 and 255 as bytes
+        pytest.param("(uint8_t)(r < 0 ? r + 3 : r)", "(uint8_t)r", id="quantize_mod3"),
+        # an S-box merge that takes the right run's entry first on ties
+        pytest.param("v[src[r]] < v[src[l]]", "v[src[r]] <= v[src[l]]", id="sbox_merge"),
+        # a code-2 table rotated right, not left
+        pytest.param("s2[i] << 1 | s2[i] >> 7", "s2[i] >> 1 | s2[i] << 7", id="tables_rotation"),
+        # tables for a box that is not a bijection
+        pytest.param("if (!seen[i])\n            return 1;", "", id="tables_bijection"),
         # a scalar gather that numbers the bits of a byte LSB first
         pytest.param("(7 - (k & 7))", "(k & 7)", id="gather"),
         # an AVX2 gather that shifts by the bit's position in a nibble, not a byte

@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import hashlib
 import importlib.util
@@ -5,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -12,9 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import REPO_ROOT, x86_64_only
+from conftest import REPO_ROOT, python_loops, x86_64_only
 from xcross import _native
-from xcross.chaotic_maps import CltParams, LshmParams, iterate_clt, iterate_lshm
+from xcross.chaotic_maps import TRANSIENT, CltParams, LshmParams, iterate_clt, iterate_lshm
 from xcross.errors import DimensionError, KeyFormatError, ParameterError
 from xcross.key_schedule import (
     _QUANTIZE_CHUNK,
@@ -25,6 +27,7 @@ from xcross.key_schedule import (
     build_extraction_keys,
     build_operation_matrix,
     build_sboxes,
+    _context_arrays,
     key_from_values,
     key_values,
     parse_key,
@@ -72,15 +75,32 @@ class TestRounding:
         assert got.tolist() == want
 
 
+@pytest.fixture(params=["compiled", "numpy"])
+def quantizer(request):
+    """Runs the test with ``_quantized`` by the C loop, then by NumPy."""
+    if request.param == "compiled":
+        request.getfixturevalue("compiled_library")
+        yield
+    else:
+        with python_loops():
+            yield
+
+
+#: Non-finite values, values at and beyond the ends of int64, and a tie,
+#: for `_quantized`.
+NON_FINITE = np.array([np.nan, -np.nan, np.inf, -np.inf, 1e300, -1e300, 2.0**63, -2.0**63, 0.5])
+
+
 class TestChunkedQuantize:
-    """``_quantized`` must give round_half_away's bytes across chunk borders."""
+    """``_quantized`` must give round_half_away's bytes across chunk borders,
+    by the C loop and by NumPy."""
 
     @staticmethod
     def reference(stream, scale, modulus):
         return np.mod(round_half_away(stream * scale), modulus).astype(np.uint8)
 
     @pytest.mark.parametrize("scale, modulus", [(1.0, 256), (1e5, 256), (1e3, 3)])
-    def test_matches_round_half_away(self, rng, scale, modulus):
+    def test_matches_round_half_away(self, quantizer, rng, scale, modulus):
         stream = rng.uniform(-4.0, 4.0, 2 * _QUANTIZE_CHUNK + 3)
         # exact ties both ways, signed zeros and a negative tie at each border
         stream[::5] = (np.arange(stream[::5].size) % 1000 - 500) + 0.5
@@ -90,24 +110,50 @@ class TestChunkedQuantize:
         assert got.dtype == np.uint8
         assert got.tobytes() == self.reference(stream, scale, modulus).tobytes()
 
+    @pytest.mark.parametrize("modulus", [3, 256])
+    def test_ties_negatives_and_large_values(self, quantizer, modulus):
+        # every k + 0.5 for k in -40..39, then values within a few ulps of
+        # +-2**62 and the largest double below 2**63
+        near = np.array([2.0**62 - 512, 2.0**62, 2.0**62 + 1024, 2.0**63 - 1024, 12345.5])
+        stream = np.concatenate([np.arange(-40, 40) + 0.5, near, -near])
+        want = [oracles.round_half_away_exact(float(v), 1) % modulus for v in stream]
+        assert _quantized(stream, 1.0, modulus).tolist() == want
+
     @pytest.mark.filterwarnings("ignore:invalid value encountered in cast")
     @pytest.mark.filterwarnings("ignore:invalid value encountered in subtract")
     def test_non_finite_values_match_round_half_away(self):
-        stream = np.array([np.nan, -np.nan, np.inf, -np.inf, 1e300, -1e300, 0.5])
-        for modulus in (256, 3):
-            got = _quantized(stream, 1e5, modulus)
-            assert got.tobytes() == self.reference(stream, 1e5, modulus).tobytes()
+        with python_loops():
+            for modulus in (256, 3):
+                got = _quantized(NON_FINITE, 1e5, modulus)
+                assert got.tobytes() == self.reference(NON_FINITE, 1e5, modulus).tobytes()
 
-    @x86_64_only
     @pytest.mark.filterwarnings("ignore:invalid value encountered in cast")
     @pytest.mark.filterwarnings("ignore:invalid value encountered in subtract")
     @pytest.mark.parametrize("scale, modulus, expected", [
-        (1e5, 256, [0, 0, 0, 0, 0, 0, 80]),
-        (1e3, 3, [1, 1, 1, 1, 1, 1, 2]),
+        (1e5, 256, [0, 0, 0, 0, 0, 0, 0, 0, 80]),
+        (1e3, 3, [1, 1, 1, 1, 1, 1, 1, 1, 2]),
     ])
-    def test_non_finite_values_give_fixed_bytes(self, scale, modulus, expected):
-        stream = np.array([np.nan, -np.nan, np.inf, -np.inf, 1e300, -1e300, 0.5])
-        assert _quantized(stream, scale, modulus).tolist() == expected
+    @pytest.mark.parametrize("path", [
+        "compiled", pytest.param("numpy", marks=x86_64_only)])
+    def test_non_finite_values_give_fixed_bytes(self, request, path, scale, modulus, expected):
+        # the C loop gives these bytes on every CPU, NumPy's cast on x86-64
+        if path == "compiled":
+            request.getfixturevalue("compiled_library")
+        with python_loops() if path == "numpy" else contextlib.nullcontext():
+            assert _quantized(NON_FINITE, scale, modulus).tolist() == expected
+
+    def test_compiled_quantizer_warns_of_nothing(self, compiled_library):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _quantized(NON_FINITE, 1e5, 256).tolist() == [0] * 8 + [80]
+            # exactly +-2**63, where the C loop stops converting
+            assert _quantized(np.array([2.0**63, -2.0**63]), 1.0, 3).tolist() == [1, 1]
+
+    def test_other_moduli_and_dtypes_take_numpy(self, compiled_library):
+        for stream, modulus in ((np.arange(4.0), 7), (np.arange(4, dtype=np.float32), 3),
+                                (np.ones((2, 2)), 3)):
+            assert _native._compiled_quantize(compiled_library, stream, 1.0, modulus) is None
+        assert _quantized(np.arange(-3.0, 4.0), 1.0, 7).tolist() == [4, 5, 6, 0, 1, 2, 3]
 
 
 class TestExtractionArrays:
@@ -188,24 +234,71 @@ def extraction_arrays(draw):
     return ramp if kind == "ascending" else ramp[::-1]
 
 
+def compiled_context(lib, rea1, rea2, key=None, pixels=16, chunk=_native._CONTEXT_CHUNK):
+    """The context routine's arrays for the extraction arrays, the CLT
+    parameters and seeds of ``key`` (the reference key by default), and
+    ``pixels`` operation codes."""
+    key = key or reference_key()
+    return _native._compiled_context(lib, rea1, rea2, key.clt, key.sbox_seeds, pixels,
+                                     TRANSIENT, chunk)
+
+
 @settings(max_examples=60, deadline=None)
 @given(rea=extraction_arrays())
-def test_compiled_sort_is_stable_argsort_and_inverse(compiled_library, rea):
-    key, inv = _native._compiled_sort_keys(compiled_library, rea)
-    want = np.argsort(rea, kind="stable")
-    want_inv = np.empty_like(want)
-    want_inv[want] = np.arange(want.size)
-    assert key.dtype == inv.dtype == np.int32
-    assert np.array_equal(key, want) and np.array_equal(inv, want_inv)
+def test_context_routine_sorts_stably_with_inverse(compiled_library, rea):
+    keys, _, _ = compiled_context(compiled_library, rea, rea[::-1])
+    for key, inv, want in zip(keys[:2], keys[2:], (rea, rea[::-1])):
+        want_key = np.argsort(want, kind="stable")
+        want_inv = np.empty_like(want_key)
+        want_inv[want_key] = np.arange(want_key.size)
+        assert key.dtype == inv.dtype == np.int32
+        assert np.array_equal(key, want_key) and np.array_equal(inv, want_inv)
 
 
-def test_compiled_sort_declines_other_inputs(compiled_library):
+def test_context_routine_declines_other_inputs(compiled_library):
     # cast to uint8, 300 and 256 would sort as 44 and 0
     wide = np.array([300, 1, 2, 256])
-    assert _native._compiled_sort_keys(compiled_library, wide) is None
-    assert _native._compiled_sort_keys(compiled_library, np.zeros((2, 4), np.uint8)) is None
-    assert _native._compiled_sort_keys(None, wide.astype(np.uint8)) is None
+    narrow = wide.astype(np.uint8)
+    assert compiled_context(compiled_library, wide, wide) is None
+    assert compiled_context(compiled_library, narrow, narrow[:3]) is None
+    square = np.zeros((2, 4), np.uint8)
+    assert compiled_context(compiled_library, square, square) is None
+    assert compiled_context(None, narrow, narrow) is None
     assert build_extraction_keys(wide, wide)[0].tolist() == [1, 2, 3, 0]
+
+
+#: Context shapes on which the routine must give the definitions' arrays:
+#: the check's two, one whose quadrants X-Cross across rows, the benchmark's
+#: and the memo's largest sides, and the two extremes of a 2**14-pixel image.
+CONTEXT_SHAPES = [(4, 4), (12, 20), (20, 20), (64, 64), (256, 256), (4, 4096), (4096, 4)]
+
+
+def assert_same_arrays(got, want):
+    """Two (keys, operation matrix, S-boxes) triples hold the same arrays."""
+    (got_keys, got_ops, got_boxes), (want_keys, want_ops, want_boxes) = got, want
+    for a, b in zip([*got_keys, got_ops, *got_boxes], [*want_keys, want_ops, *want_boxes],
+                    strict=True):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("seed", [None, 1, 2])
+@pytest.mark.parametrize("m, n", CONTEXT_SHAPES)
+def test_context_routine_matches_definitions(compiled_library, m, n, seed):
+    key = reference_key() if seed is None else random_key_material(np.random.default_rng(seed))
+    rea1, rea2 = build_extraction_arrays(key, m, n)
+    got = _context_arrays(key, rea1, rea2, m, n)
+    with python_loops():
+        want = _context_arrays(key, rea1, rea2, m, n)
+    assert_same_arrays(got, want)
+
+
+@pytest.mark.parametrize("chunk", [256, 257, 500, 1000, 1001, 4096])
+def test_context_routine_is_independent_of_its_scratch(compiled_library, ref_key, chunk):
+    # the op-matrix stream crosses chunk borders, and the transient ends
+    # on one where the chunk divides 1000
+    rea1, rea2 = build_extraction_arrays(ref_key, 64, 64)
+    assert_same_arrays(compiled_context(compiled_library, rea1, rea2, pixels=4096, chunk=chunk),
+                       compiled_context(compiled_library, rea1, rea2, pixels=4096))
 
 
 class TestOperationMatrix:
@@ -500,8 +593,8 @@ class TestRandomKeys:
 
 class TestBenchSizesScript:
     """``scripts/bench_sizes.py`` calls ``key_schedule._quantized`` and
-    replaces ``_native.trusted``, so a rename of either would break it
-    silently."""
+    ``key_schedule._context_arrays`` and replaces ``_native.trusted``, so a
+    rename of any of them would break it silently."""
 
     SCRIPT = REPO_ROOT / "scripts" / "bench_sizes.py"
 

@@ -1,14 +1,18 @@
+import contextlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import python_loops
 from xcross import _native
 from xcross.errors import DimensionError, OpCodeError
 from xcross.key_schedule import build_sboxes
 from xcross.substitution import (
     SubstitutionSuite,
     _gather,
+    _tables,
     substitution_stage,
     unsubstitute_stage,
 )
@@ -57,6 +61,45 @@ class TestSuite:
     def test_rejects_wrong_length(self):
         with pytest.raises(DimensionError, match="256 entries"):
             SubstitutionSuite(sboxes=(IDENT[:255].copy(), IDENT.copy(), IDENT.copy()))
+
+
+def _repeated(box, i, j):
+    """A copy of ``box`` whose entry i repeats entry j."""
+    box = box.copy()
+    box[i] = box[j]
+    return box
+
+
+#: Three S-boxes each, which no suite may take, by why.
+BAD_BOXES = {
+    "repeat": (_repeated(IDENT, 3, 4), IDENT, IDENT),
+    "repeat_last_box": (IDENT, IDENT, _repeated(IDENT[::-1], 255, 0)),
+    "repeat_in_view": (IDENT, _repeated(IDENT, 0, 255)[::-1], IDENT),
+    "short": (IDENT, IDENT[:255], IDENT),
+    "repeat_before_short": (_repeated(IDENT, 9, 8), IDENT[:255], IDENT),
+    "wraps": (IDENT.astype(np.int64) + 256 * (IDENT == 0), IDENT, IDENT),
+    "two_dimensional": (IDENT.reshape(16, 16), IDENT, IDENT),
+    "two_boxes": (IDENT, IDENT),
+}
+
+
+@pytest.mark.parametrize("sboxes", BAD_BOXES.values(), ids=BAD_BOXES.keys())
+def test_bad_boxes_raise_alike_on_both_paths(compiled_library, sboxes):
+    raised = []
+    for path in (contextlib.nullcontext(), python_loops()):
+        with path, pytest.raises((DimensionError, OpCodeError)) as info:
+            SubstitutionSuite(sboxes=sboxes)
+        raised.append((type(info.value), str(info.value)))
+    assert raised[0] == raised[1]
+
+
+def test_compiled_tables_match_numpy(compiled_library, rng):
+    boxes = tuple(rng.permutation(256).astype(np.uint8) for _ in range(3))
+    # a view taken backwards is copied, and each box is its own buffer
+    for sboxes in (boxes, (boxes[0][::-1], IDENT, boxes[2]), np.stack(boxes)):
+        got = _native._compiled_tables(compiled_library, tuple(sboxes))
+        for a, b in zip(got, _tables(sboxes), strict=True):
+            assert a.shape == b.shape == (3, 256) and a.tobytes() == b.tobytes()
 
 
 def _one_pixel(suite, p, op, stage=substitution_stage):
